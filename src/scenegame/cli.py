@@ -196,12 +196,13 @@ def _image_seed(master: int, trial: int, index: int) -> int:
     return (master * 1_000_003 + trial * 100_003 + index) % 2 ** 63
 
 
-def _cell_dataset(config: ExperimentConfig, size: int, noise: int, trial: int):
+def _cell_dataset(seed: int, images_per_class: int, size: int, noise: int,
+                  trial: int = 0):
+    """Seeded, equalized synthetic set with images_per_class scenes per class."""
     images, labels = [], []
     for class_id in range(net_mod.CLASS_COUNT):
-        for i in range(config.images_per_class):
-            img = gen_scene(class_id, size, noise,
-                            _image_seed(config.seed, trial, i))
+        for i in range(images_per_class):
+            img = gen_scene(class_id, size, noise, _image_seed(seed, trial, i))
             images.append(preprocess.equalize(img))
             labels.append(class_id)
     return images, labels
@@ -270,7 +271,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for size in config.sizes:
             for noise in config.noise_levels:
                 for trial in range(config.trials):
-                    images, labels = _cell_dataset(config, size, noise, trial)
+                    images, labels = _cell_dataset(
+                        config.seed, config.images_per_class, size, noise, trial)
                     rng = np.random.default_rng(
                         [config.seed, size, noise, trial, 7])
                     (train_x, train_y), (test_x, test_y) = _split(
@@ -448,19 +450,9 @@ def _cmd_features(args):
     return 0
 
 
-def _synthetic_set(args):
-    images, labels = [], []
-    for class_id in range(net_mod.CLASS_COUNT):
-        for i in range(args.images_per_class):
-            img = gen_scene(class_id, args.size, args.noise,
-                            _image_seed(args.seed, 0, i))
-            images.append(preprocess.equalize(img))
-            labels.append(class_id)
-    return images, labels
-
-
 def _cmd_train(args):
-    images, labels = _synthetic_set(args)
+    images, labels = _cell_dataset(args.seed, args.images_per_class,
+                                   args.size, args.noise)
     network = net_mod.default_net(
         input_size=args.crop if args.augment else args.size, seed=args.seed)
     config = net_mod.TrainConfig(
@@ -479,7 +471,8 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     network = net_mod.load_net(args.model)
-    images, labels = _synthetic_set(args)
+    images, labels = _cell_dataset(args.seed, args.images_per_class,
+                                   args.size, args.noise)
     hits = sum(net_mod.predict(network, img)[0] == lbl
                for img, lbl in zip(images, labels))
     print(f"accuracy = {hits / len(images):.4f}")
@@ -524,17 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def seed_and_out(p, out_default=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out_default)
-        p.add_argument("--config", default=None)
 
     p = sub.add_parser("preprocess", help="enhance one grayscale image")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True,
                    choices=["equalize", "lowpass", "highpass", "haar"])
     p.add_argument("--cutoff", type=float, default=0.5)
-    common(p, out_default="out.pgm")
+    p.add_argument("--out", default="out.pgm")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("gmm-fit", help="fit an intensity mixture to an image")
@@ -542,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=_cmd_gmm_fit)
 
     p = sub.add_parser("segment", help="mixture + labeling game segmentation")
@@ -553,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
     p.add_argument("--max-sweeps", type=int, default=60)
     p.add_argument("--trace", default=None)
-    common(p, out_default="labels.pgm")
+    seed_and_out(p, out_default="labels.pgm")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("register", help="discrete displacement registration")
@@ -564,14 +556,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
     p.add_argument("--max-sweeps", type=int, default=60)
     p.add_argument("--trace", default=None)
-    common(p, out_default="displacement.pgm")
+    seed_and_out(p, out_default="displacement.pgm")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("features", help="block feature extraction to CSV")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--select", type=float, default=None,
                    help="similarity threshold; also prints selected columns")
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train", help="train the classifier on synthetic scenes")
@@ -587,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", action="store_true")
     p.add_argument("--crop", type=int, default=None)
     p.add_argument("--trace", default=None)
-    common(p, out_default="model.bin")
+    seed_and_out(p, out_default="model.bin")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on synthetic scenes")
@@ -595,23 +587,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--noise", type=int, default=1)
     p.add_argument("--images-per-class", type=int, default=10)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("experiment", help="accuracy grid report (CSV)")
-    common(p)
+    p.add_argument("--config", default=None)
+    seed_and_out(p)
     p.set_defaults(func=_cmd_experiment, seed=None)
 
     p = sub.add_parser("keyframes", help="keyframe indices for a frame count")
     p.add_argument("--fps", type=float, default=20.0)
     p.add_argument("--interval", type=float, default=3.0)
     p.add_argument("--total", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_keyframes)
 
     p = sub.add_parser("action", help="scene class to planned action")
     p.add_argument("class_id", type=int)
-    common(p)
     p.set_defaults(func=_cmd_action)
 
     return parser

@@ -10,7 +10,6 @@ the global optimum with high probability on small instances), plus an
 exhaustive oracle for verification at desk scale.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +43,11 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class GameConfig:
-    sweep_order: str = "raster"  # 'raster' | 'checkerboard'
     max_sweeps: int = 60
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
     seed: int = 0
 
     def __post_init__(self):
-        if self.sweep_order not in ("raster", "checkerboard"):
-            raise ValueError(f"unknown sweep order {self.sweep_order!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
@@ -166,178 +162,154 @@ def energy_of(model: EnergyModel, labels: LabelField) -> float:
     return total + model.prior_weight * float(horiz.sum() + vert.sum())
 
 
-def _neighbor_table(model: EnergyModel):
-    """Flat-index adjacency with edge weights, built once per solve."""
+def _edge_scales(model: EnergyModel):
+    """prior_weight * edge weight for the horizontal (h, w-1) and vertical
+    (h-1, w) edges."""
     h, w = model.height, model.width
-    wx = model.edge_weights_x
-    wy = model.edge_weights_y
+    wx = np.ones((h, w - 1)) if model.edge_weights_x is None else model.edge_weights_x
+    wy = np.ones((h - 1, w)) if model.edge_weights_y is None else model.edge_weights_y
+    return model.prior_weight * wx, model.prior_weight * wy
+
+
+def _local_costs(model: EnergyModel, lab: np.ndarray) -> np.ndarray:
+    """(h, w, L) cost of every label at every site given its neighbors' labels.
+
+    Neighbor terms are added left, right, up, down, the same arithmetic as the
+    raster sweep's per-site sum, so both give bit-identical costs.
+    """
+    costs = model.data_costs.copy()
+    pair = model.pair_cost
+    sx, sy = (s[:, :, None] for s in _edge_scales(model))
+    costs[:, 1:] += sx * pair[lab[:, :-1]]
+    costs[:, :-1] += sx * pair[lab[:, 1:]]
+    costs[1:, :] += sy * pair[lab[:-1, :]]
+    costs[:-1, :] += sy * pair[lab[1:, :]]
+    return costs
+
+
+def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalized exp(-cost / T) over the last axis, shifted by its minimum."""
+    return np.exp(-(costs - costs.min(axis=-1, keepdims=True)) / temperature)
+
+
+def _neighbor_table(model: EnergyModel):
+    """Per flat site: [(neighbor index, edge scale)] in the kernel's left,
+    right, up, down order."""
+    h, w = model.height, model.width
+    sx, sy = (s.tolist() for s in _edge_scales(model))
     table = []
     for r in range(h):
         for c in range(w):
             nbrs = []
             if c > 0:
-                nbrs.append((r * w + c - 1, 1.0 if wx is None else float(wx[r, c - 1])))
+                nbrs.append((r * w + c - 1, sx[r][c - 1]))
             if c < w - 1:
-                nbrs.append((r * w + c + 1, 1.0 if wx is None else float(wx[r, c])))
+                nbrs.append((r * w + c + 1, sx[r][c]))
             if r > 0:
-                nbrs.append(((r - 1) * w + c, 1.0 if wy is None else float(wy[r - 1, c])))
+                nbrs.append(((r - 1) * w + c, sy[r - 1][c]))
             if r < h - 1:
-                nbrs.append(((r + 1) * w + c, 1.0 if wy is None else float(wy[r, c])))
+                nbrs.append(((r + 1) * w + c, sy[r][c]))
             table.append(nbrs)
     return table
 
 
-def _order_indices(model: EnergyModel, order: str):
-    h, w = model.height, model.width
-    if order == "raster":
-        return list(range(h * w))
-    evens = [r * w + c for r in range(h) for c in range(w) if (r + c) % 2 == 0]
-    odds = [r * w + c for r in range(h) for c in range(w) if (r + c) % 2 == 1]
-    return evens + odds
+def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
+             max_sweeps: int = None):
+    """Raster best-response sweeps until one changes nothing or max_sweeps
+    have run. Returns (labels, [SweepRecord...]) numbered from first_sweep.
 
-
-def _local_costs(idx, flat, dc, nbr_table, pair, prior_weight):
-    """Cost of each candidate label at one site given the current neighbors."""
-    costs = list(dc[idx])
-    if prior_weight:
-        for nb, wgt in nbr_table[idx]:
-            row = pair[flat[nb]]
-            scale = prior_weight * wgt
-            for lbl in range(len(costs)):
-                costs[lbl] += scale * row[lbl]
-    return costs
-
-
-def _sweep_flat(flat, dc, nbr_table, pair, prior_weight, indices):
-    """One sequential best-response pass, in place. Returns switch count.
-
-    A pixel moves only on a strict local improvement, so every change strictly
+    Each site sees the labels its earlier neighbors took in the same sweep. A
+    pixel moves only on a strict local improvement, so every change strictly
     decreases the total energy; ties keep the current label, and ties between
     new labels resolve to the lowest index.
     """
-    changed = 0
-    label_count = len(pair)
-    for idx in indices:
-        costs = _local_costs(idx, flat, dc, nbr_table, pair, prior_weight)
-        current = flat[idx]
-        best_label = current
-        best_cost = costs[current]
-        for lbl in range(label_count):
-            if costs[lbl] < best_cost:
-                best_cost = costs[lbl]
-                best_label = lbl
-        if best_label != current:
-            flat[idx] = best_label
-            changed += 1
-    return changed
-
-
-def _model_lists(model: EnergyModel):
     h, w, label_count = model.data_costs.shape
     dc = model.data_costs.reshape(h * w, label_count).tolist()
     pair = model.pair_cost.tolist()
-    return dc, pair
-
-
-def best_response_sweep(model: EnergyModel, labels: LabelField,
-                        order: str = "raster"):
-    """One best-response pass over every pixel. Returns (labels, changed)."""
-    _check_dims(model, labels)
-    dc, pair = _model_lists(model)
     nbr_table = _neighbor_table(model)
-    flat = [int(v) for v in labels.labels.ravel()]
-    changed = _sweep_flat(flat, dc, nbr_table, pair, model.prior_weight,
-                          _order_indices(model, order))
-    out = LabelField(
-        labels=np.array(flat, dtype=np.int64).reshape(model.height, model.width),
-        label_count=model.label_count,
-    )
-    return out, changed
+    flat = labels.labels.ravel().tolist()
+    labels_range = range(label_count)
+    trace = []
+    sweep = first_sweep
+    while True:
+        changed = 0
+        for idx, nbrs in enumerate(nbr_table):
+            costs = list(dc[idx])
+            for nb, scale in nbrs:
+                row = pair[flat[nb]]
+                for lbl in labels_range:
+                    costs[lbl] += scale * row[lbl]
+            low = min(costs)
+            if low < costs[flat[idx]]:
+                flat[idx] = costs.index(low)
+                changed += 1
+        current = LabelField(labels=np.array(flat, dtype=np.int64).reshape(h, w),
+                             label_count=label_count)
+        trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, current),
+                                 changed=changed, temperature=0.0))
+        if changed == 0 or len(trace) == max_sweeps:
+            return current, trace
+        sweep += 1
+
+
+def best_response_sweep(model: EnergyModel, labels: LabelField):
+    """One raster best-response pass over every pixel. Returns (labels, changed)."""
+    _check_dims(model, labels)
+    out, trace = _descend(model, labels, max_sweeps=1)
+    return out, trace[0].changed
 
 
 def solve_icm(model: EnergyModel, init: LabelField, config: GameConfig):
     """Greedy best-response dynamics to a unilateral-deviation-proof labeling.
 
-    Fast but local: the result always passes nash_check when it terminates
-    before max_sweeps, yet may sit above the global minimum energy.
-    Returns (labels, [SweepRecord...]).
+    Sweeps visit pixels in raster order. Fast but local: the result always
+    passes nash_check when it terminates before max_sweeps, yet may sit above
+    the global minimum energy. Returns (labels, [SweepRecord...]).
     """
     _check_dims(model, init)
-    dc, pair = _model_lists(model)
-    nbr_table = _neighbor_table(model)
-    indices = _order_indices(model, config.sweep_order)
-    flat = [int(v) for v in init.labels.ravel()]
-    trace = []
-    for sweep in range(1, config.max_sweeps + 1):
-        changed = _sweep_flat(flat, dc, nbr_table, pair, model.prior_weight, indices)
-        current = LabelField(
-            labels=np.array(flat, dtype=np.int64).reshape(model.height, model.width),
-            label_count=model.label_count,
-        )
-        trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, current),
-                                 changed=changed, temperature=0.0))
-        if changed == 0:
-            break
-    return current, trace
+    return _descend(model, init, max_sweeps=config.max_sweeps)
 
 
 def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     """Annealed random relaxation (Gibbs resampling with geometric cooling).
 
     Each site resamples its label with probability proportional to
-    exp(-local_energy / T). After the cooling sweeps, best-response passes run
-    to a fixed point so the output is also unilateral-deviation-proof.
-    Bit-reproducible for a fixed seed. Returns (labels, [SweepRecord...]).
+    exp(-local_energy / T). A sweep resamples the even checkerboard colour
+    ((row + col) even), then the odd one; sites of one colour share no edge,
+    so resampling a colour at once equals resampling its sites one by one in
+    raster order. Each colour draws one uniform per site, in raster order.
+    After the cooling sweeps, raster best-response passes run to a fixed point
+    so the output is also unilateral-deviation-proof. Bit-reproducible for a
+    fixed seed. Returns (labels, [SweepRecord...]).
     """
     _check_dims(model, init)
-    dc, pair = _model_lists(model)
-    nbr_table = _neighbor_table(model)
-    indices = _order_indices(model, config.sweep_order)
     label_count = model.label_count
     rng = np.random.default_rng(int(config.seed) % 2 ** 63)
     schedule = config.schedule
-    flat = [int(v) for v in init.labels.ravel()]
+    lab = init.labels.copy()
+    colours = np.indices(lab.shape).sum(axis=0) % 2
     trace = []
-
-    def snapshot():
-        return LabelField(
-            labels=np.array(flat, dtype=np.int64).reshape(model.height, model.width),
-            label_count=label_count,
-        )
-
     for sweep in range(config.max_sweeps):
         temp = schedule.t0 * schedule.decay ** (sweep // schedule.sweeps_per_temp)
         changed = 0
-        for idx in indices:
-            costs = _local_costs(idx, flat, dc, nbr_table, pair, model.prior_weight)
-            low = min(costs)
-            weights = [math.exp(-(c - low) / temp) for c in costs]
-            total = sum(weights)
-            u = rng.random() * total
-            acc = 0.0
-            pick = label_count - 1
-            for lbl, wgt in enumerate(weights):
-                acc += wgt
-                if u < acc:
-                    pick = lbl
-                    break
-            if pick != flat[idx]:
-                changed += 1
-            flat[idx] = pick
-        trace.append(SweepRecord(sweep=sweep + 1, energy=energy_of(model, snapshot()),
+        for colour in (0, 1):
+            sites = colours == colour
+            cumulative = np.cumsum(
+                _gibbs_weights(_local_costs(model, lab)[sites], temp), axis=1)
+            u = rng.random(cumulative.shape[0]) * cumulative[:, -1]
+            # First label whose cumulative weight exceeds u, else the last.
+            pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
+            changed += int(np.count_nonzero(pick != lab[sites]))
+            lab[sites] = pick
+        current = LabelField(labels=lab, label_count=label_count)
+        trace.append(SweepRecord(sweep=sweep + 1, energy=energy_of(model, current),
                                  changed=changed, temperature=temp))
 
     # Zero-temperature tail: descend to a fixed point so the advertised
     # no-unilateral-improvement postcondition holds.
-    sweep = config.max_sweeps
-    while True:
-        sweep += 1
-        changed = _sweep_flat(flat, dc, nbr_table, pair, model.prior_weight, indices)
-        trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, snapshot()),
-                                 changed=changed, temperature=0.0))
-        if changed == 0:
-            break
-    return snapshot(), trace
+    out, tail = _descend(model, LabelField(labels=lab, label_count=label_count),
+                         first_sweep=config.max_sweeps + 1)
+    return out, trace + tail
 
 
 def gibbs_site_probabilities(model: EnergyModel, labels: LabelField,
@@ -346,37 +318,29 @@ def gibbs_site_probabilities(model: EnergyModel, labels: LabelField,
     _check_dims(model, labels)
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    dc, pair = _model_lists(model)
-    nbr_table = _neighbor_table(model)
     r, c = site
-    idx = r * model.width + c
-    flat = [int(v) for v in labels.labels.ravel()]
-    costs = _local_costs(idx, flat, dc, nbr_table, pair, model.prior_weight)
-    low = min(costs)
-    weights = [math.exp(-(x - low) / temperature) for x in costs]
-    total = sum(weights)
-    return [w / total for w in weights]
+    if not (0 <= r < model.height and 0 <= c < model.width):
+        raise ValueError(f"site {site} is outside the {model.height}x{model.width} grid")
+    weights = _gibbs_weights(_local_costs(model, labels.labels)[r, c], temperature)
+    return (weights / weights.sum()).tolist()
 
 
 def nash_check(model: EnergyModel, labels: LabelField):
     """True iff no single pixel can strictly lower the total energy alone.
 
-    Otherwise returns the first raster-order witness ((row, col), better_label).
-    Uses the same local arithmetic as the sweeps, so a terminated solve always
-    passes.
+    Otherwise returns the first raster-order witness ((row, col), better_label)
+    with the lowest such label. Uses the same local arithmetic as the sweeps,
+    so a terminated solve always passes.
     """
     _check_dims(model, labels)
-    dc, pair = _model_lists(model)
-    nbr_table = _neighbor_table(model)
-    flat = [int(v) for v in labels.labels.ravel()]
-    width = model.width
-    for idx in range(len(flat)):
-        costs = _local_costs(idx, flat, dc, nbr_table, pair, model.prior_weight)
-        current_cost = costs[flat[idx]]
-        for lbl, cost in enumerate(costs):
-            if cost < current_cost:
-                return False, ((idx // width, idx % width), lbl)
-    return True, None
+    lab = labels.labels
+    costs = _local_costs(model, lab)
+    better = costs < np.take_along_axis(costs, lab[:, :, None], axis=2)
+    sites = np.flatnonzero(better.any(axis=2))
+    if sites.size == 0:
+        return True, None
+    r, c = divmod(int(sites[0]), model.width)
+    return False, ((r, c), int(np.argmax(better[r, c])))
 
 
 def exhaustive_oracle(model: EnergyModel):

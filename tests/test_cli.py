@@ -271,6 +271,19 @@ def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "--input", "in.pgm", "--components", "2", "--config", "x.cfg"],
+    ["preprocess", "--input", "in.pgm", "--method", "equalize", "--seed", "1"],
+    ["keyframes", "--total", "5", "--out", "x.txt"],
+    ["action", "2", "--seed", "1"],
+])
+def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_keyframes(capsys):
     assert main(["keyframes", "--fps", "20", "--interval", "3",
                  "--total", "200"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from scenegame.mrf import (
     EnergyModel,
     GameConfig,
     SmoothnessField,
+    _local_costs,
     best_response_sweep,
     build_registration_game,
     build_segmentation_game,
@@ -65,6 +68,36 @@ def naive_energy(model, labels):
                         wgt = model.edge_weights_y[r, c]
                     total += model.prior_weight * wgt * v
     return total
+
+
+def naive_site_costs(model, lab, r, c):
+    """Per-site reference for one row of _local_costs: data cost plus each
+    neighbor's weighted pair cost, added left, right, up, down."""
+    h, w = lab.shape
+    wx, wy = model.edge_weights_x, model.edge_weights_y
+    nbrs = []
+    if c > 0:
+        nbrs.append((lab[r, c - 1], 1.0 if wx is None else wx[r, c - 1]))
+    if c < w - 1:
+        nbrs.append((lab[r, c + 1], 1.0 if wx is None else wx[r, c]))
+    if r > 0:
+        nbrs.append((lab[r - 1, c], 1.0 if wy is None else wy[r - 1, c]))
+    if r < h - 1:
+        nbrs.append((lab[r + 1, c], 1.0 if wy is None else wy[r, c]))
+    costs = [float(v) for v in model.data_costs[r, c]]
+    for nb, wgt in nbrs:
+        scale = model.prior_weight * float(wgt)
+        for lbl in range(len(costs)):
+            costs[lbl] += scale * float(model.pair_cost[nb, lbl])
+    return costs
+
+
+def random_weighted_model(rng, shape, labels, kind):
+    h, w = shape
+    return EnergyModel(data_costs=rng.uniform(0, 5, shape + (labels,)),
+                       prior_weight=float(rng.uniform(0, 2)), prior_kind=kind,
+                       edge_weights_x=rng.uniform(0, 2, (h, w - 1)),
+                       edge_weights_y=rng.uniform(0, 2, (h - 1, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +181,38 @@ def test_sweep_two_pixel_instance_matches_brute_force():
 
 def test_sweep_never_increases_energy():
     rng = np.random.default_rng(3)
-    for order in ("raster", "checkerboard"):
-        for _ in range(25):
-            model = random_instance(rng, shape=(4, 4), labels=3, scale=2.0)
-            labels = field_of(rng.integers(0, 3, (4, 4)), 3)
-            before = energy_of(model, labels)
-            out, changed = best_response_sweep(model, labels, order=order)
-            after = energy_of(model, out)
-            assert after <= before  # exact float comparison
-            if changed == 0:
-                assert after == before
+    for _ in range(25):
+        model = random_instance(rng, shape=(4, 4), labels=3, scale=2.0)
+        labels = field_of(rng.integers(0, 3, (4, 4)), 3)
+        before = energy_of(model, labels)
+        out, changed = best_response_sweep(model, labels)
+        after = energy_of(model, out)
+        assert after <= before  # exact float comparison
+        if changed == 0:
+            assert after == before
+
+
+# ---------------------------------------------------------------------------
+# _local_costs (whole-grid kernel)
+# ---------------------------------------------------------------------------
+
+def test_local_costs_match_per_site_reference():
+    rng = np.random.default_rng(24)
+    for k in range(60):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        labels = int(rng.integers(1, 5))
+        kind = ("potts", "quadratic")[k % 2]
+        weighted = random_weighted_model(rng, shape, labels, kind)
+        plain = EnergyModel(data_costs=weighted.data_costs,
+                            prior_weight=weighted.prior_weight, prior_kind=kind)
+        lab = rng.integers(0, labels, shape)
+        for model in (weighted, plain):
+            costs = _local_costs(model, lab)
+            assert costs.shape == shape + (labels,)
+            for r in range(shape[0]):
+                for c in range(shape[1]):
+                    # same arithmetic in the same order: exact equality
+                    assert costs[r, c].tolist() == naive_site_costs(model, lab, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +287,14 @@ def test_anneal_tiny_temperature_is_greedy():
     assert probs[0] + probs[2] < 1e-6
 
 
+def test_gibbs_site_outside_grid_rejected():
+    model = potts_model(np.zeros((2, 2, 3)), 1.0)
+    labels = field_of(np.zeros((2, 2), dtype=int), 3)
+    for site in ((0, -1), (-1, 0), (2, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            gibbs_site_probabilities(model, labels, site, temperature=1.0)
+
+
 def test_anneal_deterministic_per_seed():
     rng = np.random.default_rng(9)
     model = random_instance(rng, scale=10.0)
@@ -258,13 +321,60 @@ def test_anneal_reaches_global_minimum_mostly():
     assert hits >= 18
 
 
+def sequential_gibbs(model, init, config):
+    """Per-site reference for the hot phase: raster order over even sites
+    ((row + col) even), then odd ones, one uniform per site."""
+    lab = init.labels.copy()
+    h, w = lab.shape
+    order = [(r, c) for parity in (0, 1)
+             for r in range(h) for c in range(w) if (r + c) % 2 == parity]
+    rng = np.random.default_rng(config.seed)
+    schedule = config.schedule
+    records = []
+    for sweep in range(config.max_sweeps):
+        temp = schedule.t0 * schedule.decay ** (sweep // schedule.sweeps_per_temp)
+        changed = 0
+        for r, c in order:
+            costs = naive_site_costs(model, lab, r, c)
+            weights = [math.exp(-(x - min(costs)) / temp) for x in costs]
+            u = rng.random() * sum(weights)
+            acc, pick = 0.0, len(costs) - 1
+            for lbl, wgt in enumerate(weights):
+                acc += wgt
+                if u < acc:
+                    pick = lbl
+                    break
+            changed += pick != lab[r, c]
+            lab[r, c] = pick
+        records.append((sweep + 1, energy_of(model, field_of(lab, model.label_count)),
+                        changed, temp))
+    return field_of(lab, model.label_count), records
+
+
+def test_anneal_hot_phase_matches_sequential_gibbs():
+    # Sites of one checkerboard colour share no edge, so resampling a whole
+    # colour at once must reproduce the sequential sampler draw for draw.
+    rng = np.random.default_rng(25)
+    for k in range(40):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        labels = int(rng.integers(2, 5))
+        model = random_weighted_model(rng, shape, labels, ("potts", "quadratic")[k % 2])
+        init = field_of(rng.integers(0, labels, shape), labels)
+        config = GameConfig(max_sweeps=int(rng.integers(1, 25)), seed=k)
+        out, trace = solve_anneal(model, init, config)
+        hot, records = sequential_gibbs(model, init, config)
+        assert [(r.sweep, r.energy, r.changed, r.temperature)
+                for r in trace[:config.max_sweeps]] == records
+        assert all(r.temperature == 0.0 for r in trace[config.max_sweeps:])
+        tail, _ = solve_icm(model, hot, GameConfig(max_sweeps=10 ** 6))
+        assert out == tail
+
+
 def test_anneal_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(t0=0.0)
     with pytest.raises(ValueError):
         AnnealSchedule(decay=1.0)
-    with pytest.raises(ValueError):
-        GameConfig(sweep_order="spiral")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +389,25 @@ def test_nash_single_pixel_argmin():
     ok, witness = nash_check(model, field_of([[0]], 3))
     assert not ok
     assert witness == ((0, 0), 1)
+
+
+def test_nash_witness_matches_per_site_reference():
+    rng = np.random.default_rng(26)
+    for k in range(60):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        labels = int(rng.integers(1, 5))
+        model = random_weighted_model(rng, shape, labels, ("potts", "quadratic")[k % 2])
+        lab = rng.integers(0, labels, shape)
+        if k % 3 == 0:  # also probe equilibria
+            lab = solve_icm(model, field_of(lab, labels), GameConfig())[0].labels
+        expected = True, None
+        for r, c in np.ndindex(shape):
+            costs = naive_site_costs(model, lab, r, c)
+            better = [lbl for lbl, x in enumerate(costs) if x < costs[lab[r, c]]]
+            if better:
+                expected = False, ((r, c), better[0])
+                break
+        assert nash_check(model, field_of(lab, labels)) == expected
 
 
 def test_nash_global_minimizer_passes():
