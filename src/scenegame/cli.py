@@ -9,7 +9,7 @@ Reports are CSV with a fixed, versioned column set.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -451,16 +451,17 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
-    images, labels = _cell_dataset(args.seed, args.images_per_class,
-                                   args.size, args.noise)
-    network = net_mod.default_net(
-        input_size=args.crop if args.augment else args.size, seed=args.seed)
+    # Validate the arguments before anything is built from them.
     config = net_mod.TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
         augment=args.augment, crop_size=args.crop, margin=args.margin,
     )
     weights = net_mod.LossWeights((args.triplet_weight, args.ce_weight))
+    images, labels = _cell_dataset(args.seed, args.images_per_class,
+                                   args.size, args.noise)
+    network = net_mod.default_net(
+        input_size=args.crop if args.augment else args.size, seed=args.seed)
     _, trace = net_mod.train(network, images, labels, config, weights)
     net_mod.save_net(network, args.out)
     if args.trace:

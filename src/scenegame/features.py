@@ -1,36 +1,18 @@
-"""Block image features, linear feature projection, correlation-driven feature
-selection, simplex weight optimization, and the damped QP direction step.
+"""Block image features, correlation-driven feature selection, and simplex
+weight optimization.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 WEIGHT_STEP = 0.05
 WEIGHT_ITERS = 500
-SINGULAR_PIVOT = 1e-12
 HISTOGRAM_BINS = 16
-
-
-class SingularSystemError(ValueError):
-    """Elimination hit a pivot below the singularity threshold."""
 
 
 class DegenerateFeatureError(ValueError):
     """A feature column has zero variance, so its correlation is undefined."""
-
-
-class KktSingularError(ValueError):
-    """The KKT system of the QP subproblem is singular."""
-
-
-class InfeasibleConstraintsError(ValueError):
-    """The linearized inequality constraints admit no solution from one
-    active-set pass."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """The damped quadratic term is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -49,29 +31,10 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
-class ProjectionSystem:
-    """Square linear system matrix * solution = rhs."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        r = np.asarray(self.rhs, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if r.shape != (m.shape[0],):
-            raise ValueError("rhs length must match the matrix")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", r)
-
-
-@dataclass(frozen=True)
 class FeatureClusterSet:
     """Partition of feature indices plus one representative per cluster."""
 
     clusters: tuple   # tuple of sorted index tuples
-    threshold: float
     selected: tuple   # sorted representative indices, one per cluster
 
     def __post_init__(self):
@@ -91,8 +54,8 @@ class ScoreTable:
     """
 
     scores: np.ndarray       # (n_samples, n_criteria)
-    ideal: np.ndarray = None      # per-criterion max, derived
-    anti_ideal: np.ndarray = None  # per-criterion min, derived
+    ideal: np.ndarray = field(init=False, default=None)       # per-criterion max
+    anti_ideal: np.ndarray = field(init=False, default=None)  # per-criterion min
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
@@ -125,45 +88,6 @@ class WeightVector:
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", np.maximum(w, 0.0))
-
-
-@dataclass(frozen=True)
-class QpSubproblem:
-    """Quadratic direction-finding subproblem with linearized constraints.
-
-    minimize g.d + 0.5 d.H.d
-    s.t. ineq_values + ineq_grads.d <= 0 and eq_values + eq_grads.d = 0.
-    """
-
-    gradient: np.ndarray
-    hessian: np.ndarray
-    ineq_values: np.ndarray = None
-    ineq_grads: np.ndarray = None
-    eq_values: np.ndarray = None
-    eq_grads: np.ndarray = None
-
-    def __post_init__(self):
-        g = np.asarray(self.gradient, dtype=np.float64)
-        h = np.asarray(self.hessian, dtype=np.float64)
-        n = g.size
-        if h.shape != (n, n):
-            raise ValueError("hessian must be square and match the gradient")
-        if np.max(np.abs(h - h.T), initial=0.0) > 1e-9:
-            raise ValueError("hessian must be symmetric")
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", h)
-        for vname, gname in (("ineq_values", "ineq_grads"),
-                             ("eq_values", "eq_grads")):
-            vals = getattr(self, vname)
-            grads = getattr(self, gname)
-            if vals is None and grads is None:
-                object.__setattr__(self, vname, np.zeros(0))
-                object.__setattr__(self, gname, np.zeros((0, n)))
-                continue
-            vals = np.asarray(vals, dtype=np.float64).ravel()
-            grads = np.asarray(grads, dtype=np.float64).reshape(len(vals), n)
-            object.__setattr__(self, vname, vals)
-            object.__setattr__(self, gname, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +149,6 @@ def features_to_csv(vectors) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Linear projection solve
-# ---------------------------------------------------------------------------
-
-def solve_projection(system: ProjectionSystem) -> np.ndarray:
-    """Solve the square feature-projection system by Gaussian elimination with
-    partial pivoting. Pivots below 1e-12 raise SingularSystemError."""
-    a = system.matrix.copy()
-    b = system.rhs.copy()
-    n = a.shape[0]
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) < SINGULAR_PIVOT:
-            raise SingularSystemError(f"pivot below {SINGULAR_PIVOT} at column {col}")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1:] -= factors * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Correlation clustering and representative selection
 # ---------------------------------------------------------------------------
 
@@ -303,7 +201,6 @@ def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
         selected.append(cluster[int(np.argmax(scores))])
     return FeatureClusterSet(
         clusters=tuple(tuple(c) for c in clusters),
-        threshold=threshold,
         selected=tuple(sorted(selected)),
     )
 
@@ -356,70 +253,3 @@ def optimize_weights(table: ScoreTable):
             best_w = w
     return WeightVector(weights=best_w), best_val
 
-
-# ---------------------------------------------------------------------------
-# QP direction step
-# ---------------------------------------------------------------------------
-
-def default_damping(hessian: np.ndarray) -> float:
-    h = np.asarray(hessian, dtype=np.float64)
-    return 1e-6 * float(np.trace(h)) / h.shape[0]
-
-
-def _solve_kkt(h_damped, gradient, eq_values, eq_grads):
-    n = gradient.size
-    k = eq_values.size
-    if k == 0:
-        try:
-            return np.linalg.solve(h_damped, -gradient)
-        except np.linalg.LinAlgError as exc:
-            raise KktSingularError(str(exc)) from exc
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = h_damped
-    kkt[:n, n:] = eq_grads.T
-    kkt[n:, :n] = eq_grads
-    rhs = np.concatenate([-gradient, -eq_values])
-    try:
-        solution = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise KktSingularError(str(exc)) from exc
-    return solution[:n]
-
-
-def qp_step(sub: QpSubproblem, damping: float = None) -> np.ndarray:
-    """Direction minimizing g.d + 0.5 d.(H + damping*I).d under the linearized
-    constraints.
-
-    damping defaults to 1e-6 * trace(H) / dim; the damped matrix must be
-    positive definite. Equalities are solved through the KKT system exactly;
-    inequalities get one active-set pass: solve without them, add the violated
-    rows as equalities, re-solve, and verify feasibility within 1e-8.
-    """
-    if damping is None:
-        damping = default_damping(sub.hessian)
-    if damping < 0:
-        raise ValueError("damping must be >= 0")
-    n = sub.gradient.size
-    h_damped = sub.hessian + damping * np.eye(n)
-    try:
-        np.linalg.cholesky(h_damped)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "hessian is not positive definite after damping"
-        ) from exc
-
-    direction = _solve_kkt(h_damped, sub.gradient, sub.eq_values, sub.eq_grads)
-    if sub.ineq_values.size:
-        slack = sub.ineq_values + sub.ineq_grads @ direction
-        violated = slack > 1e-8
-        if np.any(violated):
-            eq_values = np.concatenate([sub.eq_values, sub.ineq_values[violated]])
-            eq_grads = np.vstack([sub.eq_grads, sub.ineq_grads[violated]])
-            direction = _solve_kkt(h_damped, sub.gradient, eq_values, eq_grads)
-            slack = sub.ineq_values + sub.ineq_grads @ direction
-            if np.any(slack > 1e-8):
-                raise InfeasibleConstraintsError(
-                    "linearized inequalities remain violated after one "
-                    "active-set pass"
-                )
-    return direction

@@ -51,8 +51,6 @@ class EmTrace:
     loglik_per_iter: list = field(default_factory=list)
     iterations_used: int = 0
     converged: bool = False
-    epsilon: float = 0.0
-    max_iters: int = 0
 
 
 def _log_normal(x, mean, variance):
@@ -126,7 +124,7 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
             f"need at least {component_count} samples, got {data.size}"
         )
     params = _init_params(data, component_count, seed)
-    trace = EmTrace(epsilon=epsilon, max_iters=max_iters)
+    trace = EmTrace()
     previous = log_likelihood(data, params)
     trace.loglik_per_iter.append(previous)
     for _ in range(max_iters):

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCENE_CLASS_NAMES = ("living_room", "bathroom", "bedroom", "kitchen", "action")
-
 # Additive Gaussian noise sigma per noise level (gray levels).
 NOISE_SIGMA = {1: 4.0, 2: 10.0, 3: 18.0}
 
@@ -136,9 +134,6 @@ class LabelField:
     @property
     def width(self):
         return self.labels.shape[1]
-
-    def matches(self, img: Image) -> bool:
-        return self.height == img.height and self.width == img.width
 
     def __eq__(self, other):
         if not isinstance(other, LabelField):

@@ -86,7 +86,7 @@ class EnergyModel:
     label_values: np.ndarray = None  # (L,) or (L, k); quadratic prior only
     edge_weights_x: np.ndarray = None  # (h, w-1); edge (r,c)-(r,c+1)
     edge_weights_y: np.ndarray = None  # (h-1, w); edge (r,c)-(r+1,c)
-    pair_cost: np.ndarray = None       # derived (L, L)
+    pair_cost: np.ndarray = field(init=False, default=None)  # derived (L, L)
 
     def __post_init__(self):
         dc = np.asarray(self.data_costs, dtype=np.float64)

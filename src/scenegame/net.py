@@ -147,34 +147,6 @@ class MaxPool2D:
         return dx
 
 
-class AvgPool2D:
-    def __init__(self, window=2, stride=2):
-        self.window = window
-        self.stride = stride
-
-    def forward(self, x):
-        k, s = self.window, self.stride
-        n, h, w, c = x.shape
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        out = np.zeros((n, oh, ow, c))
-        for di in range(k):
-            for dj in range(k):
-                out += x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
-        self._in_shape = x.shape
-        return out / (k * k)
-
-    def backward(self, dout):
-        k, s = self.window, self.stride
-        oh, ow = dout.shape[1], dout.shape[2]
-        dx = np.zeros(self._in_shape)
-        share = dout / (k * k)
-        for di in range(k):
-            for dj in range(k):
-                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += share
-        return dx
-
-
 class ReLU:
     def forward(self, x):
         self._mask = x > 0
@@ -303,21 +275,6 @@ def predict(net: Network, img: Image):
 # Losses
 # ---------------------------------------------------------------------------
 
-def triplet_loss(anchor, positive, negative, margin: float) -> float:
-    """Hinge triplet loss with squared Euclidean distances:
-    max(0, d(a,p) - d(a,n) + margin)."""
-    a = np.asarray(anchor, dtype=np.float64)
-    p = np.asarray(positive, dtype=np.float64)
-    n = np.asarray(negative, dtype=np.float64)
-    if not (a.shape == p.shape == n.shape):
-        raise ValueError("embeddings must have equal dimensions")
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
-    d_ap = float(((a - p) ** 2).sum())
-    d_an = float(((a - n) ** 2).sum())
-    return max(0.0, d_ap - d_an + margin)
-
-
 def triplet_batch_loss(embeddings, triplets):
     """Mean hinge triplet loss over a batch and its gradient wrt embeddings."""
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -363,10 +320,10 @@ def combined_loss(weights: LossWeights, terms) -> float:
 # Triplet mining and augmentation
 # ---------------------------------------------------------------------------
 
-def mine_triplets(embeddings, labels, per_anchor: int = 1, seed: int = 0,
-                  margin: float = 0.5, warn_skipped: bool = True):
-    """Triplets per anchor: nearest same-class positive and nearest
-    different-class negative first, then seeded random valid picks.
+def mine_triplets(embeddings, labels, margin: float = 0.5,
+                  warn_skipped: bool = True):
+    """One triplet per anchor: the nearest same-class positive and the
+    nearest different-class negative.
 
     Distance ties resolve to the lowest sample index. Anchors whose class has
     no second sample are skipped (and logged unless warn_skipped is off --
@@ -376,9 +333,6 @@ def mine_triplets(embeddings, labels, per_anchor: int = 1, seed: int = 0,
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ValueError("need at least 2 classes to mine triplets")
-    if per_anchor < 1:
-        raise ValueError("per_anchor must be >= 1")
-    rng = np.random.default_rng(int(seed) % 2 ** 63)
     diff2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
     n = emb.shape[0]
     triplets = []
@@ -392,13 +346,6 @@ def mine_triplets(embeddings, labels, per_anchor: int = 1, seed: int = 0,
         pos = int(same[np.argmin(diff2[anchor, same])])
         neg = int(other[np.argmin(diff2[anchor, other])])
         triplets.append(Triplet(anchor, pos, neg, margin))
-        for _ in range(per_anchor - 1):
-            triplets.append(Triplet(
-                anchor,
-                int(same[rng.integers(same.size)]),
-                int(other[rng.integers(other.size)]),
-                margin,
-            ))
     if skipped and warn_skipped:
         logger.warning("skipped %d anchors with singleton classes: %s",
                        len(skipped), skipped)
@@ -436,7 +383,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = False
     crop_size: int = None  # required when augment is set
-    per_anchor: int = 1
     margin: float = 0.5
 
     def __post_init__(self):
@@ -491,11 +437,8 @@ def train(net: Network, images, labels, config: TrainConfig,
             emb, scores = net.forward(xb)
             ce, d_scores = softmax_cross_entropy(scores, yb)
             if np.unique(yb).size >= 2:
-                triplets = mine_triplets(
-                    emb, yb, per_anchor=config.per_anchor,
-                    seed=int(rng.integers(2 ** 32)), margin=config.margin,
-                    warn_skipped=False,
-                )
+                triplets = mine_triplets(emb, yb, margin=config.margin,
+                                         warn_skipped=False)
                 trip, d_emb = triplet_batch_loss(emb, triplets)
             else:
                 trip, d_emb = 0.0, np.zeros_like(emb)
@@ -529,7 +472,7 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
     x = _image_batch(images)
     y = np.asarray(labels, dtype=np.int64)
     emb0, _ = net.forward(x)
-    triplets = mine_triplets(emb0, y, per_anchor=1, seed=seed, margin=margin)
+    triplets = mine_triplets(emb0, y, margin=margin)
 
     def total_loss():
         emb, scores = net.forward(x)
@@ -572,12 +515,13 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
 # Checkpoint format
 # ---------------------------------------------------------------------------
 # magic "SGNET001" | u32 layer count | per layer: u8 kind + u32 fields
-# (conv: kh kw cin cout stride; pool: window stride; dense: din dout) |
+# (conv: kh kw cin cout stride; maxpool: window stride; dense: din dout) |
 # parameter tensors per trainable layer, weights then bias, raw little-endian
-# float64 in table order.
+# float64 in table order. Kind 3 (average pooling) is retired: no longer
+# written, and rejected on read.
 
 CHECKPOINT_MAGIC = b"SGNET001"
-_KIND_CODES = {Conv2D: 1, MaxPool2D: 2, AvgPool2D: 3, ReLU: 4, Flatten: 5, Dense: 6}
+_KIND_CODES = {Conv2D: 1, MaxPool2D: 2, ReLU: 4, Flatten: 5, Dense: 6}
 
 
 def save_net(net: Network, path):
@@ -589,7 +533,7 @@ def save_net(net: Network, path):
         if isinstance(layer, Conv2D):
             blob += struct.pack("<5I", layer.kh, layer.kw, layer.cin,
                                 layer.cout, layer.stride)
-        elif isinstance(layer, (MaxPool2D, AvgPool2D)):
+        elif isinstance(layer, MaxPool2D):
             blob += struct.pack("<2I", layer.window, layer.stride)
         elif isinstance(layer, Dense):
             blob += struct.pack("<2I", layer.din, layer.dout)
@@ -616,10 +560,10 @@ def load_net(path) -> Network:
             kh, kw, cin, cout, stride = struct.unpack_from("<5I", blob, pos)
             pos += 20
             layers.append(Conv2D(kh, kw, cin, cout, stride))
-        elif kind in (2, 3):
+        elif kind == 2:
             window, stride = struct.unpack_from("<2I", blob, pos)
             pos += 8
-            layers.append((MaxPool2D if kind == 2 else AvgPool2D)(window, stride))
+            layers.append(MaxPool2D(window, stride))
         elif kind == 4:
             layers.append(ReLU())
         elif kind == 5:

@@ -1,49 +1,14 @@
-"""Image enhancement: histogram equalization, ideal-mask DFT filtering,
-one-level Haar enhancement, and the least-squares bias model.
+"""Image enhancement: histogram equalization, ideal-mask DFT filtering and
+one-level Haar enhancement.
 
 Equalization uses integer arithmetic throughout so the mapping is bit-exact.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .image import Image
 
 HAAR_GAIN_GRID = (1.0, 1.25, 1.5, 2.0)
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """256-bin histogram with its cumulative distribution."""
-
-    counts: np.ndarray  # (256,) int
-    cdf: np.ndarray     # (256,) float in [0, 1], nondecreasing, last == 1
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        cdf = np.asarray(self.cdf, dtype=np.float64)
-        if counts.shape != (256,) or cdf.shape != (256,):
-            raise ValueError("histogram requires 256 bins")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "cdf", cdf)
-
-
-@dataclass(frozen=True)
-class BiasModel:
-    """Least-squares line fit: intercept, slope, residuals, and their sum of squares."""
-
-    intercept: float
-    slope: float
-    residuals: np.ndarray
-    sse: float
-
-
-def compute_histogram(img: Image) -> HistogramSpec:
-    flat = img.plane().ravel()
-    counts = np.bincount(flat, minlength=256)
-    cdf = np.cumsum(counts) / flat.size
-    return HistogramSpec(counts=counts, cdf=cdf)
 
 
 def equalize(img: Image) -> Image:
@@ -152,26 +117,3 @@ def haar_enhance(img: Image) -> Image:
             best = candidate
     return best
 
-
-def fit_bias(xs, ys) -> BiasModel:
-    """Closed-form least squares for y = intercept + slope * x."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
-        raise ValueError("xs and ys must be 1-D and the same length")
-    if xs.size < 2:
-        raise ValueError("need at least 2 samples")
-    x_mean = xs.mean()
-    y_mean = ys.mean()
-    sxx = float(((xs - x_mean) ** 2).sum())
-    if sxx == 0.0:
-        raise ValueError("xs are all equal; the slope is undefined")
-    slope = float(((xs - x_mean) * (ys - y_mean)).sum()) / sxx
-    intercept = float(y_mean - slope * x_mean)
-    residuals = ys - intercept - slope * xs
-    return BiasModel(
-        intercept=intercept,
-        slope=slope,
-        residuals=residuals,
-        sse=float((residuals ** 2).sum()),
-    )

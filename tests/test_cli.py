@@ -250,6 +250,14 @@ def test_cli_train_eval(tmp_path, capsys):
     assert out.startswith("accuracy = ")
 
 
+def test_cli_train_augment_without_crop_is_a_config_error(tmp_path, capsys):
+    rc = main(["train", "--size", "16", "--images-per-class", "2",
+               "--epochs", "1", "--augment", "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "ERROR: augment requires crop_size"
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_cli_experiment_with_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

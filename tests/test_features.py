@@ -5,12 +5,7 @@ from scipy.stats import pearsonr
 from scenegame.features import (
     DegenerateFeatureError,
     FeatureVector,
-    InfeasibleConstraintsError,
-    NotPositiveDefiniteError,
-    ProjectionSystem,
-    QpSubproblem,
     ScoreTable,
-    SingularSystemError,
     WeightVector,
     cluster_and_select,
     extract_features,
@@ -18,8 +13,6 @@ from scenegame.features import (
     features_to_csv,
     optimize_weights,
     project_to_simplex,
-    qp_step,
-    solve_projection,
     weight_objective,
 )
 from scenegame.image import Image
@@ -137,44 +130,6 @@ def test_features_csv_layout():
     lines = csv.strip().split("\n")
     assert lines[0].split(",") == list(feature_names())
     assert len(lines) == 3
-
-
-# ---------------------------------------------------------------------------
-# solve_projection
-# ---------------------------------------------------------------------------
-
-def test_projection_identity():
-    x = np.array([3.0, -1.0, 2.0])
-    out = solve_projection(ProjectionSystem(matrix=np.eye(3), rhs=x))
-    assert out == pytest.approx(x)
-
-
-def test_projection_vandermonde_round_trip():
-    nodes = np.array([1.0, 2.0, 3.0])
-    z = np.vander(nodes, increasing=True).T  # rows are powers, like a moment matrix
-    h = np.array([2.0, -1.0, 0.5])
-    x = z @ h
-    out = solve_projection(ProjectionSystem(matrix=z, rhs=x))
-    assert out == pytest.approx(h, abs=1e-9)
-
-
-def test_projection_duplicate_row_is_singular():
-    z = np.array([[1.0, 2.0], [1.0, 2.0]])
-    with pytest.raises(SingularSystemError):
-        solve_projection(ProjectionSystem(matrix=z, rhs=np.array([1.0, 1.0])))
-
-
-def test_projection_residual_bound_random_systems():
-    rng = np.random.default_rng(33)
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        z = rng.normal(0, 1, (n, n))
-        if np.linalg.cond(z) > 1e6:
-            continue
-        x = rng.normal(0, 1, n)
-        h = solve_projection(ProjectionSystem(matrix=z, rhs=x))
-        residual = np.abs(z @ h - x).max()
-        assert residual <= 1e-8 * (1.0 + np.abs(x).max())
 
 
 # ---------------------------------------------------------------------------
@@ -342,111 +297,6 @@ def test_simplex_projection():
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert project_to_simplex(np.array([0.5, 0.5])) == pytest.approx([0.5, 0.5])
-
-
-# ---------------------------------------------------------------------------
-# qp_step
-# ---------------------------------------------------------------------------
-
-def test_qp_unconstrained_newton():
-    g = np.array([1.0, -2.0, 0.5])
-    sub = QpSubproblem(gradient=g, hessian=np.eye(3))
-    d = qp_step(sub, damping=0.0)
-    assert d == pytest.approx(-g)
-
-
-def test_qp_equality_matches_kkt_closed_form():
-    # minimize g.d + 0.5 d.d with 0.5 + (1,1).d = 0
-    # stationarity: d = -g - nu (1,1); constraint gives nu = -0.25
-    sub = QpSubproblem(gradient=np.array([1.0, 0.0]), hessian=np.eye(2),
-                       eq_values=np.array([0.5]),
-                       eq_grads=np.array([[1.0, 1.0]]))
-    d = qp_step(sub, damping=0.0)
-    assert d == pytest.approx([-0.75, 0.25])
-    assert 0.5 + d.sum() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_qp_zero_hessian_unit_damping():
-    g = np.array([2.0, -4.0])
-    sub = QpSubproblem(gradient=g, hessian=np.zeros((2, 2)))
-    d = qp_step(sub, damping=1.0)
-    assert d == pytest.approx(-g)
-
-
-def test_qp_default_damping_nearly_newton():
-    g = np.array([1.0, 1.0])
-    sub = QpSubproblem(gradient=g, hessian=np.eye(2))
-    d = qp_step(sub)  # damping 1e-6 * trace / dim
-    assert d == pytest.approx(-g, rel=1e-5)
-
-
-def test_qp_inactive_inequality_ignored():
-    sub = QpSubproblem(gradient=np.array([1.0, 0.0]), hessian=np.eye(2),
-                       ineq_values=np.array([-10.0]),
-                       ineq_grads=np.array([[1.0, 0.0]]))
-    d = qp_step(sub, damping=0.0)
-    assert d == pytest.approx([-1.0, 0.0])
-
-
-def test_qp_violated_inequality_becomes_active():
-    # unconstrained solution d = (1, 0) violates 0 + (1,0).d <= 0
-    sub = QpSubproblem(gradient=np.array([-1.0, 0.0]), hessian=np.eye(2),
-                       ineq_values=np.array([0.0]),
-                       ineq_grads=np.array([[1.0, 0.0]]))
-    d = qp_step(sub, damping=0.0)
-    assert d == pytest.approx([0.0, 0.0], abs=1e-12)
-
-
-def test_qp_one_pass_infeasibility_detected():
-    # activating the first violated row re-violates the second one; the
-    # single active-set pass reports that instead of iterating
-    sub = QpSubproblem(gradient=np.array([2.0, 0.0]), hessian=np.eye(2),
-                       ineq_values=np.array([-1.0, 1.5]),
-                       ineq_grads=np.array([[-1.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(InfeasibleConstraintsError):
-        qp_step(sub, damping=0.0)
-
-
-def test_qp_dependent_active_rows_are_singular():
-    from scenegame.features import KktSingularError
-
-    sub = QpSubproblem(gradient=np.array([0.0, 0.0]), hessian=np.eye(2),
-                       ineq_values=np.array([1.0, 1.0]),
-                       ineq_grads=np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    with pytest.raises(KktSingularError):
-        qp_step(sub, damping=0.0)
-
-
-def test_qp_not_positive_definite():
-    sub = QpSubproblem(gradient=np.array([1.0, 1.0]),
-                       hessian=np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        qp_step(sub, damping=0.0)
-
-
-def test_qp_descent_and_equality_satisfaction():
-    rng = np.random.default_rng(43)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        a = rng.normal(0, 1, (n, n))
-        hess = a @ a.T + np.eye(n) * 0.5
-        g = rng.normal(0, 1, n)
-        eq_grads = rng.normal(0, 1, (1, n))
-        eq_values = rng.normal(0, 0.1, 1)
-        sub = QpSubproblem(gradient=g, hessian=hess,
-                           eq_values=eq_values, eq_grads=eq_grads)
-        d = qp_step(sub, damping=0.0)
-        assert np.abs(eq_values + eq_grads @ d).max() < 1e-8
-        homogeneous = QpSubproblem(gradient=g, hessian=hess)
-        d0 = qp_step(homogeneous, damping=0.0)
-        if np.linalg.norm(g) > 1e-9:
-            assert g @ d0 < 0.0
-
-
-def test_qp_subproblem_validation():
-    with pytest.raises(ValueError):
-        QpSubproblem(gradient=np.array([1.0, 0.0]),
-                     hessian=np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def test_feature_vector_validation():

@@ -171,7 +171,7 @@ def test_classes_separable_in_feature_space_at_low_noise():
 
 def test_label_field_invariants():
     field = LabelField(labels=np.array([[0, 1], [1, 0]]), label_count=2)
-    assert field.matches(Image(np.zeros((2, 2), dtype=np.uint8)))
+    assert (field.height, field.width) == (2, 2)
     with pytest.raises(ValueError):
         LabelField(labels=np.array([[0, 2]]), label_count=2)
     with pytest.raises(ValueError):

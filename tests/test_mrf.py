@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scenegame.gmm import GmmParams, fit as gmm_fit
+from scenegame.features import ScoreTable
+from scenegame.gmm import fit as gmm_fit
 from scenegame.image import DisplacementLabelSet, Image, LabelField
 from scenegame.mrf import (
     AnnealSchedule,
@@ -144,6 +145,24 @@ def test_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(data_costs=np.zeros((1, 1, 2)), prior_weight=0.0,
                     prior_kind="cubic")
+
+
+def test_derived_fields_are_not_constructor_arguments():
+    scores = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = [
+        (EnergyModel, dict(data_costs=np.zeros((2, 2, 2)), prior_weight=1.0,
+                           pair_cost=np.full((2, 2), 99.0))),
+        (ScoreTable, dict(scores=scores, ideal=np.zeros(2))),
+        (ScoreTable, dict(scores=scores, anti_ideal=np.zeros(2))),
+    ]
+    for cls, kwargs in cases:
+        with pytest.raises(TypeError):
+            cls(**kwargs)
+    assert potts_model(np.zeros((2, 2, 2)), 1.0).pair_cost.tolist() == [
+        [0.0, 1.0], [1.0, 0.0]]
+    table = ScoreTable(scores=scores)
+    assert table.ideal.tolist() == [1.0, 1.0]
+    assert table.anti_ideal.tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

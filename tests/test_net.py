@@ -1,16 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
 from scenegame.image import Image, gen_scene
 from scenegame.net import (
-    AvgPool2D,
     Conv2D,
     Dense,
     Flatten,
     LossWeights,
     MaxPool2D,
     Network,
-    ReLU,
     ShapeMismatchError,
     TrainConfig,
     Triplet,
@@ -24,7 +24,7 @@ from scenegame.net import (
     predict,
     save_net,
     train,
-    triplet_loss,
+    triplet_batch_loss,
 )
 
 
@@ -54,12 +54,6 @@ def test_maxpool_window():
     assert pool.forward(x).reshape(-1).tolist() == [4.0]
 
 
-def test_avgpool_constant():
-    pool = AvgPool2D(2, 2)
-    x = np.full((1, 4, 4, 1), 3.25)
-    assert np.allclose(pool.forward(x), 3.25)
-
-
 def test_conv_shape_mismatch():
     conv = Conv2D(3, 3, 2, 4)
     with pytest.raises(ShapeMismatchError):
@@ -82,15 +76,21 @@ def test_forward_returns_embedding_and_scores():
 # losses
 # ---------------------------------------------------------------------------
 
+def one_triplet_loss(a, p, n, margin):
+    """Hinge loss of a single triplet through the batch API."""
+    loss, _ = triplet_batch_loss(np.stack([a, p, n]), [Triplet(0, 1, 2, margin)])
+    return loss
+
+
 def test_triplet_all_equal_is_margin():
     v = np.array([1.0, 2.0])
-    assert triplet_loss(v, v, v, margin=0.5) == 0.5
+    assert one_triplet_loss(v, v, v, margin=0.5) == 0.5
 
 
 def test_triplet_far_negative_is_zero():
     a = np.array([0.0, 0.0])
     n = np.array([1.0, 0.0])  # d(a, n) = 1 >= margin
-    assert triplet_loss(a, a, n, margin=0.5) == 0.0
+    assert one_triplet_loss(a, a, n, margin=0.5) == 0.0
 
 
 def test_triplet_direct_evaluation():
@@ -98,24 +98,22 @@ def test_triplet_direct_evaluation():
     p = np.array([1.0, 0.0])
     n = np.array([0.0, 2.0])
     # d_ap = 1, d_an = 4 -> max(0, 1 - 4 + 0.5) = 0
-    assert triplet_loss(a, p, n, margin=0.5) == 0.0
-    assert triplet_loss(a, p, n, margin=3.5) == pytest.approx(0.5)
+    assert one_triplet_loss(a, p, n, margin=0.5) == 0.0
+    assert one_triplet_loss(a, p, n, margin=3.5) == pytest.approx(0.5)
 
 
 def test_triplet_rotation_invariance():
     rng = np.random.default_rng(50)
     a, p, n = rng.normal(0, 1, (3, 6))
     q, _ = np.linalg.qr(rng.normal(0, 1, (6, 6)))
-    before = triplet_loss(a, p, n, margin=1.0)
-    after = triplet_loss(q @ a, q @ p, q @ n, margin=1.0)
+    before = one_triplet_loss(a, p, n, margin=1.0)
+    after = one_triplet_loss(q @ a, q @ p, q @ n, margin=1.0)
     assert after == pytest.approx(before, abs=1e-9)
 
 
 def test_triplet_validation():
     with pytest.raises(ValueError):
-        triplet_loss(np.zeros(2), np.zeros(3), np.zeros(2), margin=0.5)
-    with pytest.raises(ValueError):
-        triplet_loss(np.zeros(2), np.zeros(2), np.zeros(2), margin=0.0)
+        one_triplet_loss(np.zeros(2), np.zeros(2), np.zeros(2), margin=0.0)
 
 
 def test_combined_loss_single_term():
@@ -177,7 +175,7 @@ def test_grad_check_rejects_large_nets():
 def test_mine_two_by_two_forced_choice():
     emb = np.array([[0.0], [1.0], [10.0], [11.0]])
     labels = [0, 0, 1, 1]
-    triplets = mine_triplets(emb, labels, per_anchor=1, seed=0)
+    triplets = mine_triplets(emb, labels)
     assert len(triplets) == 4
     t0 = triplets[0]
     assert (t0.anchor, t0.positive, t0.negative) == (0, 1, 2)
@@ -186,10 +184,10 @@ def test_mine_two_by_two_forced_choice():
 def test_mine_identical_embeddings_tie_to_lowest_index():
     emb = np.zeros((4, 3))
     labels = [0, 0, 1, 1]
-    triplets = mine_triplets(emb, labels, per_anchor=1, seed=9)
+    triplets = mine_triplets(emb, labels)
     assert (triplets[0].positive, triplets[0].negative) == (1, 2)
     assert (triplets[2].positive, triplets[2].negative) == (3, 0)
-    again = mine_triplets(emb, labels, per_anchor=1, seed=9)
+    again = mine_triplets(emb, labels)
     assert triplets == again
 
 
@@ -199,7 +197,7 @@ def test_mine_matches_brute_force_scan():
     labels = rng.integers(0, 3, 20)
     while np.unique(labels).size < 2:
         labels = rng.integers(0, 3, 20)
-    triplets = mine_triplets(emb, labels, per_anchor=1, seed=0)
+    triplets = mine_triplets(emb, labels)
     by_anchor = {t.anchor: t for t in triplets}
     for anchor, t in by_anchor.items():
         best_pos, best_pos_d = None, np.inf
@@ -217,7 +215,7 @@ def test_mine_matches_brute_force_scan():
 def test_mine_skips_singleton_classes():
     emb = np.array([[0.0], [1.0], [2.0]])
     labels = [0, 1, 1]
-    triplets = mine_triplets(emb, labels, per_anchor=1, seed=0)
+    triplets = mine_triplets(emb, labels)
     assert all(t.anchor != 0 for t in triplets)
     assert len(triplets) == 2
 
@@ -355,4 +353,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_net(path)
+    # kind 3 (average pooling) is retired
+    path.write_bytes(b"SGNET001" + struct.pack("<IB2I", 1, 3, 2, 2))
+    with pytest.raises(ValueError, match="unknown layer kind 3"):
         load_net(path)

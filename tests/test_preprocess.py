@@ -3,10 +3,8 @@ import pytest
 
 from scenegame.image import Image
 from scenegame.preprocess import (
-    compute_histogram,
     dft_enhance,
     equalize,
-    fit_bias,
     haar_enhance,
     haar_forward,
     haar_inverse,
@@ -67,15 +65,6 @@ def test_equalize_preserves_rank_order():
         # equal inputs map to equal outputs
         for v in np.unique(src):
             assert np.unique(dst[src == v]).size == 1
-
-
-def test_histogram_spec_invariants():
-    img = gray([[0, 0, 10, 255]])
-    spec = compute_histogram(img)
-    assert spec.counts.sum() == 4
-    assert np.all(np.diff(spec.cdf) >= 0)
-    assert spec.cdf[-1] == pytest.approx(1.0)
-    assert spec.cdf[10] == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -155,76 +144,3 @@ def test_haar_requires_even_dims():
     with pytest.raises(ValueError):
         haar_forward(np.zeros((4, 5)))
 
-
-# ---------------------------------------------------------------------------
-# fit_bias
-# ---------------------------------------------------------------------------
-
-def test_fit_bias_identity_line():
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
-    model = fit_bias(xs, xs)
-    assert model.intercept == pytest.approx(0.0, abs=1e-12)
-    assert model.slope == pytest.approx(1.0, abs=1e-12)
-    assert model.sse == pytest.approx(0.0, abs=1e-18)
-
-
-def test_fit_bias_two_points():
-    model = fit_bias([0.0, 1.0], [3.0, 5.0])
-    assert model.intercept == pytest.approx(3.0)
-    assert model.slope == pytest.approx(2.0)
-    assert model.sse == pytest.approx(0.0, abs=1e-18)
-
-
-def _sse(xs, ys, a, b):
-    return float(((ys - a - b * xs) ** 2).sum())
-
-
-def test_fit_bias_matches_grid_oracle():
-    # data from a known line + noise; the grid is centered on the generator
-    # truth, independent of the fit under test
-    rng = np.random.default_rng(13)
-    true_a, true_b = 1.5, 0.8
-    xs = rng.uniform(-2, 2, 50)
-    ys = true_a + true_b * xs + rng.normal(0, 0.3, 50)
-    model = fit_bias(xs, ys)
-
-    step_a, step_b = 0.02, 0.01
-    grid_a = np.arange(true_a - 1.0, true_a + 1.0 + 1e-9, step_a)
-    grid_b = np.arange(true_b - 0.5, true_b + 0.5 + 1e-9, step_b)
-    grid_min = min(_sse(xs, ys, a, b) for a in grid_a for b in grid_b)
-
-    assert model.sse <= grid_min + 1e-9
-    # quadratic growth away from the optimum bounds the grid quantization gap
-    bound = 50 * (step_a / 2 + (step_b / 2) * np.abs(xs).max()) ** 2 * 4
-    assert grid_min - model.sse <= bound
-
-
-def test_fit_bias_local_optimality():
-    rng = np.random.default_rng(14)
-    xs = rng.uniform(0, 5, 30)
-    ys = 2.0 - 0.5 * xs + rng.normal(0, 0.1, 30)
-    model = fit_bias(xs, ys)
-    delta = 1e-3
-    for da in (-delta, 0.0, delta):
-        for db in (-delta, 0.0, delta):
-            assert model.sse <= _sse(xs, ys, model.intercept + da,
-                                     model.slope + db) + 1e-12
-
-
-def test_fit_bias_normal_equations():
-    rng = np.random.default_rng(15)
-    xs = rng.uniform(-1, 1, 40)
-    ys = rng.uniform(-1, 1, 40)
-    model = fit_bias(xs, ys)
-    assert abs(model.residuals.sum()) < 1e-6
-    assert abs((model.residuals * xs).sum()) < 1e-6
-    assert model.sse == pytest.approx(float((model.residuals ** 2).sum()), abs=1e-9)
-
-
-def test_fit_bias_errors():
-    with pytest.raises(ValueError):
-        fit_bias([1.0], [2.0])
-    with pytest.raises(ValueError):
-        fit_bias([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        fit_bias([1.0, 2.0], [1.0, 2.0, 3.0])
