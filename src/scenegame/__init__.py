@@ -20,7 +20,6 @@ from .mrf import (
     EnergyModel,
     GameConfig,
     SmoothnessField,
-    best_response_sweep,
     build_registration_game,
     build_segmentation_game,
     ellipticity_check,
@@ -44,7 +43,6 @@ __all__ = [
     "PnmMaxvalError",
     "PnmPayloadError",
     "SmoothnessField",
-    "best_response_sweep",
     "build_registration_game",
     "build_segmentation_game",
     "ellipticity_check",

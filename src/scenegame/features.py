@@ -15,7 +15,7 @@ class DegenerateFeatureError(ValueError):
     """A feature column has zero variance, so its correlation is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Concatenated block descriptors: per block [mean, variance, 16-bin
     histogram, edge density] over a fixed 2x2 block grid."""
@@ -45,7 +45,7 @@ class FeatureClusterSet:
             raise ValueError("exactly one representative per cluster")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Sample-by-criterion scores with per-criterion ideal / anti-ideal points.
 
@@ -75,7 +75,7 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Point on the probability simplex."""
 

@@ -17,7 +17,7 @@ class EmptyComponentError(ValueError):
     """A mixture component received (numerically) zero total responsibility."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmParams:
     """Mixture weights, means, and variances for M scalar components."""
 

@@ -67,7 +67,7 @@ def trace_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyModel:
     """Per-pixel data costs plus a pairwise prior over the 4-neighborhood.
 
@@ -175,7 +175,7 @@ def _local_costs(model: EnergyModel, lab: np.ndarray) -> np.ndarray:
     """(h, w, L) cost of every label at every site given its neighbors' labels.
 
     Neighbor terms are added left, right, up, down, the same arithmetic as the
-    raster sweep's per-site sum, so both give bit-identical costs.
+    raster sweep in _descend, so both give bit-identical costs.
     """
     costs = model.data_costs.copy()
     pair = model.pair_cost
@@ -192,25 +192,32 @@ def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     return np.exp(-(costs - costs.min(axis=-1, keepdims=True)) / temperature)
 
 
-def _neighbor_table(model: EnergyModel):
-    """Per flat site: [(neighbor index, edge scale)] in the kernel's left,
-    right, up, down order."""
+def _wavefronts(model: EnergyModel):
+    """Anti-diagonals r + c = d in increasing d. Each is (sites, terms): the
+    flat site indices by ascending row, then for the left, right, up and down
+    neighbor in that order, (slice of the sites that have it, the neighbors'
+    flat indices, the edge scales as a column)."""
     h, w = model.height, model.width
-    sx, sy = (s.tolist() for s in _edge_scales(model))
-    table = []
-    for r in range(h):
-        for c in range(w):
-            nbrs = []
-            if c > 0:
-                nbrs.append((r * w + c - 1, sx[r][c - 1]))
-            if c < w - 1:
-                nbrs.append((r * w + c + 1, sx[r][c]))
-            if r > 0:
-                nbrs.append(((r - 1) * w + c, sy[r - 1][c]))
-            if r < h - 1:
-                nbrs.append(((r + 1) * w + c, sy[r][c]))
-            table.append(nbrs)
-    return table
+    sx, sy = _edge_scales(model)
+    fronts = []
+    for d in range(h + w - 1):
+        r = np.arange(max(0, d - w + 1), min(h, d + 1))
+        c = d - r
+        sites = r * w + c
+        terms = []
+        # Per side: has-neighbor mask (a prefix or a suffix of the front),
+        # flat step to the neighbor, edge grid and the edge's row/col offset.
+        for has, step, grid, er, ec in ((c > 0, -1, sx, 0, -1),
+                                        (c < w - 1, 1, sx, 0, 0),
+                                        (r > 0, -w, sy, -1, 0),
+                                        (r < h - 1, w, sy, 0, 0)):
+            i = np.flatnonzero(has)
+            if i.size:
+                part = slice(i[0], i[-1] + 1)
+                terms.append((part, sites[part] + step,
+                              grid[r[part] + er, c[part] + ec][:, None]))
+        fronts.append((sites, terms))
+    return fronts
 
 
 def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
@@ -222,41 +229,34 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     pixel moves only on a strict local improvement, so every change strictly
     decreases the total energy; ties keep the current label, and ties between
     new labels resolve to the lowest index.
+
+    A sweep updates one anti-diagonal r + c = d at a time, in increasing d.
+    In raster order site (r, c) reads the new left and upper labels (diagonal
+    d - 1) and the old right and lower ones (diagonal d + 1), and no two
+    sites of one diagonal are neighbors, so this gives the raster labels.
     """
     h, w, label_count = model.data_costs.shape
-    dc = model.data_costs.reshape(h * w, label_count).tolist()
-    pair = model.pair_cost.tolist()
-    nbr_table = _neighbor_table(model)
-    flat = labels.labels.ravel().tolist()
-    labels_range = range(label_count)
+    dc = model.data_costs.reshape(h * w, label_count)
+    pair = model.pair_cost
+    fronts = _wavefronts(model)
+    flat = labels.labels.ravel().copy()
     trace = []
     sweep = first_sweep
     while True:
         changed = 0
-        for idx, nbrs in enumerate(nbr_table):
-            costs = list(dc[idx])
-            for nb, scale in nbrs:
-                row = pair[flat[nb]]
-                for lbl in labels_range:
-                    costs[lbl] += scale * row[lbl]
-            low = min(costs)
-            if low < costs[flat[idx]]:
-                flat[idx] = costs.index(low)
-                changed += 1
-        current = LabelField(labels=np.array(flat, dtype=np.int64).reshape(h, w),
-                             label_count=label_count)
+        for sites, terms in fronts:
+            costs = dc[sites]
+            for part, nbrs, scale in terms:
+                costs[part] += scale * pair[flat[nbrs]]
+            move = costs.min(axis=1) < costs[np.arange(sites.size), flat[sites]]
+            flat[sites[move]] = costs[move].argmin(axis=1)
+            changed += int(np.count_nonzero(move))
+        current = LabelField(labels=flat.reshape(h, w), label_count=label_count)
         trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, current),
                                  changed=changed, temperature=0.0))
         if changed == 0 or len(trace) == max_sweeps:
             return current, trace
         sweep += 1
-
-
-def best_response_sweep(model: EnergyModel, labels: LabelField):
-    """One raster best-response pass over every pixel. Returns (labels, changed)."""
-    _check_dims(model, labels)
-    out, trace = _descend(model, labels, max_sweeps=1)
-    return out, trace[0].changed
 
 
 def solve_icm(model: EnergyModel, init: LabelField, config: GameConfig):

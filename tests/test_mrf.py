@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scenegame.features import ScoreTable
+from scenegame.features import FeatureVector, ScoreTable, WeightVector
+from scenegame.gmm import GmmParams
 from scenegame.gmm import fit as gmm_fit
 from scenegame.image import DisplacementLabelSet, Image, LabelField
 from scenegame.mrf import (
@@ -12,8 +13,9 @@ from scenegame.mrf import (
     EnergyModel,
     GameConfig,
     SmoothnessField,
+    SweepRecord,
+    _edge_scales,
     _local_costs,
-    best_response_sweep,
     build_registration_game,
     build_segmentation_game,
     ellipticity_check,
@@ -165,33 +167,52 @@ def test_derived_fields_are_not_constructor_arguments():
     assert table.anti_ideal.tolist() == [0.0, 0.0]
 
 
+def test_array_records_compare_by_identity():
+    # Equality of records holding arrays is identity: == never compares the
+    # arrays, so it returns a bool instead of raising.
+    def build():
+        return (potts_model(np.zeros((2, 2, 2)), 1.0),
+                GmmParams(weights=[0.5, 0.5], means=[0.2, 0.8], variances=[0.1, 0.1]),
+                ScoreTable(scores=np.array([[0.0, 1.0], [1.0, 0.0]])),
+                FeatureVector(values=[1.0, 2.0], names=("a", "b")),
+                WeightVector(weights=[0.25, 0.75]))
+
+    for first, second in zip(build(), build()):
+        assert first == first
+        assert (first == second) is False
+        assert (first != second) is True
+
+
 # ---------------------------------------------------------------------------
-# best_response_sweep
+# one raster sweep
 # ---------------------------------------------------------------------------
+
+ONE_SWEEP = GameConfig(max_sweeps=1)
+
 
 def test_sweep_beta_zero_pointwise_argmin():
     rng = np.random.default_rng(2)
     dc = rng.uniform(0, 1, (3, 4, 3))
     model = potts_model(dc, 0.0)
     labels = field_of(np.zeros((3, 4), dtype=int), 3)
-    out, changed = best_response_sweep(model, labels)
+    out, _ = solve_icm(model, labels, ONE_SWEEP)
     assert np.array_equal(out.labels, np.argmin(dc, axis=2))
-    again, changed2 = best_response_sweep(model, out)
-    assert changed2 == 0
+    again, trace = solve_icm(model, out, ONE_SWEEP)
+    assert trace[0].changed == 0
     assert again == out
 
 
 def test_sweep_uniform_costs_constant_labeling_is_stable():
     model = potts_model(np.ones((3, 3, 2)), 1.0)
     labels = field_of(np.ones((3, 3), dtype=int), 2)
-    _, changed = best_response_sweep(model, labels)
-    assert changed == 0
+    _, trace = solve_icm(model, labels, ONE_SWEEP)
+    assert trace[0].changed == 0
 
 
 def test_sweep_two_pixel_instance_matches_brute_force():
     dc = np.array([[[0.0, 10.0], [10.0, 0.0]]])
     model = potts_model(dc, 1.0)
-    out, _ = best_response_sweep(model, field_of([[1, 0]], 2))
+    out, _ = solve_icm(model, field_of([[1, 0]], 2), ONE_SWEEP)
     assert out.labels.tolist() == [[0, 1]]
     best, best_energy = exhaustive_oracle(model)
     assert best.labels.tolist() == [[0, 1]]
@@ -204,10 +225,10 @@ def test_sweep_never_increases_energy():
         model = random_instance(rng, shape=(4, 4), labels=3, scale=2.0)
         labels = field_of(rng.integers(0, 3, (4, 4)), 3)
         before = energy_of(model, labels)
-        out, changed = best_response_sweep(model, labels)
+        out, trace = solve_icm(model, labels, ONE_SWEEP)
         after = energy_of(model, out)
         assert after <= before  # exact float comparison
-        if changed == 0:
+        if trace[0].changed == 0:
             assert after == before
 
 
@@ -237,6 +258,88 @@ def test_local_costs_match_per_site_reference():
 # ---------------------------------------------------------------------------
 # solve_icm
 # ---------------------------------------------------------------------------
+
+def reference_neighbor_table(model):
+    """Per flat site: [(neighbor index, edge scale)] in the kernel's left,
+    right, up, down order."""
+    h, w = model.height, model.width
+    sx, sy = (s.tolist() for s in _edge_scales(model))
+    table = []
+    for r in range(h):
+        for c in range(w):
+            nbrs = []
+            if c > 0:
+                nbrs.append((r * w + c - 1, sx[r][c - 1]))
+            if c < w - 1:
+                nbrs.append((r * w + c + 1, sx[r][c]))
+            if r > 0:
+                nbrs.append(((r - 1) * w + c, sy[r - 1][c]))
+            if r < h - 1:
+                nbrs.append(((r + 1) * w + c, sy[r][c]))
+            table.append(nbrs)
+    return table
+
+
+def reference_descend(model, labels, first_sweep=1, max_sweeps=None):
+    """Sequential raster reference: best-respond one site at a time in raster
+    order, each site seeing its earlier neighbors' new labels."""
+    h, w, label_count = model.data_costs.shape
+    dc = model.data_costs.reshape(h * w, label_count).tolist()
+    pair = model.pair_cost.tolist()
+    nbr_table = reference_neighbor_table(model)
+    flat = labels.labels.ravel().tolist()
+    labels_range = range(label_count)
+    trace = []
+    sweep = first_sweep
+    while True:
+        changed = 0
+        for idx, nbrs in enumerate(nbr_table):
+            costs = list(dc[idx])
+            for nb, scale in nbrs:
+                row = pair[flat[nb]]
+                for lbl in labels_range:
+                    costs[lbl] += scale * row[lbl]
+            low = min(costs)
+            if low < costs[flat[idx]]:
+                flat[idx] = costs.index(low)
+                changed += 1
+        current = LabelField(labels=np.array(flat, dtype=np.int64).reshape(h, w),
+                             label_count=label_count)
+        trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, current),
+                                 changed=changed, temperature=0.0))
+        if changed == 0 or len(trace) == max_sweeps:
+            return current, trace
+        sweep += 1
+
+
+def test_icm_matches_sequential_raster_reference():
+    # The anti-diagonal sweep must reproduce the per-site raster loop exactly:
+    # labels and every trace field, ties and sweep cuts included.
+    rng = np.random.default_rng(27)
+    for k in range(240):
+        n, m = (int(v) for v in rng.integers(2, 9, 2))
+        shape = ((1, 1), (1, n), (n, 1), (n, m))[k % 4]
+        labels = 1 if k % 5 == 4 else int(rng.integers(2, 6))
+        kind = ("potts", "quadratic")[k // 4 % 2]
+        h, w = shape
+        if k // 8 % 2:  # small integers: many exact ties between labels
+            draw = lambda size: rng.integers(0, 3, size).astype(float)
+            beta = float(rng.integers(0, 3))
+        else:
+            draw = lambda size: rng.uniform(0, 2, size)
+            beta = float(rng.uniform(0, 2))
+        weighted = k // 16 % 2
+        model = EnergyModel(data_costs=draw(shape + (labels,)), prior_weight=beta,
+                            prior_kind=kind,
+                            edge_weights_x=draw((h, w - 1)) if weighted else None,
+                            edge_weights_y=draw((h - 1, w)) if weighted else None)
+        init = field_of(rng.integers(0, labels, shape), labels)
+        max_sweeps = int(rng.integers(1, 6)) if k % 3 else 60
+        out, trace = solve_icm(model, init, GameConfig(max_sweeps=max_sweeps))
+        expected, expected_trace = reference_descend(model, init, max_sweeps=max_sweeps)
+        assert out == expected
+        assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+
 
 def test_icm_beta_zero_two_sweeps():
     rng = np.random.default_rng(4)
@@ -385,8 +488,10 @@ def test_anneal_hot_phase_matches_sequential_gibbs():
         assert [(r.sweep, r.energy, r.changed, r.temperature)
                 for r in trace[:config.max_sweeps]] == records
         assert all(r.temperature == 0.0 for r in trace[config.max_sweeps:])
-        tail, _ = solve_icm(model, hot, GameConfig(max_sweeps=10 ** 6))
+        tail, tail_trace = reference_descend(model, hot,
+                                             first_sweep=config.max_sweeps + 1)
         assert out == tail
+        assert trace_to_csv(trace[config.max_sweeps:]) == trace_to_csv(tail_trace)
 
 
 def test_anneal_schedule_validation():
