@@ -474,8 +474,18 @@ def _cmd_eval(args):
     network = net_mod.load_net(args.model)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
-    hits = sum(net_mod.predict(network, img)[0] == lbl
-               for img, lbl in zip(images, labels))
+    if args.crop is not None:
+        # the centre crop, as train --augment --crop saw it
+        images = [net_mod.augment(img, args.crop)[4] for img in images]
+    side = args.size if args.crop is None else args.crop
+    try:
+        hits = sum(net_mod.predict(network, img)[0] == lbl
+                   for img, lbl in zip(images, labels))
+    except net_mod.ShapeMismatchError as exc:
+        raise CliError(
+            f"model does not accept {side}x{side} inputs ({exc}); a model "
+            f"trained with --augment --crop C needs eval --crop C"
+        ) from exc
     print(f"accuracy = {hits / len(images):.4f}")
     return 0
 
@@ -588,6 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--noise", type=int, default=1)
     p.add_argument("--images-per-class", type=int, default=10)
+    p.add_argument("--crop", type=int, default=None,
+                   help="score the centre C x C crop of each scene")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 

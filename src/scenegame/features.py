@@ -169,7 +169,9 @@ def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
     merging continues while the maximum similarity is at least the threshold
     (the first merge is guarded too). Each cluster contributes the feature
     with the highest within-cluster centrality (mean |correlation| with its
-    own cluster), ties to the lowest index.
+    own cluster), ties to the lowest index. Equal similarities merge the
+    first pair in cluster-list order. The linkage table is kept between
+    merges: a merge recomputes only the merged cluster's row and column.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 2:
@@ -177,21 +179,25 @@ def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
     if samples.shape[0] < 3:
         raise ValueError("need at least 3 samples")
     sim = _abs_correlation(samples)
-    clusters = [[i] for i in range(samples.shape[1])]
+    m = sim.shape[1]
+    clusters = [[i] for i in range(m)]
+    # link[i, j], i < j: average linkage of clusters i and j; -inf elsewhere.
+    # Row-major argmax takes the first maximum over pairs (i, j), i < j.
+    link = np.full((m, m), -np.inf)
+    upper = np.triu_indices(m, 1)
+    link[upper] = sim[upper]
     while len(clusters) > 1:
-        best_pair = None
-        best_sim = -1.0
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                pair_sim = float(np.mean(sim[np.ix_(clusters[i], clusters[j])]))
-                if pair_sim > best_sim:
-                    best_sim = pair_sim
-                    best_pair = (i, j)
-        if best_sim < threshold:
+        i, j = divmod(int(np.argmax(link)), len(clusters))
+        if link[i, j] < threshold:
             break
-        i, j = best_pair
         clusters[i] = sorted(clusters[i] + clusters[j])
         del clusters[j]
+        link = np.delete(np.delete(link, j, axis=0), j, axis=1)
+        for k in range(len(clusters)):
+            if k < i:
+                link[k, i] = np.mean(sim[np.ix_(clusters[k], clusters[i])])
+            elif k > i:
+                link[i, k] = np.mean(sim[np.ix_(clusters[i], clusters[k])])
     clusters.sort(key=lambda c: c[0])
 
     selected = []

@@ -11,6 +11,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import Image
 
@@ -64,7 +65,12 @@ def _glorot(rng, shape, fan_in, fan_out):
 
 
 class Conv2D:
-    """Valid convolution, stride >= 1, no padding."""
+    """Valid convolution, stride >= 1, no padding.
+
+    Each pass is one GEMM over the im2col patch matrix: one row per output
+    pixel, columns in (kh, kw, cin) order so that the weights reshape to
+    (kh * kw * cin, cout) unchanged.
+    """
 
     def __init__(self, kh, kw, cin, cout, stride=1, rng=None):
         self.kh, self.kw, self.cin, self.cout = kh, kw, cin, cout
@@ -75,7 +81,7 @@ class Conv2D:
             self.weights = _glorot(rng, (kh, kw, cin, cout),
                                    kh * kw * cin, kh * kw * cout)
         self.bias = np.zeros(cout)
-        self._x = None
+        self._cols = None
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[3] != self.cin:
@@ -88,31 +94,30 @@ class Conv2D:
         ow = (w - self.kw) // s + 1
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"input {h}x{w} smaller than the kernel")
-        out = np.broadcast_to(self.bias, (n, oh, ow, self.cout)).copy()
-        for di in range(self.kh):
-            for dj in range(self.kw):
-                patch = x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
-                out += patch @ self.weights[di, dj]
-        self._x = x
-        return out
+        # (n, h-kh+1, w-kw+1, cin, kh, kw) view -> strided rows, (kh, kw, cin) columns
+        windows = sliding_window_view(x, (self.kh, self.kw), axis=(1, 2))
+        cols = windows[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(
+            n * oh * ow, self.kh * self.kw * self.cin)
+        out = cols @ self.weights.reshape(-1, self.cout)
+        out += self.bias
+        self._cols = cols
+        self._in_shape = x.shape
+        return out.reshape(n, oh, ow, self.cout)
 
     def backward(self, dout):
-        x = self._x
-        n, h, w, _ = x.shape
+        cols, self._cols = self._cols, None
+        n, oh, ow, _ = dout.shape
         s = self.stride
-        oh, ow = dout.shape[1], dout.shape[2]
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = dout.sum(axis=(0, 1, 2))
-        dx = np.zeros_like(x)
+        dout2 = dout.reshape(-1, self.cout)
+        self.d_weights = (cols.T @ dout2).reshape(self.weights.shape)
+        self.d_bias = dout2.sum(axis=0)
+        dcols = (dout2 @ self.weights.reshape(-1, self.cout).T).reshape(
+            n, oh, ow, self.kh, self.kw, self.cin)
+        # col2im: add each kernel offset's column block back onto its pixels
+        dx = np.zeros(self._in_shape)
         for di in range(self.kh):
             for dj in range(self.kw):
-                patch = x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
-                self.d_weights[di, dj] = np.tensordot(
-                    patch, dout, axes=([0, 1, 2], [0, 1, 2])
-                )
-                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += (
-                    dout @ self.weights[di, dj].T
-                )
+                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += dcols[:, :, :, di, dj]
         return dx
 
 
@@ -334,18 +339,15 @@ def mine_triplets(embeddings, labels, margin: float = 0.5,
     if np.unique(labels).size < 2:
         raise ValueError("need at least 2 classes to mine triplets")
     diff2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
-    n = emb.shape[0]
-    triplets = []
-    skipped = []
-    for anchor in range(n):
-        same = np.flatnonzero((labels == labels[anchor]) & (np.arange(n) != anchor))
-        other = np.flatnonzero(labels != labels[anchor])
-        if same.size == 0:
-            skipped.append(anchor)
-            continue
-        pos = int(same[np.argmin(diff2[anchor, same])])
-        neg = int(other[np.argmin(diff2[anchor, other])])
-        triplets.append(Triplet(anchor, pos, neg, margin))
+    same_class = labels[:, None] == labels[None, :]
+    same = same_class & ~np.eye(labels.size, dtype=bool)
+    # argmin returns the first minimum: ties go to the lowest sample index
+    pos = np.where(same, diff2, np.inf).argmin(axis=1)
+    neg = np.where(same_class, np.inf, diff2).argmin(axis=1)
+    has_pos = same.any(axis=1)
+    triplets = [Triplet(int(a), int(pos[a]), int(neg[a]), margin)
+                for a in np.flatnonzero(has_pos)]
+    skipped = np.flatnonzero(~has_pos).tolist()
     if skipped and warn_skipped:
         logger.warning("skipped %d anchors with singleton classes: %s",
                        len(skipped), skipped)

@@ -258,6 +258,22 @@ def test_cli_train_augment_without_crop_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
+    model = tmp_path / "model.bin"
+    assert main(["train", "--size", "16", "--images-per-class", "2",
+                 "--epochs", "1", "--augment", "--crop", "12",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--size", "16", "--crop", "12",
+                 "--images-per-class", "2"]) == 0
+    assert capsys.readouterr().out.startswith("accuracy = ")
+    assert main(["eval", "--model", str(model), "--size", "16",
+                 "--images-per-class", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: model does not accept 16x16 inputs")
+    assert "--crop" in err
+
+
 def test_cli_experiment_with_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -4,6 +4,7 @@ from scipy.stats import pearsonr
 
 from scenegame.features import (
     DegenerateFeatureError,
+    FeatureClusterSet,
     FeatureVector,
     ScoreTable,
     WeightVector,
@@ -15,6 +16,7 @@ from scenegame.features import (
     project_to_simplex,
     weight_objective,
 )
+from scenegame.features import _abs_correlation
 from scenegame.image import Image
 
 
@@ -189,8 +191,6 @@ def test_similarity_agrees_with_scipy_pearson():
     samples = rng.normal(0, 1, (25, 3))
     # clustering with threshold above 1 performs no merges; mirror the
     # similarity matrix through scipy as an independent reference
-    from scenegame.features import _abs_correlation
-
     sim = _abs_correlation(samples)
     for i in range(3):
         for j in range(3):
@@ -211,6 +211,68 @@ def test_cluster_order_invariance_up_to_tiebreak():
     mapped = tuple(sorted(tuple(sorted(perm.index(i) for i in cluster))
                           for cluster in out.clusters))
     assert mapped == tuple(sorted(out_p.clusters))
+
+
+def reference_cluster_and_select(samples, threshold):
+    """The clustering loop that rescanned every cluster pair per merge,
+    kept as the reference for the incremental linkage table."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] < 2:
+        raise ValueError("need a samples-by-features matrix with >= 2 features")
+    if samples.shape[0] < 3:
+        raise ValueError("need at least 3 samples")
+    sim = _abs_correlation(samples)
+    clusters = [[i] for i in range(samples.shape[1])]
+    while len(clusters) > 1:
+        best_pair = None
+        best_sim = -1.0
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                pair_sim = float(np.mean(sim[np.ix_(clusters[i], clusters[j])]))
+                if pair_sim > best_sim:
+                    best_sim = pair_sim
+                    best_pair = (i, j)
+        if best_sim < threshold:
+            break
+        i, j = best_pair
+        clusters[i] = sorted(clusters[i] + clusters[j])
+        del clusters[j]
+    clusters.sort(key=lambda c: c[0])
+
+    selected = []
+    for cluster in clusters:
+        # Centrality: mean |correlation| with the whole cluster (self included).
+        scores = [float(np.mean(sim[f, cluster])) for f in cluster]
+        selected.append(cluster[int(np.argmax(scores))])
+    return FeatureClusterSet(
+        clusters=tuple(tuple(c) for c in clusters),
+        selected=tuple(sorted(selected)),
+    )
+
+
+def test_clustering_matches_pair_rescan_reference():
+    rng = np.random.default_rng(39)
+    merged_cases = 0
+    for case in range(120):
+        rows = int(rng.integers(3, 12))
+        cols = int(rng.integers(2, 11))
+        # small integers: many equal correlations and similarity ties
+        samples = rng.integers(0, 3, (rows, cols)).astype(np.float64)
+        for c in range(cols):
+            if samples[:, c].std() == 0:
+                samples[c % rows, c] += 1.0
+        if case % 2:  # duplicated (and rescaled or negated) columns
+            src = rng.integers(0, cols, int(rng.integers(1, 4)))
+            scale = rng.choice([1.0, 2.0, -1.0], src.size)
+            samples = np.column_stack([samples, samples[:, src] * scale])
+            samples = samples[:, rng.permutation(samples.shape[1])]
+        for threshold in (0.0, 0.5, 1.0, 1.5):
+            got = cluster_and_select(samples, threshold)
+            expected = reference_cluster_and_select(samples, threshold)
+            assert got == expected
+            if threshold == 1.0 and len(got.clusters) < samples.shape[1]:
+                merged_cases += 1
+    assert merged_cases > 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -46,6 +47,132 @@ def test_identity_conv_preserves_input():
     conv.weights[0, 0, 0, 0] = 1.0
     x = np.random.default_rng(0).normal(0, 1, (2, 5, 5, 1))
     assert np.array_equal(conv.forward(x), x)
+
+
+class ReferenceConv2D(Conv2D):
+    """The per-offset convolution that the im2col GEMM replaced, kept as the
+    reference: kh * kw small matmuls forward, one tensordot per offset for
+    the weight gradient backward."""
+
+    def forward(self, x):
+        if x.ndim != 4 or x.shape[3] != self.cin:
+            raise ShapeMismatchError(
+                f"conv expects (N,H,W,{self.cin}), got {x.shape}"
+            )
+        n, h, w, _ = x.shape
+        s = self.stride
+        oh = (h - self.kh) // s + 1
+        ow = (w - self.kw) // s + 1
+        if oh < 1 or ow < 1:
+            raise ShapeMismatchError(f"input {h}x{w} smaller than the kernel")
+        out = np.broadcast_to(self.bias, (n, oh, ow, self.cout)).copy()
+        for di in range(self.kh):
+            for dj in range(self.kw):
+                patch = x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
+                out += patch @ self.weights[di, dj]
+        self._x = x
+        return out
+
+    def backward(self, dout):
+        x = self._x
+        n, h, w, _ = x.shape
+        s = self.stride
+        oh, ow = dout.shape[1], dout.shape[2]
+        self.d_weights = np.zeros_like(self.weights)
+        self.d_bias = dout.sum(axis=(0, 1, 2))
+        dx = np.zeros_like(x)
+        for di in range(self.kh):
+            for dj in range(self.kw):
+                patch = x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
+                self.d_weights[di, dj] = np.tensordot(
+                    patch, dout, axes=([0, 1, 2], [0, 1, 2])
+                )
+                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += (
+                    dout @ self.weights[di, dj].T
+                )
+        return dx
+
+
+def conv_cases():
+    """Seeded (n, h, w, kh, kw, cin, cout, stride) cases: 1x1 and non-square
+    kernels, 1-4 channels each way, strides 1 and 2, outputs of size 1, and
+    inputs with rows and columns that a stride-2 kernel never reaches."""
+    cases = [
+        (1, 1, 1, 1, 1, 1, 1, 1),        # 1x1 kernel, 1x1 output
+        (2, 5, 5, 1, 1, 3, 2, 2),        # 1x1 kernel, strided
+        (1, 3, 3, 3, 3, 1, 1, 1),        # output of size 1
+        (3, 4, 5, 4, 5, 2, 4, 2),        # output of size 1, strided
+        (2, 6, 3, 2, 3, 4, 1, 1),        # non-square kernel, one output column
+        (1, 8, 8, 3, 3, 1, 8, 2),
+    ]
+    rng = np.random.default_rng(60)
+    while len(cases) < 160:
+        kh, kw = (int(v) for v in rng.integers(1, 5, 2))
+        stride = int(rng.integers(1, 3))
+        oh, ow = (int(v) for v in rng.integers(1, 5, 2))
+        h = (oh - 1) * stride + kh + int(rng.integers(0, stride))
+        w = (ow - 1) * stride + kw + int(rng.integers(0, stride))
+        cin, cout = (int(v) for v in rng.integers(1, 5, 2))
+        cases.append((int(rng.integers(1, 4)), h, w, kh, kw, cin, cout, stride))
+    return cases
+
+
+def max_rel_error(actual, expected):
+    return float(np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300))
+
+
+def test_conv_gemm_matches_per_offset_reference():
+    rng = np.random.default_rng(61)
+    for n, h, w, kh, kw, cin, cout, stride in conv_cases():
+        conv = Conv2D(kh, kw, cin, cout, stride=stride, rng=rng)
+        conv.bias = rng.normal(0, 1, cout)
+        ref = ReferenceConv2D(kh, kw, cin, cout, stride=stride)
+        ref.weights, ref.bias = conv.weights.copy(), conv.bias.copy()
+        x = rng.normal(0, 1, (n, h, w, cin))
+        out, expected = conv.forward(x), ref.forward(x)
+        assert out.shape == expected.shape
+        assert max_rel_error(out, expected) <= 1e-12
+        dout = rng.normal(0, 1, out.shape)
+        dx, expected_dx = conv.backward(dout), ref.backward(dout)
+        assert dx.shape == x.shape
+        assert max_rel_error(dx, expected_dx) <= 1e-12
+        assert max_rel_error(conv.d_weights, ref.d_weights) <= 1e-12
+        assert max_rel_error(conv.d_bias, ref.d_bias) <= 1e-12
+
+
+def test_conv_backward_releases_patch_matrix():
+    conv = Conv2D(3, 3, 1, 2, rng=np.random.default_rng(62))
+    out = conv.forward(np.ones((1, 5, 5, 1)))
+    assert conv._cols is not None
+    conv.backward(np.ones_like(out))
+    assert conv._cols is None
+
+
+def test_stride_two_conv_gradients_match_finite_differences():
+    rng = np.random.default_rng(63)
+    conv = Conv2D(3, 2, 2, 3, stride=2, rng=rng)
+    x = rng.normal(0, 1, (2, 8, 7, 2))
+    g = rng.normal(0, 1, conv.forward(x).shape)
+    conv.forward(x)
+    dx = conv.backward(g)
+    step = 1e-6
+
+    def numeric(arr):
+        grad = np.zeros_like(arr)
+        for i in range(arr.size):
+            original = arr.flat[i]
+            arr.flat[i] = original + step
+            plus = float((conv.forward(x) * g).sum())
+            arr.flat[i] = original - step
+            minus = float((conv.forward(x) * g).sum())
+            arr.flat[i] = original
+            grad.flat[i] = (plus - minus) / (2.0 * step)
+        return grad
+
+    for analytic, arr in ((conv.d_weights.copy(), conv.weights), (dx, x)):
+        num = numeric(arr)
+        rel = np.abs(analytic - num) / np.maximum(np.abs(analytic) + np.abs(num), 1e-8)
+        assert rel.max() < 1e-6
 
 
 def test_maxpool_window():
@@ -210,6 +337,73 @@ def test_mine_matches_brute_force_scan():
                 best_neg, best_neg_d = j, d
         assert t.positive == best_pos
         assert t.negative == best_neg
+
+
+reference_logger = logging.getLogger("reference_mining")
+
+
+def reference_mine_triplets(embeddings, labels, margin=0.5, warn_skipped=True):
+    """The per-anchor mining loop that the masked argmin replaced, kept as
+    the reference."""
+    logger = reference_logger
+    emb = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.unique(labels).size < 2:
+        raise ValueError("need at least 2 classes to mine triplets")
+    diff2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
+    n = emb.shape[0]
+    triplets = []
+    skipped = []
+    for anchor in range(n):
+        same = np.flatnonzero((labels == labels[anchor]) & (np.arange(n) != anchor))
+        other = np.flatnonzero(labels != labels[anchor])
+        if same.size == 0:
+            skipped.append(anchor)
+            continue
+        pos = int(same[np.argmin(diff2[anchor, same])])
+        neg = int(other[np.argmin(diff2[anchor, other])])
+        triplets.append(Triplet(anchor, pos, neg, margin))
+    if skipped and warn_skipped:
+        logger.warning("skipped %d anchors with singleton classes: %s",
+                       len(skipped), skipped)
+    return triplets
+
+
+def test_mine_matches_per_anchor_reference_with_ties(caplog):
+    rng = np.random.default_rng(64)
+    singleton_cases = 0
+    for case in range(240):
+        n = int(rng.integers(2, 13))
+        labels = rng.integers(0, int(rng.integers(2, 6)), n)
+        if np.unique(labels).size < 2:
+            labels[0] = labels[1] + 1
+        # small integers: many exactly equal distances
+        emb = rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(np.float64)
+        margin = float(rng.choice([0.5, 1.0, 2.0]))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            got = mine_triplets(emb, labels, margin=margin)
+            expected = reference_mine_triplets(emb, labels, margin=margin)
+        assert got == expected
+        assert all(type(v) is int for t in got
+                   for v in (t.anchor, t.positive, t.negative))
+        messages = [r.getMessage() for r in caplog.records]
+        classes, counts = np.unique(labels, return_counts=True)
+        if (counts == 1).any():
+            singleton_cases += 1
+            assert len(messages) == 2 and messages[0] == messages[1]
+            skipped = [a for a in range(n) if counts[classes == labels[a]][0] == 1]
+            assert messages[0].endswith(str(skipped))
+        else:
+            assert messages == []
+    assert singleton_cases > 50
+
+
+def test_mine_warning_can_be_silenced(caplog):
+    with caplog.at_level(logging.WARNING):
+        mine_triplets(np.array([[0.0], [1.0], [2.0]]), [0, 1, 1],
+                      warn_skipped=False)
+    assert caplog.records == []
 
 
 def test_mine_skips_singleton_classes():
