@@ -7,6 +7,7 @@ Reports are CSV with a fixed, versioned column set.
 """
 
 import argparse
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -328,7 +329,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# Mixture parameter (de)serialization: same key = value format as configs
+# Mixture parameter serialization: same key = value format as configs
 # ---------------------------------------------------------------------------
 
 def gmm_to_text(params: gmm_mod.GmmParams, trace: gmm_mod.EmTrace = None) -> str:
@@ -342,18 +343,6 @@ def gmm_to_text(params: gmm_mod.GmmParams, trace: gmm_mod.EmTrace = None) -> str
         lines.append(f"converged = {'on' if trace.converged else 'off'}")
         lines.append(f"iterations = {trace.iterations_used}")
     return "\n".join(lines) + "\n"
-
-
-def gmm_from_text(text: str) -> gmm_mod.GmmParams:
-    mapping = parse_config(text)
-    try:
-        weights = [float(v) for v in mapping["weights"].split(",")]
-        means = [float(v) for v in mapping["means"].split(",")]
-        variances = [float(v) for v in mapping["variances"].split(",")]
-    except KeyError as exc:
-        raise CliError(f"missing mixture key {exc}") from exc
-    return gmm_mod.GmmParams(weights=np.array(weights), means=np.array(means),
-                             variances=np.array(variances))
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +389,19 @@ def _cmd_gmm_fit(args):
 
 
 def _solve(model, init, args):
+    """Run the chosen solver. A run whose last sweep still moved labels
+    stopped before equilibrium: its output is written anyway, with one
+    warning on stderr."""
     config = mrf.GameConfig(max_sweeps=args.max_sweeps, seed=args.seed)
     if args.solver == "icm":
-        return mrf.solve_icm(model, init, config)
-    return mrf.solve_anneal(model, init, config)
+        labels, trace = mrf.solve_icm(model, init, config)
+    else:
+        labels, trace = mrf.solve_anneal(model, init, config)
+    if trace[-1].changed > 0:
+        print(f"WARNING: {args.solver} stopped at --max-sweeps {args.max_sweeps} "
+              f"before equilibrium: its last sweep changed "
+              f"{trace[-1].changed} labels", file=sys.stderr)
+    return labels, trace
 
 
 def _cmd_segment(args):
@@ -627,6 +625,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        logging.getLogger(__name__).debug("%s failed", args.command, exc_info=True)
         print(f"ERROR: {exc}", file=sys.stderr)
         return 2
 

@@ -57,20 +57,42 @@ def _log_normal(x, mean, variance):
     return -0.5 * (_LOG_2PI + np.log(variance)) - (x - mean) ** 2 / (2.0 * variance)
 
 
-def log_likelihood(data, params: GmmParams) -> float:
+def _sample_weights(counts, size):
+    """Validated float64 per-sample weights, or None for unit weights."""
+    if counts is None:
+        return None
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (size,):
+        raise ValueError(f"counts must have shape ({size},), got {counts.shape}")
+    if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+        raise ValueError("counts must be finite and >= 0")
+    if counts.sum() <= 0:
+        raise ValueError("counts must not sum to zero")
+    return counts
+
+
+def log_likelihood(data, params: GmmParams, counts=None) -> float:
+    """Summed log-likelihood; ``counts[n]`` is how many times sample n occurs."""
     data = np.asarray(data, dtype=np.float64)
+    counts = _sample_weights(counts, data.size)
     logp = _log_normal(data[:, None], params.means[None, :], params.variances[None, :])
     logp = logp + np.log(np.maximum(params.weights[None, :], 1e-300))
     m = logp.max(axis=1, keepdims=True)
-    return float((m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))).sum())
+    per_sample = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
+    return float(per_sample.sum() if counts is None else per_sample @ counts)
 
 
-def e_step(data, params: GmmParams) -> np.ndarray:
+def e_step(data, params: GmmParams, counts=None) -> np.ndarray:
     """Responsibilities r[n, m] proportional to weight_m * N(x_n; mean_m, var_m),
-    rows normalized to 1. Computed in log space for stability."""
+    rows normalized to 1. Computed in log space for stability.
+
+    A row is the posterior of one sample value, so it does not depend on how
+    often the value occurs; ``counts`` is only checked, as in ``m_step``.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
+    _sample_weights(counts, data.size)
     logp = _log_normal(data[:, None], params.means[None, :], params.variances[None, :])
     logp = logp + np.log(np.maximum(params.weights[None, :], 1e-300))
     logp -= logp.max(axis=1, keepdims=True)
@@ -79,16 +101,19 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     return resp
 
 
-def m_step(data, resp) -> GmmParams:
+def m_step(data, resp, counts=None) -> GmmParams:
     """Closed-form Q-maximizer: responsibility-weighted weights, means, and
-    floored variances."""
+    floored variances. Sample n counts ``counts[n]`` times (default once)."""
     data = np.asarray(data, dtype=np.float64)
     resp = np.asarray(resp, dtype=np.float64)
+    counts = _sample_weights(counts, data.size)
+    if counts is not None:
+        resp = resp * counts[:, None]
     totals = resp.sum(axis=0)
     if np.any(totals < 1e-12):
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
-    weights = totals / data.size
+    weights = totals / (data.size if counts is None else counts.sum())
     means = (resp * data[:, None]).sum(axis=0) / totals
     variances = (resp * (data[:, None] - means[None, :]) ** 2).sum(axis=0) / totals
     variances = np.maximum(variances, VARIANCE_FLOOR)
@@ -112,9 +137,13 @@ def _init_params(data, component_count, seed):
 
 def fit(data, component_count: int, epsilon: float = 1e-8,
         max_iters: int = 200, seed: int = 0):
-    """Run EM until the absolute log-likelihood change drops below epsilon or
-    max_iters is hit. Returns (GmmParams, EmTrace); the trace log-likelihoods
-    are nondecreasing within 1e-9.
+    """Run EM until the absolute change of the summed log-likelihood drops
+    below epsilon or max_iters is hit. Returns (GmmParams, EmTrace); the trace
+    log-likelihoods are nondecreasing within 1e-9.
+
+    The parameters start from the samples; the iterations then run on the
+    distinct values and their counts, which carry the same sufficient
+    statistics (an 8-bit image has at most 256 of them).
     """
     data = np.asarray(data, dtype=np.float64).ravel()
     if component_count < 1:
@@ -124,13 +153,14 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
             f"need at least {component_count} samples, got {data.size}"
         )
     params = _init_params(data, component_count, seed)
+    values, counts = np.unique(data, return_counts=True)
     trace = EmTrace()
-    previous = log_likelihood(data, params)
+    previous = log_likelihood(values, params, counts)
     trace.loglik_per_iter.append(previous)
     for _ in range(max_iters):
-        resp = e_step(data, params)
-        params = m_step(data, resp)
-        current = log_likelihood(data, params)
+        resp = e_step(values, params, counts)
+        params = m_step(values, resp, counts)
+        current = log_likelihood(values, params, counts)
         trace.loglik_per_iter.append(current)
         trace.iterations_used += 1
         if abs(current - previous) < epsilon:

@@ -312,19 +312,6 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     return out, trace + tail
 
 
-def gibbs_site_probabilities(model: EnergyModel, labels: LabelField,
-                             site, temperature: float):
-    """Resampling distribution of one site at the given temperature."""
-    _check_dims(model, labels)
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    r, c = site
-    if not (0 <= r < model.height and 0 <= c < model.width):
-        raise ValueError(f"site {site} is outside the {model.height}x{model.width} grid")
-    weights = _gibbs_weights(_local_costs(model, labels.labels)[r, c], temperature)
-    return (weights / weights.sum()).tolist()
-
-
 def nash_check(model: EnergyModel, labels: LabelField):
     """True iff no single pixel can strictly lower the total energy alone.
 

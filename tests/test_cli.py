@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from scenegame.cli import (
     ExperimentConfig,
     KeyframePolicy,
     REPORT_HEADER,
-    gmm_from_text,
     gmm_to_text,
     keyframe_indices,
     label_to_action,
@@ -88,6 +89,19 @@ def test_experiment_config_validation():
         ExperimentConfig(noise_levels=(0,))
     with pytest.raises(CliError):
         ExperimentConfig(holdout=1.5)
+
+
+def gmm_from_text(text: str) -> GmmParams:
+    """Parse the mixture parameters that gmm-fit writes."""
+    mapping = parse_config(text)
+    try:
+        weights = [float(v) for v in mapping["weights"].split(",")]
+        means = [float(v) for v in mapping["means"].split(",")]
+        variances = [float(v) for v in mapping["variances"].split(",")]
+    except KeyError as exc:
+        raise CliError(f"missing mixture key {exc}") from exc
+    return GmmParams(weights=np.array(weights), means=np.array(means),
+                     variances=np.array(variances))
 
 
 def test_gmm_text_round_trip():
@@ -194,6 +208,41 @@ def test_cli_missing_file_returns_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR: ")
     assert err.strip().count("\n") == 0
+
+
+def test_cli_missing_file_logs_traceback_at_debug(tmp_path, caplog):
+    with caplog.at_level(logging.DEBUG, logger="scenegame.cli"):
+        rc = main(["preprocess", "--input", str(tmp_path / "nope.pgm"),
+                   "--method", "equalize", "--out", str(tmp_path / "o.pgm")])
+    assert rc == 2
+    records = [r for r in caplog.records if r.name == "scenegame.cli"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert records[0].exc_info[0] is FileNotFoundError
+
+
+def segment_trace(tmp_path, capsys, *extra):
+    src, _ = write_scene(tmp_path, class_id=1, size=32)
+    trace_path = tmp_path / "trace.csv"
+    assert main(["segment", "--input", str(src), "--components", "3",
+                 "--out", str(tmp_path / "labels.pgm"),
+                 "--trace", str(trace_path), *extra]) == 0
+    last = trace_path.read_text().strip().split("\n")[-1].split(",")
+    return int(last[2]), capsys.readouterr().err
+
+
+def test_cli_segment_stopped_before_equilibrium_warns(tmp_path, capsys):
+    changed, err = segment_trace(tmp_path, capsys, "--max-sweeps", "1")
+    assert changed > 0
+    assert err.startswith("WARNING: ")
+    assert err.count("\n") == 1
+    assert f"changed {changed} labels" in err
+
+
+def test_cli_segment_at_equilibrium_is_silent(tmp_path, capsys):
+    changed, err = segment_trace(tmp_path, capsys)
+    assert changed == 0
+    assert err == ""
 
 
 def test_cli_gmm_fit_and_segment(tmp_path):

@@ -5,13 +5,16 @@ import pytest
 
 from scenegame.gmm import (
     EmptyComponentError,
+    EmTrace,
     GmmParams,
+    _init_params,
     data_costs,
     e_step,
     fit,
+    log_likelihood,
     m_step,
 )
-from scenegame.image import Image
+from scenegame.image import Image, gen_scene
 
 
 def normal_pdf(x, mean, var):
@@ -143,6 +146,158 @@ def test_fit_deterministic_per_seed():
 def test_fit_rejects_too_many_components():
     with pytest.raises(ValueError):
         fit([1.0, 2.0], 3)
+
+
+# ---------------------------------------------------------------------------
+# Histogram EM against the per-sample loop
+# ---------------------------------------------------------------------------
+
+def reference_fit(data, component_count, epsilon=1e-8, max_iters=200, seed=0):
+    """The per-sample EM loop that fit ran before it moved to the (value,
+    count) histogram: every iteration visits every sample."""
+    data = np.asarray(data, dtype=np.float64).ravel()
+    if component_count < 1:
+        raise ValueError("component_count must be >= 1")
+    if data.size < component_count:
+        raise ValueError(
+            f"need at least {component_count} samples, got {data.size}"
+        )
+    params = _init_params(data, component_count, seed)
+    trace = EmTrace()
+    previous = log_likelihood(data, params)
+    trace.loglik_per_iter.append(previous)
+    for _ in range(max_iters):
+        resp = e_step(data, params)
+        params = m_step(data, resp)
+        current = log_likelihood(data, params)
+        trace.loglik_per_iter.append(current)
+        trace.iterations_used += 1
+        if abs(current - previous) < epsilon:
+            trace.converged = True
+            break
+        previous = current
+    return params, trace
+
+
+def fit_outcome(fit_fn, data, component_count, seed):
+    try:
+        return fit_fn(data, component_count, seed=seed)
+    except EmptyComponentError as exc:
+        return str(exc)
+
+
+def assert_same_fit(data, component_count, seed):
+    """fit and reference_fit agree: the same error, or the same iterations
+    and parameters. Returns the outcome."""
+    expected = fit_outcome(reference_fit, data, component_count, seed)
+    got = fit_outcome(fit, data, component_count, seed)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return got
+    (p_ref, t_ref), (p_new, t_new) = expected, got
+    assert t_new.iterations_used == t_ref.iterations_used
+    assert t_new.converged == t_ref.converged
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(p_new, name), getattr(p_ref, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    np.testing.assert_allclose(t_new.loglik_per_iter, t_ref.loglik_per_iter,
+                               rtol=1e-12, atol=0)
+    return got
+
+
+def test_fit_on_histogram_matches_per_sample_loop_on_scenes():
+    sizes = (16, 32, 48, 64)
+    for class_id in range(5):
+        for noise in (1, 2, 3):
+            size = sizes[(class_id + noise) % len(sizes)]
+            img = gen_scene(class_id, size, noise, 97 * class_id + noise)
+            data = img.plane().astype(np.float64).ravel() / 255.0
+            assert_same_fit(data, 2 + class_id % 2, seed=class_id)
+
+
+def test_fit_on_histogram_matches_per_sample_loop_on_distinct_values():
+    rng = np.random.default_rng(5)
+    for k in range(4):
+        data = np.concatenate([rng.normal(-1, 0.5, 150), rng.normal(2, 1.0, 150)])
+        assert np.unique(data).size == data.size  # every count is 1
+        assert_same_fit(data, 1 + k, seed=k)
+
+
+def test_fit_on_histogram_matches_per_sample_loop_on_heavy_ties():
+    # Fewer distinct values than components. With two equally common values
+    # the middle quantile falls between them, and that component empties.
+    cases = [(np.repeat([0.2, 0.7], [40, 60]), 3),
+             (np.repeat([0.2, 0.7], [30, 30]), 3),
+             (np.full(50, 0.4), 2),
+             (np.repeat([0.0, 0.9], [22, 22]), 5)]
+    outcomes = [assert_same_fit(data, k, seed)
+                for data, k in cases for seed in range(3)]
+    raised = sum(isinstance(o, str) for o in outcomes)
+    assert 0 < raised < len(outcomes)  # both branches exercised
+
+
+# ---------------------------------------------------------------------------
+# Per-sample weights (counts)
+# ---------------------------------------------------------------------------
+
+WEIGHTED_PARAMS = make_params([0.2, 0.5, 0.3], [-1.0, 0.4, 2.5], [0.3, 1.0, 0.6])
+
+
+def weighted_sample(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.5, 1.5, 40)
+    counts = rng.integers(0, 6, values.size)
+    counts[0] = 1  # never all zero
+    return values, counts
+
+
+def test_weighted_steps_equal_repeated_samples():
+    for seed in range(5):
+        values, counts = weighted_sample(seed)
+        repeated = np.repeat(values, counts)
+        resp = e_step(values, WEIGHTED_PARAMS, counts)
+        np.testing.assert_allclose(np.repeat(resp, counts, axis=0),
+                                   e_step(repeated, WEIGHTED_PARAMS),
+                                   rtol=1e-12, atol=1e-12)
+        weighted = m_step(values, resp, counts)
+        plain = m_step(repeated, np.repeat(resp, counts, axis=0))
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(weighted, name),
+                                       getattr(plain, name), rtol=1e-12)
+        assert log_likelihood(values, WEIGHTED_PARAMS, counts) == pytest.approx(
+            log_likelihood(repeated, WEIGHTED_PARAMS), rel=1e-12)
+
+
+def test_counts_none_equals_unit_counts():
+    values, _ = weighted_sample(11)
+    ones = np.ones(values.size)
+    resp = e_step(values, WEIGHTED_PARAMS)
+    assert np.array_equal(e_step(values, WEIGHTED_PARAMS, ones), resp)
+    unweighted = m_step(values, resp)
+    unit = m_step(values, resp, ones)
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(unit, name), getattr(unweighted, name),
+                                   rtol=1e-12)
+    assert log_likelihood(values, WEIGHTED_PARAMS, ones) == pytest.approx(
+        log_likelihood(values, WEIGHTED_PARAMS), rel=1e-12)
+
+
+@pytest.mark.parametrize("counts", [
+    [1.0, 2.0],                 # too short
+    [[1.0, 2.0, 3.0]],          # wrong rank
+    [1.0, -1.0, 3.0],           # negative
+    [0.0, 0.0, 0.0],            # sums to zero
+    [1.0, np.nan, 1.0],         # not finite
+])
+def test_bad_counts_rejected(counts):
+    values = np.array([0.0, 1.0, 2.0])
+    resp = np.full((3, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError):
+        e_step(values, WEIGHTED_PARAMS, counts)
+    with pytest.raises(ValueError):
+        m_step(values, resp, counts)
+    with pytest.raises(ValueError):
+        log_likelihood(values, WEIGHTED_PARAMS, counts)
 
 
 # ---------------------------------------------------------------------------

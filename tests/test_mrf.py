@@ -14,14 +14,15 @@ from scenegame.mrf import (
     GameConfig,
     SmoothnessField,
     SweepRecord,
+    _check_dims,
     _edge_scales,
+    _gibbs_weights,
     _local_costs,
     build_registration_game,
     build_segmentation_game,
     ellipticity_check,
     energy_of,
     exhaustive_oracle,
-    gibbs_site_probabilities,
     labels_to_image,
     nash_check,
     smoothness_residual,
@@ -380,6 +381,19 @@ def test_icm_energy_at_least_global_minimum():
 # ---------------------------------------------------------------------------
 # solve_anneal
 # ---------------------------------------------------------------------------
+
+def gibbs_site_probabilities(model, labels, site, temperature):
+    """Resampling distribution of one site at the given temperature, from the
+    kernels solve_anneal samples with."""
+    _check_dims(model, labels)
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    r, c = site
+    if not (0 <= r < model.height and 0 <= c < model.width):
+        raise ValueError(f"site {site} is outside the {model.height}x{model.width} grid")
+    weights = _gibbs_weights(_local_costs(model, labels.labels)[r, c], temperature)
+    return (weights / weights.sum()).tolist()
+
 
 def test_anneal_high_temperature_is_uniform():
     from scipy.stats import chisquare
