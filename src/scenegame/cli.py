@@ -237,20 +237,13 @@ def _split(images, labels, holdout: float, rng):
 def _feature_sidecar_row(train_images, config, size, noise, trial):
     matrix = np.stack([features_mod.extract_features(img).values
                        for img in train_images])
-    keep = np.flatnonzero(matrix.std(axis=0) > 0)
-    if keep.size < 2:
+    selected = features_mod.select_features(matrix, config.theta)
+    if not selected:
         return f"{size}*{size},{noise},{trial},,,"
-    matrix = matrix[:, keep]
-    chosen = features_mod.cluster_and_select(matrix, config.theta)
-    selected = [int(keep[i]) for i in chosen.selected]
-    columns = matrix[:, list(chosen.selected)]
-    ranged = np.flatnonzero(columns.max(axis=0) > columns.min(axis=0))
-    if ranged.size == 0:
-        return f"{size}*{size},{noise},{trial},{';'.join(map(str, selected))},,"
-    table = features_mod.ScoreTable(scores=columns[:, ranged])
+    table = features_mod.ScoreTable(scores=matrix[:, list(selected)])
     weights, objective = features_mod.optimize_weights(table)
     w_str = ";".join(f"{v:.4f}" for v in weights.weights)
-    s_str = ";".join(str(selected[int(i)]) for i in ranged)
+    s_str = ";".join(map(str, selected))
     return f"{size}*{size},{noise},{trial},{s_str},{w_str},{objective:.4f}"
 
 
@@ -438,13 +431,14 @@ def _cmd_register(args):
 def _cmd_features(args):
     vectors = [features_mod.extract_features(_read_image(path))
                for path in args.inputs]
-    _write_text(features_mod.features_to_csv(vectors), args.out)
+    # Select before writing, so a run that cannot select leaves no CSV.
+    selected = None
     if args.select is not None:
-        matrix = np.stack([fv.values for fv in vectors])
-        keep = np.flatnonzero(matrix.std(axis=0) > 0)
-        chosen = features_mod.cluster_and_select(matrix[:, keep], args.select)
-        indices = ";".join(str(int(keep[i])) for i in chosen.selected)
-        print(f"selected = {indices}")
+        selected = features_mod.select_features(
+            np.stack([fv.values for fv in vectors]), args.select)
+    _write_text(features_mod.features_to_csv(vectors), args.out)
+    if selected is not None:
+        print(f"selected = {';'.join(map(str, selected))}")
     return 0
 
 
@@ -453,13 +447,13 @@ def _cmd_train(args):
     config = net_mod.TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
-        augment=args.augment, crop_size=args.crop, margin=args.margin,
+        crop_size=args.crop, margin=args.margin,
     )
     weights = net_mod.LossWeights((args.triplet_weight, args.ce_weight))
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
     network = net_mod.default_net(
-        input_size=args.crop if args.augment else args.size, seed=args.seed)
+        input_size=args.size if args.crop is None else args.crop, seed=args.seed)
     _, trace = net_mod.train(network, images, labels, config, weights)
     net_mod.save_net(network, args.out)
     if args.trace:
@@ -473,7 +467,7 @@ def _cmd_eval(args):
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
     if args.crop is not None:
-        # the centre crop, as train --augment --crop saw it
+        # the centre crop, as train --crop saw it
         images = [net_mod.augment(img, args.crop)[4] for img in images]
     side = args.size if args.crop is None else args.crop
     try:
@@ -482,7 +476,7 @@ def _cmd_eval(args):
     except net_mod.ShapeMismatchError as exc:
         raise CliError(
             f"model does not accept {side}x{side} inputs ({exc}); a model "
-            f"trained with --augment --crop C needs eval --crop C"
+            f"trained with --crop C needs eval --crop C"
         ) from exc
     print(f"accuracy = {hits / len(images):.4f}")
     return 0
@@ -585,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.5)
     p.add_argument("--triplet-weight", type=float, default=1.0)
     p.add_argument("--ce-weight", type=float, default=1.0)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--crop", type=int, default=None)
+    p.add_argument("--crop", type=int, default=None,
+                   help="train on the five C x C crops of each scene")
     p.add_argument("--trace", default=None)
     seed_and_out(p, out_default="model.bin")
     p.set_defaults(func=_cmd_train)

@@ -211,6 +211,23 @@ def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
     )
 
 
+def select_features(samples, threshold: float) -> tuple:
+    """Original column indices of the representatives cluster_and_select picks
+    among the non-constant columns of a samples-by-features matrix.
+
+    A column with zero peak-to-peak range has no correlation and is dropped
+    first. With fewer than two columns left, each is its own representative.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 3:
+        raise ValueError("need a samples-by-features matrix with at least 3 samples")
+    varying = np.flatnonzero(np.ptp(samples, axis=0) > 0)
+    if varying.size < 2:
+        return tuple(int(i) for i in varying)
+    chosen = cluster_and_select(samples[:, varying], threshold)
+    return tuple(int(varying[i]) for i in chosen.selected)
+
+
 # ---------------------------------------------------------------------------
 # Simplex weight optimization
 # ---------------------------------------------------------------------------

@@ -82,17 +82,17 @@ def log_likelihood(data, params: GmmParams, counts=None) -> float:
     return float(per_sample.sum() if counts is None else per_sample @ counts)
 
 
-def e_step(data, params: GmmParams, counts=None) -> np.ndarray:
+def e_step(data, params: GmmParams) -> np.ndarray:
     """Responsibilities r[n, m] proportional to weight_m * N(x_n; mean_m, var_m),
     rows normalized to 1. Computed in log space for stability.
 
     A row is the posterior of one sample value, so it does not depend on how
-    often the value occurs; ``counts`` is only checked, as in ``m_step``.
+    often the value occurs: on a (value, count) histogram it takes the values
+    alone.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    _sample_weights(counts, data.size)
     logp = _log_normal(data[:, None], params.means[None, :], params.variances[None, :])
     logp = logp + np.log(np.maximum(params.weights[None, :], 1e-300))
     logp -= logp.max(axis=1, keepdims=True)
@@ -158,7 +158,7 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
     previous = log_likelihood(values, params, counts)
     trace.loglik_per_iter.append(previous)
     for _ in range(max_iters):
-        resp = e_step(values, params, counts)
+        resp = e_step(values, params)
         params = m_step(values, resp, counts)
         current = log_likelihood(values, params, counts)
         trace.loglik_per_iter.append(current)

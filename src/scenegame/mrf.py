@@ -77,7 +77,7 @@ class EnergyModel:
     prior_kind 'potts' charges 1 for any disagreement; 'quadratic' charges the
     squared distance between label values (label indices by default, or
     explicit label_values such as displacement offsets). Optional edge weight
-    grids modulate individual edges (defaults to 1 everywhere).
+    grids modulate individual edges; an omitted grid is filled with ones.
     """
 
     data_costs: np.ndarray           # (h, w, L) float
@@ -116,11 +116,10 @@ class EnergyModel:
         for name, shape in (("edge_weights_x", (h, w - 1)),
                             ("edge_weights_y", (h - 1, w))):
             grid = getattr(self, name)
-            if grid is not None:
-                grid = np.asarray(grid, dtype=np.float64)
-                if grid.shape != shape:
-                    raise ValueError(f"{name} must have shape {shape}")
-                object.__setattr__(self, name, grid)
+            grid = np.ones(shape) if grid is None else np.asarray(grid, dtype=np.float64)
+            if grid.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            object.__setattr__(self, name, grid)
         object.__setattr__(self, "data_costs", dc)
         object.__setattr__(self, "pair_cost", pair)
 
@@ -151,73 +150,48 @@ def energy_of(model: EnergyModel, labels: LabelField) -> float:
     rows, cols = np.indices(lab.shape)
     total = float(model.data_costs[rows, cols, lab].sum())
     pair = model.pair_cost
-    wx = model.edge_weights_x
-    wy = model.edge_weights_y
-    horiz = pair[lab[:, :-1], lab[:, 1:]]
-    vert = pair[lab[:-1, :], lab[1:, :]]
-    if wx is not None:
-        horiz = horiz * wx
-    if wy is not None:
-        vert = vert * wy
+    horiz = pair[lab[:, :-1], lab[:, 1:]] * model.edge_weights_x
+    vert = pair[lab[:-1, :], lab[1:, :]] * model.edge_weights_y
     return total + model.prior_weight * float(horiz.sum() + vert.sum())
 
 
-def _edge_scales(model: EnergyModel):
-    """prior_weight * edge weight for the horizontal (h, w-1) and vertical
-    (h-1, w) edges."""
+def _neighbors(model: EnergyModel, sites):
+    """Left, right, up and down neighbor of each flat site, as (4, n) flat
+    indices, and that edge's scale (prior_weight * edge weight) as (4, n, 1)
+    columns. A side with no neighbor points at the site itself with scale 0,
+    so its term adds an exact 0.0."""
     h, w = model.height, model.width
-    wx = np.ones((h, w - 1)) if model.edge_weights_x is None else model.edge_weights_x
-    wy = np.ones((h - 1, w)) if model.edge_weights_y is None else model.edge_weights_y
-    return model.prior_weight * wx, model.prior_weight * wy
+    sites = np.asarray(sites, dtype=np.intp)
+    r, c = np.divmod(sites, w)
+    nbrs = np.tile(sites, (4, 1))
+    scales = np.zeros((4, sites.size, 1))
+    sx = model.prior_weight * model.edge_weights_x
+    sy = model.prior_weight * model.edge_weights_y
+    # Per side: has-neighbor mask, flat step to the neighbor, edge grid and
+    # the edge's row/col offset from the site.
+    for k, (has, step, grid, er, ec) in enumerate(((c > 0, -1, sx, 0, -1),
+                                                   (c < w - 1, 1, sx, 0, 0),
+                                                   (r > 0, -w, sy, -1, 0),
+                                                   (r < h - 1, w, sy, 0, 0))):
+        nbrs[k, has] += step
+        scales[k, has, 0] = grid[r[has] + er, c[has] + ec]
+    return nbrs, scales
 
 
-def _local_costs(model: EnergyModel, lab: np.ndarray) -> np.ndarray:
-    """(h, w, L) cost of every label at every site given its neighbors' labels.
-
-    Neighbor terms are added left, right, up, down, the same arithmetic as the
-    raster sweep in _descend, so both give bit-identical costs.
-    """
-    costs = model.data_costs.copy()
-    pair = model.pair_cost
-    sx, sy = (s[:, :, None] for s in _edge_scales(model))
-    costs[:, 1:] += sx * pair[lab[:, :-1]]
-    costs[:, :-1] += sx * pair[lab[:, 1:]]
-    costs[1:, :] += sy * pair[lab[:-1, :]]
-    costs[:-1, :] += sy * pair[lab[1:, :]]
+def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
+    """(n, L) cost of every label at each site given the flat labels of its
+    neighbors: the data cost, then each neighbor's weighted pair cost in the
+    order left, right, up, down. Every solver and nash_check use this kernel,
+    so they agree bit for bit."""
+    costs = model.data_costs.reshape(-1, model.label_count)[sites]
+    for nb, scale in zip(nbrs, scales):
+        costs += scale * model.pair_cost[flat[nb]]
     return costs
 
 
 def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     """Unnormalized exp(-cost / T) over the last axis, shifted by its minimum."""
     return np.exp(-(costs - costs.min(axis=-1, keepdims=True)) / temperature)
-
-
-def _wavefronts(model: EnergyModel):
-    """Anti-diagonals r + c = d in increasing d. Each is (sites, terms): the
-    flat site indices by ascending row, then for the left, right, up and down
-    neighbor in that order, (slice of the sites that have it, the neighbors'
-    flat indices, the edge scales as a column)."""
-    h, w = model.height, model.width
-    sx, sy = _edge_scales(model)
-    fronts = []
-    for d in range(h + w - 1):
-        r = np.arange(max(0, d - w + 1), min(h, d + 1))
-        c = d - r
-        sites = r * w + c
-        terms = []
-        # Per side: has-neighbor mask (a prefix or a suffix of the front),
-        # flat step to the neighbor, edge grid and the edge's row/col offset.
-        for has, step, grid, er, ec in ((c > 0, -1, sx, 0, -1),
-                                        (c < w - 1, 1, sx, 0, 0),
-                                        (r > 0, -w, sy, -1, 0),
-                                        (r < h - 1, w, sy, 0, 0)):
-            i = np.flatnonzero(has)
-            if i.size:
-                part = slice(i[0], i[-1] + 1)
-                terms.append((part, sites[part] + step,
-                              grid[r[part] + er, c[part] + ec][:, None]))
-        fronts.append((sites, terms))
-    return fronts
 
 
 def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
@@ -236,18 +210,18 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     sites of one diagonal are neighbors, so this gives the raster labels.
     """
     h, w, label_count = model.data_costs.shape
-    dc = model.data_costs.reshape(h * w, label_count)
-    pair = model.pair_cost
-    fronts = _wavefronts(model)
+    fronts = []
+    for d in range(h + w - 1):
+        r = np.arange(max(0, d - w + 1), min(h, d + 1))
+        sites = r * w + d - r
+        fronts.append((sites, *_neighbors(model, sites)))
     flat = labels.labels.ravel().copy()
     trace = []
     sweep = first_sweep
     while True:
         changed = 0
-        for sites, terms in fronts:
-            costs = dc[sites]
-            for part, nbrs, scale in terms:
-                costs[part] += scale * pair[flat[nbrs]]
+        for sites, nbrs, scales in fronts:
+            costs = _site_costs(model, flat, sites, nbrs, scales)
             move = costs.min(axis=1) < costs[np.arange(sites.size), flat[sites]]
             flat[sites[move]] = costs[move].argmin(axis=1)
             changed += int(np.count_nonzero(move))
@@ -283,31 +257,35 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     fixed seed. Returns (labels, [SweepRecord...]).
     """
     _check_dims(model, init)
-    label_count = model.label_count
+    h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(config.seed) % 2 ** 63)
     schedule = config.schedule
-    lab = init.labels.copy()
-    colours = np.indices(lab.shape).sum(axis=0) % 2
+    flat = init.labels.ravel().copy()
+    colours = []
+    for colour in (0, 1):
+        sites = np.flatnonzero(np.indices((h, w)).sum(axis=0) % 2 == colour)
+        colours.append((sites, *_neighbors(model, sites)))
     trace = []
     for sweep in range(config.max_sweeps):
         temp = schedule.t0 * schedule.decay ** (sweep // schedule.sweeps_per_temp)
         changed = 0
-        for colour in (0, 1):
-            sites = colours == colour
+        for sites, nbrs, scales in colours:
             cumulative = np.cumsum(
-                _gibbs_weights(_local_costs(model, lab)[sites], temp), axis=1)
-            u = rng.random(cumulative.shape[0]) * cumulative[:, -1]
+                _gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
+                axis=1)
+            u = rng.random(sites.size) * cumulative[:, -1]
             # First label whose cumulative weight exceeds u, else the last.
             pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
-            changed += int(np.count_nonzero(pick != lab[sites]))
-            lab[sites] = pick
-        current = LabelField(labels=lab, label_count=label_count)
+            changed += int(np.count_nonzero(pick != flat[sites]))
+            flat[sites] = pick
+        current = LabelField(labels=flat.reshape(h, w), label_count=label_count)
         trace.append(SweepRecord(sweep=sweep + 1, energy=energy_of(model, current),
                                  changed=changed, temperature=temp))
 
     # Zero-temperature tail: descend to a fixed point so the advertised
     # no-unilateral-improvement postcondition holds.
-    out, tail = _descend(model, LabelField(labels=lab, label_count=label_count),
+    out, tail = _descend(model, LabelField(labels=flat.reshape(h, w),
+                                           label_count=label_count),
                          first_sweep=config.max_sweeps + 1)
     return out, trace + tail
 
@@ -316,18 +294,19 @@ def nash_check(model: EnergyModel, labels: LabelField):
     """True iff no single pixel can strictly lower the total energy alone.
 
     Otherwise returns the first raster-order witness ((row, col), better_label)
-    with the lowest such label. Uses the same local arithmetic as the sweeps,
-    so a terminated solve always passes.
+    with the lowest such label. Uses the sweeps' site-cost kernel over all
+    sites, so a terminated solve always passes.
     """
     _check_dims(model, labels)
-    lab = labels.labels
-    costs = _local_costs(model, lab)
-    better = costs < np.take_along_axis(costs, lab[:, :, None], axis=2)
-    sites = np.flatnonzero(better.any(axis=2))
-    if sites.size == 0:
+    flat = labels.labels.ravel()
+    sites = np.arange(flat.size)
+    costs = _site_costs(model, flat, sites, *_neighbors(model, sites))
+    better = costs < costs[sites, flat][:, None]
+    movers = np.flatnonzero(better.any(axis=1))
+    if movers.size == 0:
         return True, None
-    r, c = divmod(int(sites[0]), model.width)
-    return False, ((r, c), int(np.argmax(better[r, c])))
+    r, c = divmod(int(movers[0]), model.width)
+    return False, ((r, c), int(np.argmax(better[movers[0]])))
 
 
 def exhaustive_oracle(model: EnergyModel):
@@ -357,16 +336,14 @@ def exhaustive_oracle(model: EnergyModel):
     for p in range(n):
         energies += dc[p, assign[:, p]]
     pair = model.pair_cost
-    wx = model.edge_weights_x
-    wy = model.edge_weights_y
     for r in range(h):
         for c in range(w):
             p = r * w + c
             if c < w - 1:
-                wgt = 1.0 if wx is None else float(wx[r, c])
+                wgt = float(model.edge_weights_x[r, c])
                 energies += model.prior_weight * wgt * pair[assign[:, p], assign[:, p + 1]]
             if r < h - 1:
-                wgt = 1.0 if wy is None else float(wy[r, c])
+                wgt = float(model.edge_weights_y[r, c])
                 energies += model.prior_weight * wgt * pair[assign[:, p], assign[:, p + w]]
     best = int(np.argmin(energies))
     labels = LabelField(labels=assign[best].reshape(h, w), label_count=label_count)

@@ -383,8 +383,7 @@ class TrainConfig:
     learning_rate: float = 0.05
     batch_size: int = 32
     seed: int = 0
-    augment: bool = False
-    crop_size: int = None  # required when augment is set
+    crop_size: int = None  # when set, train on the five crops of each image
     margin: float = 0.5
 
     def __post_init__(self):
@@ -392,8 +391,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.augment and self.crop_size is None:
-            raise ValueError("augment requires crop_size")
 
 
 def train(net: Network, images, labels, config: TrainConfig,
@@ -416,7 +413,7 @@ def train(net: Network, images, labels, config: TrainConfig,
     missing = set(range(class_count)) - set(labels)
     if missing:
         raise ValueError(f"dataset is missing classes {sorted(missing)}")
-    if config.augment:
+    if config.crop_size is not None:
         expanded_images = []
         expanded_labels = []
         for img, lbl in zip(images, labels):

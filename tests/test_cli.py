@@ -288,6 +288,18 @@ def test_cli_features(tmp_path, capsys):
     assert lines[0].startswith("b00_mean,")
 
 
+def test_cli_features_select_needs_three_inputs_and_writes_nothing_otherwise(
+        tmp_path, capsys):
+    paths = [str(write_scene(tmp_path, f"{k}.pgm", class_id=k)[0]) for k in range(3)]
+    out = tmp_path / "features.csv"
+    assert main(["features", *paths[:2], "--out", str(out), "--select", "0.9"]) == 2
+    assert "at least 3 samples" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["features", *paths, "--out", str(out), "--select", "0.9"]) == 0
+    assert capsys.readouterr().out.startswith("selected = ")
+    assert len(out.read_text().strip().split("\n")) == 4
+
+
 def test_cli_train_eval(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--size", "16", "--images-per-class", "4",
@@ -299,18 +311,10 @@ def test_cli_train_eval(tmp_path, capsys):
     assert out.startswith("accuracy = ")
 
 
-def test_cli_train_augment_without_crop_is_a_config_error(tmp_path, capsys):
-    rc = main(["train", "--size", "16", "--images-per-class", "2",
-               "--epochs", "1", "--augment", "--out", str(tmp_path / "m.bin")])
-    assert rc == 2
-    assert capsys.readouterr().err.strip() == "ERROR: augment requires crop_size"
-    assert not (tmp_path / "m.bin").exists()
-
-
 def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--size", "16", "--images-per-class", "2",
-                 "--epochs", "1", "--augment", "--crop", "12",
+                 "--epochs", "1", "--crop", "12",
                  "--out", str(model)]) == 0
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--size", "16", "--crop", "12",

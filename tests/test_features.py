@@ -14,6 +14,7 @@ from scenegame.features import (
     features_to_csv,
     optimize_weights,
     project_to_simplex,
+    select_features,
     weight_objective,
 )
 from scenegame.features import _abs_correlation
@@ -196,6 +197,24 @@ def test_similarity_agrees_with_scipy_pearson():
         for j in range(3):
             expected = abs(pearsonr(samples[:, i], samples[:, j])[0])
             assert sim[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_select_features_drops_constant_columns_keeps_original_indices():
+    rng = np.random.default_rng(39)
+    a, b = rng.normal(0, 1, (2, 6))
+    tiny = np.full(6, 0.1)
+    assert tiny.std() > 0  # rounding: a std test would keep this column
+    samples = np.column_stack([tiny, a, np.zeros(6), 2.0 * a + 1.0, b])
+    assert select_features(samples, threshold=0.9) == (1, 4)
+
+
+def test_select_features_fewer_than_two_varying_columns():
+    rng = np.random.default_rng(40)
+    one = np.column_stack([np.ones(5), rng.normal(0, 1, 5), np.zeros(5)])
+    assert select_features(one, threshold=0.9) == (1,)
+    assert select_features(np.ones((5, 3)), threshold=0.9) == ()
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        select_features(one[:2], threshold=0.9)
 
 
 def test_cluster_order_invariance_up_to_tiebreak():

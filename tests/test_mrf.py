@@ -15,9 +15,9 @@ from scenegame.mrf import (
     SmoothnessField,
     SweepRecord,
     _check_dims,
-    _edge_scales,
     _gibbs_weights,
-    _local_costs,
+    _neighbors,
+    _site_costs,
     build_registration_game,
     build_segmentation_game,
     ellipticity_check,
@@ -65,29 +65,25 @@ def naive_energy(model, labels):
                         v = 0.0 if lab[r, c] == lab[rr, cc] else 1.0
                     else:
                         v = model.pair_cost[lab[r, c], lab[rr, cc]]
-                    wgt = 1.0
-                    if dr == 0 and model.edge_weights_x is not None:
-                        wgt = model.edge_weights_x[r, c]
-                    if dr == 1 and model.edge_weights_y is not None:
-                        wgt = model.edge_weights_y[r, c]
-                    total += model.prior_weight * wgt * v
+                    grid = model.edge_weights_x if dr == 0 else model.edge_weights_y
+                    total += model.prior_weight * grid[r, c] * v
     return total
 
 
 def naive_site_costs(model, lab, r, c):
-    """Per-site reference for one row of _local_costs: data cost plus each
+    """Per-site reference for one row of _site_costs: data cost plus each
     neighbor's weighted pair cost, added left, right, up, down."""
     h, w = lab.shape
     wx, wy = model.edge_weights_x, model.edge_weights_y
     nbrs = []
     if c > 0:
-        nbrs.append((lab[r, c - 1], 1.0 if wx is None else wx[r, c - 1]))
+        nbrs.append((lab[r, c - 1], wx[r, c - 1]))
     if c < w - 1:
-        nbrs.append((lab[r, c + 1], 1.0 if wx is None else wx[r, c]))
+        nbrs.append((lab[r, c + 1], wx[r, c]))
     if r > 0:
-        nbrs.append((lab[r - 1, c], 1.0 if wy is None else wy[r - 1, c]))
+        nbrs.append((lab[r - 1, c], wy[r - 1, c]))
     if r < h - 1:
-        nbrs.append((lab[r + 1, c], 1.0 if wy is None else wy[r, c]))
+        nbrs.append((lab[r + 1, c], wy[r, c]))
     costs = [float(v) for v in model.data_costs[r, c]]
     for nb, wgt in nbrs:
         scale = model.prior_weight * float(wgt)
@@ -234,26 +230,34 @@ def test_sweep_never_increases_energy():
 
 
 # ---------------------------------------------------------------------------
-# _local_costs (whole-grid kernel)
+# _site_costs (the one site-cost kernel)
 # ---------------------------------------------------------------------------
 
 def test_local_costs_match_per_site_reference():
     rng = np.random.default_rng(24)
     for k in range(60):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        h, w = shape
         labels = int(rng.integers(1, 5))
         kind = ("potts", "quadratic")[k % 2]
         weighted = random_weighted_model(rng, shape, labels, kind)
         plain = EnergyModel(data_costs=weighted.data_costs,
                             prior_weight=weighted.prior_weight, prior_kind=kind)
         lab = rng.integers(0, labels, shape)
+        # The groups the callers iterate: all sites (nash_check), one
+        # anti-diagonal (ICM) and one checkerboard colour (anneal).
+        diagonal, colour = int(rng.integers(0, h + w - 1)), int(rng.integers(0, 2))
+        groups = ([(r, c) for r in range(h) for c in range(w)],
+                  [(r, c) for r in range(h) for c in range(w) if r + c == diagonal],
+                  [(r, c) for r in range(h) for c in range(w) if (r + c) % 2 == colour])
         for model in (weighted, plain):
-            costs = _local_costs(model, lab)
-            assert costs.shape == shape + (labels,)
-            for r in range(shape[0]):
-                for c in range(shape[1]):
+            for group in groups:
+                sites = [r * w + c for r, c in group]
+                costs = _site_costs(model, lab.ravel(), sites, *_neighbors(model, sites))
+                assert costs.shape == (len(sites), labels)
+                for (r, c), row in zip(group, costs):
                     # same arithmetic in the same order: exact equality
-                    assert costs[r, c].tolist() == naive_site_costs(model, lab, r, c)
+                    assert row.tolist() == naive_site_costs(model, lab, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +268,8 @@ def reference_neighbor_table(model):
     """Per flat site: [(neighbor index, edge scale)] in the kernel's left,
     right, up, down order."""
     h, w = model.height, model.width
-    sx, sy = (s.tolist() for s in _edge_scales(model))
+    sx, sy = ((model.prior_weight * g).tolist()
+              for g in (model.edge_weights_x, model.edge_weights_y))
     table = []
     for r in range(h):
         for c in range(w):
@@ -391,7 +396,9 @@ def gibbs_site_probabilities(model, labels, site, temperature):
     r, c = site
     if not (0 <= r < model.height and 0 <= c < model.width):
         raise ValueError(f"site {site} is outside the {model.height}x{model.width} grid")
-    weights = _gibbs_weights(_local_costs(model, labels.labels)[r, c], temperature)
+    site = [r * model.width + c]
+    costs = _site_costs(model, labels.labels.ravel(), site, *_neighbors(model, site))
+    weights = _gibbs_weights(costs[0], temperature)
     return (weights / weights.sum()).tolist()
 
 

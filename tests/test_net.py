@@ -512,7 +512,7 @@ def test_train_with_augmentation_runs():
     images, labels = scene_batch(size=20, per_class=1)
     net = default_net(input_size=16, seed=0)
     config = TrainConfig(epochs=1, learning_rate=0.01, batch_size=10, seed=0,
-                         augment=True, crop_size=16)
+                         crop_size=16)
     _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
     assert len(trace) == 1
 
