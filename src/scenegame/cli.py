@@ -235,8 +235,7 @@ def _split(images, labels, holdout: float, rng):
 
 
 def _feature_sidecar_row(train_images, config, size, noise, trial):
-    matrix = np.stack([features_mod.extract_features(img).values
-                       for img in train_images])
+    matrix = features_mod.feature_matrix(train_images)
     selected = features_mod.select_features(matrix, config.theta)
     if not selected:
         return f"{size}*{size},{noise},{trial},,,"

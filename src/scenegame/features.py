@@ -106,36 +106,51 @@ def feature_names() -> tuple:
     return tuple(names)
 
 
-def _block_descriptor(block: np.ndarray):
-    vals = block.astype(np.float64)
-    mean = vals.mean() / 255.0
-    var = vals.var() / (255.0 ** 2)
-    hist = np.bincount((block // (256 // HISTOGRAM_BINS)).ravel(),
-                       minlength=HISTOGRAM_BINS).astype(np.float64)
-    hist /= block.size
-    horiz = (block[:, 1:] != block[:, :-1]).sum()
-    vert = (block[1:, :] != block[:-1, :]).sum()
-    pairs = block.shape[0] * (block.shape[1] - 1) + (block.shape[0] - 1) * block.shape[1]
-    edges = (horiz + vert) / pairs
-    return [mean, var, *hist, edges]
+def feature_matrix(images) -> np.ndarray:
+    """(N, 76) block descriptors of N equal-size images, one row each, in
+    feature_names() order.
+
+    Per block of the 2x2 grid: mean and variance over the block's pixels
+    (scaled to [0, 1]), a 16-bin histogram whose slice sums to 1, and the
+    edge density, the fraction of 4-neighbor pairs inside the block whose
+    intensities differ. Raises ValueError unless every image has the same
+    size, at least 8x8.
+    """
+    planes = [img.plane() for img in images]
+    sizes = sorted({plane.shape for plane in planes})
+    if len(sizes) != 1:
+        raise ValueError(f"need images of one size, got sizes {sizes}")
+    h, w = sizes[0]
+    if h < 8 or w < 8:
+        raise ValueError(f"image must be at least 8x8, got {w}x{h}")
+    stack = np.stack(planes)
+    count = stack.shape[0]
+    h2, w2 = h // 2, w // 2
+    columns = []
+    for block in (stack[:, :h2, :w2], stack[:, :h2, w2:],
+                  stack[:, h2:, :w2], stack[:, h2:, w2:]):
+        bh, bw = block.shape[1:]
+        vals = block.astype(np.float64)
+        columns.append(vals.mean(axis=(1, 2))[:, None] / 255.0)
+        columns.append(vals.var(axis=(1, 2))[:, None] / (255.0 ** 2))
+        # one bincount over (image, bin) pairs: image i's bins start at 16 i
+        bins = block // (256 // HISTOGRAM_BINS) + (
+            HISTOGRAM_BINS * np.arange(count))[:, None, None]
+        hist = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS * count)
+        hist = hist.reshape(count, HISTOGRAM_BINS).astype(np.float64)
+        hist /= bh * bw
+        columns.append(hist)
+        horiz = (block[:, :, 1:] != block[:, :, :-1]).sum(axis=(1, 2))
+        vert = (block[:, 1:, :] != block[:, :-1, :]).sum(axis=(1, 2))
+        pairs = bh * (bw - 1) + (bh - 1) * bw
+        columns.append(((horiz + vert) / pairs)[:, None])
+    return np.hstack(columns)
 
 
 def extract_features(img) -> FeatureVector:
-    """Deterministic 76-component descriptor over the 2x2 block grid.
-
-    Histogram slices each sum to 1; edge density is the fraction of
-    4-neighbor pairs inside the block whose intensities differ.
-    """
-    plane = img.plane()
-    h, w = plane.shape
-    if h < 8 or w < 8:
-        raise ValueError(f"image must be at least 8x8, got {w}x{h}")
-    h2, w2 = h // 2, w // 2
-    blocks = [plane[:h2, :w2], plane[:h2, w2:], plane[h2:, :w2], plane[h2:, w2:]]
-    values = []
-    for block in blocks:
-        values.extend(_block_descriptor(block))
-    return FeatureVector(values=np.array(values), names=feature_names())
+    """Deterministic 76-component descriptor over the 2x2 block grid: the
+    single row of feature_matrix([img])."""
+    return FeatureVector(values=feature_matrix([img])[0], names=feature_names())
 
 
 def features_to_csv(vectors) -> str:

@@ -104,13 +104,17 @@ class Conv2D:
         self._in_shape = x.shape
         return out.reshape(n, oh, ow, self.cout)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Set d_weights and d_bias; return the input gradient, or None
+        without computing it when input_grad is off."""
         cols, self._cols = self._cols, None
         n, oh, ow, _ = dout.shape
         s = self.stride
         dout2 = dout.reshape(-1, self.cout)
         self.d_weights = (cols.T @ dout2).reshape(self.weights.shape)
         self.d_bias = dout2.sum(axis=0)
+        if not input_grad:
+            return None
         dcols = (dout2 @ self.weights.reshape(-1, self.cout).T).reshape(
             n, oh, ow, self.kh, self.kw, self.cin)
         # col2im: add each kernel offset's column block back onto its pixels
@@ -122,6 +126,17 @@ class Conv2D:
 
 
 class MaxPool2D:
+    """Max over k x k windows at stride s; trailing rows and columns that no
+    window covers are dropped.
+
+    Forward takes a running np.maximum over the k * k strided views in
+    offset order (row-major within the window) and records, per output, the
+    first offset whose view equals the max: argmax's first-maximum rule over
+    the stacked views, without building the stack. Backward routes each
+    output's gradient to that pixel. Ties, and ReLU's -0.0 against 0.0,
+    resolve like argmax; NaN activations are outside that contract.
+    """
+
     def __init__(self, window=2, stride=2):
         self.window = window
         self.stride = stride
@@ -132,14 +147,20 @@ class MaxPool2D:
         n, h, w, c = x.shape
         oh = (h - k) // s + 1
         ow = (w - k) // s + 1
-        stacked = np.stack(
-            [x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
-             for di in range(k) for dj in range(k)],
-            axis=0,
-        )
-        self._winner = stacked.argmax(axis=0)
+        views = [x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
+                 for di in range(k) for dj in range(k)]
+        out = views[0].copy()
+        for v in views[1:]:
+            np.maximum(out, v, out=out)
+        # winner = number of leading offsets whose value is not the max
+        winner = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        alive = np.ones(out.shape, dtype=bool)
+        for v in views[:-1]:
+            alive &= v != out
+            winner += alive
+        self._winner = winner
         self._in_shape = x.shape
-        return stacked.max(axis=0)
+        return out
 
     def backward(self, dout):
         k, s = self.window, self.stride
@@ -186,9 +207,13 @@ class Dense:
         self._x = x
         return x @ self.weights + self.bias
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Set d_weights and d_bias; return the input gradient, or None
+        without computing it when input_grad is off."""
         self.d_weights = self._x.T @ dout
         self.d_bias = dout.sum(axis=0)
+        if not input_grad:
+            return None
         return dout @ self.weights.T
 
 
@@ -205,12 +230,20 @@ class Network:
         return x, scores
 
     def backward(self, d_embedding, d_scores):
-        d = self.layers[-1].backward(d_scores)
-        if d_embedding is not None:
-            d = d + d_embedding
-        for layer in reversed(self.layers[:-1]):
-            d = layer.backward(d)
-        return d
+        """Leave d_weights and d_bias on every trainable layer.
+
+        Stops at the first trainable layer, which computes its parameter
+        gradients only: its input gradient, and the layers below it, feed no
+        parameter.
+        """
+        first = self.layers.index(self.trainable()[0])
+        top = len(self.layers) - 1
+        d = d_scores
+        for i in range(top, first, -1):
+            d = self.layers[i].backward(d)
+            if i == top and d_embedding is not None:
+                d = d + d_embedding
+        self.layers[first].backward(d, input_grad=False)
 
     def trainable(self):
         return [layer for layer in self.layers if hasattr(layer, "weights")]
@@ -281,20 +314,26 @@ def predict(net: Network, img: Image):
 # ---------------------------------------------------------------------------
 
 def triplet_batch_loss(embeddings, triplets):
-    """Mean hinge triplet loss over a batch and its gradient wrt embeddings."""
+    """Mean hinge triplet loss over a batch and its gradient wrt embeddings.
+
+    Active hinges are summed in triplet order, and the gradient rows are
+    added in the order (a0, p0, n0, a1, ...), so repeated indices accumulate
+    exactly as a per-triplet loop would.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
     if not triplets:
         return 0.0, grad
-    total = 0.0
-    for t in triplets:
-        a, p, n = emb[t.anchor], emb[t.positive], emb[t.negative]
-        hinge = ((a - p) ** 2).sum() - ((a - n) ** 2).sum() + t.margin
-        if hinge > 0:
-            total += hinge
-            grad[t.anchor] += 2.0 * (n - p)
-            grad[t.positive] += -2.0 * (a - p)
-            grad[t.negative] += 2.0 * (a - n)
+    index = np.array([(t.anchor, t.positive, t.negative) for t in triplets],
+                     dtype=np.intp)
+    margin = np.array([t.margin for t in triplets])
+    a, p, n = emb[index[:, 0]], emb[index[:, 1]], emb[index[:, 2]]
+    hinge = ((a - p) ** 2).sum(axis=1) - ((a - n) ** 2).sum(axis=1) + margin
+    active = hinge > 0
+    total = sum(hinge[active].tolist())
+    a, p, n = a[active], p[active], n[active]
+    rows = np.stack([2.0 * (n - p), -2.0 * (a - p), 2.0 * (a - n)], axis=1)
+    np.add.at(grad, index[active].ravel(), rows.reshape(-1, emb.shape[1]))
     count = len(triplets)
     return float(total) / count, grad / count
 

@@ -1,4 +1,5 @@
 import logging
+import statistics
 
 import numpy as np
 import pytest
@@ -179,6 +180,23 @@ def test_experiment_failure_flushes_partial_rows():
     assert report.failure is not None
     assert len(report.rows) == 1
     assert report.to_csv().strip().endswith(f"# FAILED: {report.failure}")
+
+
+def test_experiment_accuracy_at_small_size_and_high_noise():
+    """An accuracy figure that a training change can move. Criterion 9
+    (20 px, noise 1) reads 1.0000 at every seed tried, so it cannot show a
+    regression. Here: 12 px, noise 3, 40 images per class, 12 trials of 40
+    held-out scenes each. Over master seeds 1-15 the 12-trial mean accuracy
+    measured 0.835 (sd 0.038, range 0.769-0.902); the bound is that mean
+    minus three sd, 0.72. The same seeds with triplet weight 1e-6 instead of
+    1.0 gave 0.680 (sd 0.059), and 0.719 at this seed."""
+    report = run_experiment(ExperimentConfig(
+        sizes=(12,), noise_levels=(3,), images_per_class=40, trials=12,
+        seed=2026))
+    accuracies = [row.accuracy for row in report.rows]
+    assert report.failure is None and len(accuracies) == 12
+    assert statistics.fmean(accuracies) >= 0.72, accuracies  # 0.8875 measured
+    assert min(accuracies) < 1.0, "saturated: this check can no longer move"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scenegame.features import (
     WeightVector,
     cluster_and_select,
     extract_features,
+    feature_matrix,
     feature_names,
     features_to_csv,
     optimize_weights,
@@ -125,6 +126,52 @@ def test_intensity_shift_keeps_variance_and_edges():
 def test_extract_rejects_small_images():
     with pytest.raises(ValueError):
         extract_features(gray(np.zeros((7, 8))))
+
+
+def reference_block_descriptor(block):
+    """The per-block descriptor that feature_matrix replaced, kept as the
+    reference."""
+    vals = block.astype(np.float64)
+    mean = vals.mean() / 255.0
+    var = vals.var() / (255.0 ** 2)
+    hist = np.bincount((block // 16).ravel(), minlength=16).astype(np.float64)
+    hist /= block.size
+    horiz = (block[:, 1:] != block[:, :-1]).sum()
+    vert = (block[1:, :] != block[:-1, :]).sum()
+    pairs = block.shape[0] * (block.shape[1] - 1) + (block.shape[0] - 1) * block.shape[1]
+    edges = (horiz + vert) / pairs
+    return [mean, var, *hist, edges]
+
+
+def reference_features(img):
+    plane = img.plane()
+    h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
+    values = []
+    for block in (plane[:h2, :w2], plane[:h2, w2:], plane[h2:, :w2], plane[h2:, w2:]):
+        values.extend(reference_block_descriptor(block))
+    return np.array(values)
+
+
+def test_feature_matrix_rows_match_per_block_reference():
+    rng = np.random.default_rng(32)
+    for h, w in ((8, 8), (9, 11), (20, 20), (31, 17)):
+        images = [gray(np.full((h, w), 40)),
+                  gray(rng.integers(0, 4, (h, w)) * 80),
+                  *(gray(rng.integers(0, 256, (h, w))) for _ in range(5))]
+        matrix = feature_matrix(images)
+        assert matrix.shape == (len(images), 76)
+        for row, img in zip(matrix, images):
+            assert row.tobytes() == reference_features(img).tobytes()
+            assert extract_features(img).values.tobytes() == row.tobytes()
+
+
+def test_feature_matrix_rejects_mixed_sizes_and_small_images():
+    with pytest.raises(ValueError, match="one size"):
+        feature_matrix([gray(np.zeros((8, 8))), gray(np.zeros((9, 8)))])
+    with pytest.raises(ValueError, match="one size"):
+        feature_matrix([])
+    with pytest.raises(ValueError, match="at least 8x8"):
+        feature_matrix([gray(np.zeros((8, 7)))] * 2)
 
 
 def test_features_csv_layout():

@@ -12,6 +12,7 @@ from scenegame.net import (
     LossWeights,
     MaxPool2D,
     Network,
+    ReLU,
     ShapeMismatchError,
     TrainConfig,
     Triplet,
@@ -181,6 +182,110 @@ def test_maxpool_window():
     assert pool.forward(x).reshape(-1).tolist() == [4.0]
 
 
+class ReferenceMaxPool2D(MaxPool2D):
+    """The stack + argmax pooling that the running-max form replaced, kept
+    as the reference."""
+
+    def forward(self, x):
+        k, s = self.window, self.stride
+        n, h, w, c = x.shape
+        oh = (h - k) // s + 1
+        ow = (w - k) // s + 1
+        stacked = np.stack(
+            [x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
+             for di in range(k) for dj in range(k)],
+            axis=0,
+        )
+        self._winner = stacked.argmax(axis=0)
+        self._in_shape = x.shape
+        return stacked.max(axis=0)
+
+    def backward(self, dout):
+        k, s = self.window, self.stride
+        oh, ow = dout.shape[1], dout.shape[2]
+        dx = np.zeros(self._in_shape)
+        for o, (di, dj) in enumerate(
+            (di, dj) for di in range(k) for dj in range(k)
+        ):
+            dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += dout * (self._winner == o)
+        return dx
+
+
+POOL_GEOMETRIES = ((2, 2), (2, 1), (3, 2), (3, 3), (3, 1), (1, 1))
+
+
+def test_maxpool_matches_stack_argmax_reference():
+    """Seeded inputs of three kinds: normal floats, small integers (many
+    ties inside a window) and ReLU'd small integers (ties between 0.0 and
+    -0.0). Shapes include n = 1, overlapping windows (stride < window) and
+    trailing rows and columns that no window covers."""
+    rng = np.random.default_rng(66)
+    uncovered = 0
+    for case in range(360):
+        k, s = POOL_GEOMETRIES[case % len(POOL_GEOMETRIES)]
+        n = 1 if case % 4 == 0 else int(rng.integers(2, 4))
+        oh, ow = (int(v) for v in rng.integers(1, 5, 2))
+        extra_h, extra_w = (int(v) for v in rng.integers(0, s, 2))
+        h = (oh - 1) * s + k + extra_h
+        w = (ow - 1) * s + k + extra_w
+        uncovered += extra_h + extra_w > 0
+        shape = (n, h, w, int(rng.integers(1, 4)))
+        kind = case % 3
+        if kind == 0:
+            x = rng.normal(0, 1, shape)
+        else:
+            x = rng.integers(-2, 3, shape).astype(np.float64)
+            if kind == 2:
+                x = ReLU().forward(x)
+        pool, ref = MaxPool2D(k, s), ReferenceMaxPool2D(k, s)
+        out, expected = pool.forward(x), ref.forward(x)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(pool._winner, ref._winner)
+        dout = rng.normal(0, 1, out.shape)
+        assert pool.backward(dout).tobytes() == ref.backward(dout).tobytes()
+    assert uncovered > 50
+
+
+def test_maxpool_relu_signed_zero_ties_follow_first_offset():
+    x = ReLU().forward(np.array([[-1.0, 0.0], [2.0, 2.0]]).reshape(1, 2, 2, 1))
+    x[0, 0, 1, 0] = 0.0  # window holds -0.0, 0.0 and a tie at 2.0
+    pool, ref = MaxPool2D(2, 2), ReferenceMaxPool2D(2, 2)
+    assert pool.forward(x).tobytes() == ref.forward(x).tobytes()
+    assert pool._winner.tolist() == ref._winner.tolist() == [[[[2]]]]
+    zeros = ReLU().forward(np.array([[-1.0, 0.0], [-3.0, 0.0]]).reshape(1, 2, 2, 1))
+    assert pool.forward(zeros).tobytes() == ref.forward(zeros).tobytes()
+    assert pool._winner.tolist() == ref._winner.tolist() == [[[[0]]]]
+
+
+def test_maxpool_backward_routes_to_first_maximal_pixel():
+    # 2x2 windows at stride 2; the trailing row and column are uncovered
+    x = np.array([
+        [1.0, 3.0, 5.0, 5.0, 9.0],
+        [3.0, 0.0, 5.0, 5.0, 9.0],
+        [2.0, 2.0, 0.0, 0.0, 9.0],
+        [2.0, 7.0, 0.0, 1.0, 9.0],
+        [9.0, 9.0, 9.0, 9.0, 9.0],
+    ]).reshape(1, 5, 5, 1)
+    pool = MaxPool2D(2, 2)
+    assert pool.forward(x).reshape(2, 2).tolist() == [[3.0, 5.0], [7.0, 1.0]]
+    dx = pool.backward(np.array([[10.0, 20.0], [30.0, 40.0]]).reshape(1, 2, 2, 1))
+    assert dx.reshape(5, 5).tolist() == [
+        [0.0, 10.0, 20.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 30.0, 0.0, 40.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+    # overlapping 2x2 windows at stride 1: the pixel that wins both windows
+    # collects both gradients; the later tie at (1, 2) gets none
+    x = np.array([[1.0, 4.0, 2.0], [0.0, 1.0, 4.0]]).reshape(1, 2, 3, 1)
+    pool = MaxPool2D(2, 1)
+    assert pool.forward(x).reshape(-1).tolist() == [4.0, 4.0]
+    dx = pool.backward(np.array([1.0, 2.0]).reshape(1, 1, 2, 1))
+    assert dx.reshape(2, 3).tolist() == [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
+
+
 def test_conv_shape_mismatch():
     conv = Conv2D(3, 3, 2, 4)
     with pytest.raises(ShapeMismatchError):
@@ -243,6 +348,59 @@ def test_triplet_validation():
         one_triplet_loss(np.zeros(2), np.zeros(2), np.zeros(2), margin=0.0)
 
 
+def reference_triplet_batch_loss(embeddings, triplets):
+    """The per-triplet loop that the whole-array loss replaced, kept as the
+    reference."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    grad = np.zeros_like(emb)
+    if not triplets:
+        return 0.0, grad
+    total = 0.0
+    for t in triplets:
+        a, p, n = emb[t.anchor], emb[t.positive], emb[t.negative]
+        hinge = ((a - p) ** 2).sum() - ((a - n) ** 2).sum() + t.margin
+        if hinge > 0:
+            total += hinge
+            grad[t.anchor] += 2.0 * (n - p)
+            grad[t.positive] += -2.0 * (a - p)
+            grad[t.negative] += 2.0 * (a - n)
+    count = len(triplets)
+    return float(total) / count, grad / count
+
+
+def test_triplet_batch_loss_matches_per_triplet_reference():
+    """Exact equality (loss repr, gradient bytes) on seeded batches: small
+    integer embeddings (hinges exactly 0, tied distances), normal floats
+    (where the order of additions shows), indices repeated within and
+    across triplets, all-inactive batches and the empty list."""
+    rng = np.random.default_rng(67)
+    seen = {"zero_hinge": 0, "all_inactive": 0, "repeated": 0}
+    for case in range(900):
+        n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        if case % 2:
+            emb = rng.integers(-2, 3, (n, dim)).astype(np.float64)
+        else:
+            emb = rng.normal(0, 1, (n, dim))
+        margins = [0.5, 1.0, 2.0] if case % 2 else [0.01, 0.5, 3.0]
+        triplets = [Triplet(*(int(v) for v in rng.integers(0, n, 3)),
+                            margin=float(rng.choice(margins)))
+                    for _ in range(int(rng.integers(0, 13)))]
+        loss, grad = triplet_batch_loss(emb, triplets)
+        expected_loss, expected_grad = reference_triplet_batch_loss(emb, triplets)
+        assert type(loss) is float and repr(loss) == repr(expected_loss)
+        assert grad.tobytes() == expected_grad.tobytes()
+        hinges = [((emb[t.anchor] - emb[t.positive]) ** 2).sum()
+                  - ((emb[t.anchor] - emb[t.negative]) ** 2).sum() + t.margin
+                  for t in triplets]
+        seen["zero_hinge"] += any(h == 0 for h in hinges)
+        seen["all_inactive"] += bool(triplets) and all(h <= 0 for h in hinges)
+        used = [i for t in triplets for i in (t.anchor, t.positive, t.negative)]
+        seen["repeated"] += len(used) != len(set(used))
+    assert min(seen.values()) > 20, seen
+    loss, grad = triplet_batch_loss(np.ones((2, 3)), [])
+    assert loss == 0.0 and grad.tobytes() == np.zeros((2, 3)).tobytes()
+
+
 def test_combined_loss_single_term():
     assert combined_loss(LossWeights((1.0,)), (0.7,)) == 0.7
 
@@ -293,6 +451,84 @@ def test_grad_check_rejects_large_nets():
     images, labels = scene_batch(size=20)
     with pytest.raises(ValueError):
         grad_check(net, images, labels, LossWeights((1.0, 1.0)))
+
+
+def test_parameter_only_backward_matches_full_backward():
+    rng = np.random.default_rng(68)
+    cases = ((Conv2D(3, 2, 2, 3, stride=2, rng=rng), rng.normal(0, 1, (2, 8, 7, 2))),
+             (Conv2D(3, 3, 1, 8, rng=rng), rng.normal(0, 1, (4, 12, 12, 1))),
+             (Dense(6, 4, rng=rng), rng.normal(0, 1, (5, 6))))
+    for layer, x in cases:
+        dout = rng.normal(0, 1, layer.forward(x).shape)
+        assert layer.backward(dout).shape == x.shape
+        full = (layer.d_weights.tobytes(), layer.d_bias.tobytes())
+        layer.forward(x)
+        assert layer.backward(dout, input_grad=False) is None
+        assert (layer.d_weights.tobytes(), layer.d_bias.tobytes()) == full
+
+
+def spy_on_backward(net):
+    """Record (layer index, keyword arguments) of every layer backward call."""
+    calls = []
+    for i, layer in enumerate(net.layers):
+        def spy(dout, _index=i, _original=layer.backward, **kwargs):
+            calls.append((_index, kwargs))
+            return _original(dout, **kwargs)
+        layer.backward = spy
+    return calls
+
+
+def reference_network_backward(net, d_embedding, d_scores):
+    """Network.backward before it stopped at the first trainable layer:
+    every layer back to the input, returning the input gradient."""
+    d = net.layers[-1].backward(d_scores)
+    if d_embedding is not None:
+        d = d + d_embedding
+    for layer in reversed(net.layers[:-1]):
+        d = layer.backward(d)
+    return d
+
+
+def test_default_net_backward_skips_the_input_gradient():
+    net = default_net(input_size=16, seed=3)
+    images, _ = scene_batch(size=16)
+    calls = spy_on_backward(net)
+    emb, scores = net.forward(np.stack([img.plane() / 255.0 for img in images])[..., None])
+    assert net.backward(np.ones_like(emb), np.ones_like(scores)) is None
+    last = len(net.layers) - 1
+    assert calls == [(i, {}) for i in range(last, 0, -1)] + [(0, {"input_grad": False})]
+
+
+def test_backward_stops_before_layers_without_parameters():
+    rng = np.random.default_rng(69)
+    net = Network([Flatten(), Dense(64, 16, rng=rng), ReLU(), Dense(16, 5, rng=rng)])
+    images, labels = scene_batch(size=8, per_class=2)
+    calls = spy_on_backward(net)
+    config = TrainConfig(epochs=40, learning_rate=0.05, batch_size=10, seed=2)
+    _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    assert trace[-1] < 0.5 * trace[0]
+    assert calls[:3] == [(3, {}), (2, {}), (1, {"input_grad": False})]
+    assert {index for index, _ in calls} == {1, 2, 3}  # Flatten is never called
+
+
+def test_gradients_and_criterion_4_value_match_full_backward(monkeypatch):
+    """Criterion 4's setup: the parameter gradients, and so grad_check's
+    value, are the same bytes as with the full backward to the input."""
+    images, labels = scene_batch(size=16)
+    weights = LossWeights((1.0, 1.0))
+    net, ref = default_net(input_size=16, seed=3), default_net(input_size=16, seed=3)
+    monkeypatch.setattr(ref, "backward", lambda d_emb, d_scores:
+                        reference_network_backward(ref, d_emb, d_scores))
+    x = np.stack([img.plane() / 255.0 for img in images])[..., None]
+    d_emb = np.random.default_rng(70).normal(0, 1, (len(images), 32))
+    for model in (net, ref):
+        _, scores = model.forward(x)
+        model.backward(d_emb, np.ones_like(scores))
+    for got, expected in zip(net.gradient_arrays(), ref.gradient_arrays()):
+        assert got.tobytes() == expected.tobytes()
+    err = grad_check(net, images, labels, weights, samples=60, seed=11)
+    expected_err = grad_check(ref, images, labels, weights, samples=60, seed=11)
+    assert repr(err) == repr(expected_err)
 
 
 # ---------------------------------------------------------------------------
