@@ -146,9 +146,15 @@ def _check_dims(model: EnergyModel, labels: LabelField):
 def energy_of(model: EnergyModel, labels: LabelField) -> float:
     """Total (unnormalized Gibbs) energy of a labeling."""
     _check_dims(model, labels)
-    lab = labels.labels
-    rows, cols = np.indices(lab.shape)
-    total = float(model.data_costs[rows, cols, lab].sum())
+    return _energy(model, labels.labels)
+
+
+def _energy(model: EnergyModel, lab: np.ndarray) -> float:
+    """energy_of for an (h, w) integer label array of matching shape."""
+    label_count = model.label_count
+    # Flat index of (site, label) in data_costs is site * label_count + label.
+    picks = np.arange(0, lab.size * label_count, label_count) + lab.ravel()
+    total = float(model.data_costs.take(picks).sum())
     pair = model.pair_cost
     horiz = pair[lab[:, :-1], lab[:, 1:]] * model.edge_weights_x
     vert = pair[lab[:-1, :], lab[1:, :]] * model.edge_weights_y
@@ -178,14 +184,30 @@ def _neighbors(model: EnergyModel, sites):
     return nbrs, scales
 
 
+def _diagonal_fronts(model: EnergyModel):
+    """The flat sites of each anti-diagonal r + c = d, in increasing d and,
+    within a diagonal, increasing row, with their _neighbors rows: a list of
+    (sites, nbrs, scales) views into one table built for the whole grid."""
+    h, w = model.height, model.width
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    order = np.argsort(diagonal, kind="stable")
+    nbrs, scales = _neighbors(model, order)
+    sizes = np.bincount(diagonal)
+    ends = np.cumsum(sizes)
+    return [(order[lo:hi], nbrs[:, lo:hi], scales[:, lo:hi])
+            for lo, hi in zip(ends - sizes, ends)]
+
+
 def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
     """(n, L) cost of every label at each site given the flat labels of its
     neighbors: the data cost, then each neighbor's weighted pair cost in the
     order left, right, up, down. Every solver and nash_check use this kernel,
     so they agree bit for bit."""
-    costs = model.data_costs.reshape(-1, model.label_count)[sites]
+    costs = model.data_costs.reshape(-1, model.label_count).take(sites, axis=0)
     for nb, scale in zip(nbrs, scales):
-        costs += scale * model.pair_cost[flat[nb]]
+        term = model.pair_cost.take(flat[nb], axis=0)
+        term *= scale
+        costs += term
     return costs
 
 
@@ -208,28 +230,48 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     In raster order site (r, c) reads the new left and upper labels (diagonal
     d - 1) and the old right and lower ones (diagonal d + 1), and no two
     sites of one diagonal are neighbors, so this gives the raster labels.
+
+    Only dirty sites are scored: all of them in the first sweep, then those
+    with a neighbor that moved since they were last scored. A moving site
+    marks its four neighbors; the right and lower ones lie on diagonal d + 1
+    and are scored later in the same sweep, the left and upper ones were
+    already passed and are scored next sweep. A clean site's cost row would
+    be the same bit for bit, and it already holds a label no other label
+    strictly beats, so it would not move: skipping it leaves the raster
+    labels and trace unchanged.
     """
     h, w, label_count = model.data_costs.shape
-    fronts = []
-    for d in range(h + w - 1):
-        r = np.arange(max(0, d - w + 1), min(h, d + 1))
-        sites = r * w + d - r
-        fronts.append((sites, *_neighbors(model, sites)))
+    fronts = _diagonal_fronts(model)
     flat = labels.labels.ravel().copy()
+    dirty = np.ones(flat.size, dtype=bool)
     trace = []
     sweep = first_sweep
     while True:
         changed = 0
         for sites, nbrs, scales in fronts:
+            todo = dirty[sites]
+            count = np.count_nonzero(todo)
+            if count == 0:
+                continue
+            if count < sites.size:
+                keep = todo.nonzero()[0]
+                sites, nbrs, scales = sites[keep], nbrs[:, keep], scales[:, keep]
+            dirty[sites] = False
             costs = _site_costs(model, flat, sites, nbrs, scales)
-            move = costs.min(axis=1) < costs[np.arange(sites.size), flat[sites]]
-            flat[sites[move]] = costs[move].argmin(axis=1)
-            changed += int(np.count_nonzero(move))
-        current = LabelField(labels=flat.reshape(h, w), label_count=label_count)
-        trace.append(SweepRecord(sweep=sweep, energy=energy_of(model, current),
+            rows = np.arange(count)
+            best = costs.argmin(axis=1)
+            move = costs[rows, best] < costs[rows, flat[sites]]
+            moved = int(np.count_nonzero(move))
+            if moved:
+                flat[sites[move]] = best[move]
+                # Right and lower neighbors rescore this sweep, left and upper
+                # ones next sweep; a border side marks the mover itself.
+                dirty[nbrs[:, move]] = True
+                changed += moved
+        trace.append(SweepRecord(sweep=sweep, energy=_energy(model, flat.reshape(h, w)),
                                  changed=changed, temperature=0.0))
         if changed == 0 or len(trace) == max_sweeps:
-            return current, trace
+            return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
         sweep += 1
 
 
@@ -278,8 +320,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
             pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
             changed += int(np.count_nonzero(pick != flat[sites]))
             flat[sites] = pick
-        current = LabelField(labels=flat.reshape(h, w), label_count=label_count)
-        trace.append(SweepRecord(sweep=sweep + 1, energy=energy_of(model, current),
+        trace.append(SweepRecord(sweep=sweep + 1, energy=_energy(model, flat.reshape(h, w)),
                                  changed=changed, temperature=temp))
 
     # Zero-temperature tail: descend to a fixed point so the advertised

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from scenegame import mrf
 from scenegame.features import FeatureVector, ScoreTable, WeightVector
 from scenegame.gmm import GmmParams
 from scenegame.gmm import fit as gmm_fit
-from scenegame.image import DisplacementLabelSet, Image, LabelField
+from scenegame.image import DisplacementLabelSet, Image, LabelField, gen_scene
 from scenegame.mrf import (
     AnnealSchedule,
     EllipticityError,
@@ -15,6 +16,7 @@ from scenegame.mrf import (
     SmoothnessField,
     SweepRecord,
     _check_dims,
+    _diagonal_fronts,
     _gibbs_weights,
     _neighbors,
     _site_costs,
@@ -345,6 +347,78 @@ def test_icm_matches_sequential_raster_reference():
         expected, expected_trace = reference_descend(model, init, max_sweeps=max_sweeps)
         assert out == expected
         assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+
+
+def test_icm_matches_sequential_raster_reference_at_image_scale():
+    # At image scale most sites stop moving after a few sweeps, so the
+    # active-set sweep skips most of the grid; labels and trace must not show
+    # it. Cases: non-square grids, both priors, weighted edges, exact ties
+    # from integer costs, and one cut at max_sweeps.
+    rng = np.random.default_rng(28)
+    cases = (((40, 33), 4, "potts", False, False, 60),
+             ((33, 40), 5, "quadratic", True, False, 60),
+             ((40, 33), 3, "potts", True, True, 60),
+             ((40, 33), 6, "quadratic", True, False, 3))
+    for (h, w), labels, kind, weighted, ties, max_sweeps in cases:
+        if ties:
+            draw = lambda size: rng.integers(0, 3, size).astype(float)
+        else:
+            draw = lambda size: rng.uniform(0, 2, size)
+        model = EnergyModel(data_costs=draw((h, w, labels)),
+                            prior_weight=0.6 if kind == "potts" else 0.15,
+                            prior_kind=kind,
+                            edge_weights_x=draw((h, w - 1)) if weighted else None,
+                            edge_weights_y=draw((h - 1, w)) if weighted else None)
+        init = field_of(rng.integers(0, labels, (h, w)), labels)
+        out, trace = solve_icm(model, init, GameConfig(max_sweeps=max_sweeps))
+        expected, expected_trace = reference_descend(model, init, max_sweeps=max_sweeps)
+        assert out == expected
+        assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+
+
+def test_icm_scores_only_sites_whose_neighborhood_changed(monkeypatch):
+    scored = []
+
+    def counting(model, flat, sites, nbrs, scales):
+        scored.append(len(sites))
+        return _site_costs(model, flat, sites, nbrs, scales)
+
+    monkeypatch.setattr(mrf, "_site_costs", counting)
+    # From an equilibrium, the one sweep that confirms it scores every site
+    # exactly once.
+    rng = np.random.default_rng(29)
+    model = random_weighted_model(rng, (12, 9), 4, "quadratic")
+    settled, trace = solve_icm(model, field_of(rng.integers(0, 4, (12, 9)), 4),
+                               GameConfig())
+    assert trace[-1].changed == 0
+    scored.clear()
+    _, trace = solve_icm(model, settled, GameConfig())
+    assert [r.changed for r in trace] == [0]
+    assert sum(scored) == 12 * 9
+    # On a segmentation game, later sweeps rescore only near earlier moves.
+    img = gen_scene(0, 64, 2, 31)
+    params, _ = gmm_fit(img.plane().astype(float).ravel() / 255.0, 3)
+    model = build_segmentation_game(img, params, 1.0)
+    init = field_of(np.argmin(model.data_costs, axis=2), 3)
+    scored.clear()
+    _, trace = solve_icm(model, init, GameConfig())
+    assert len(trace) > 2 and trace[-1].changed == 0
+    assert sum(scored) < len(trace) * 64 * 64 // 2
+
+
+def test_diagonal_fronts_match_per_diagonal_neighbors():
+    rng = np.random.default_rng(30)
+    for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (9, 4)):
+        model = random_weighted_model(rng, (h, w), 3, "potts")
+        fronts = _diagonal_fronts(model)
+        assert len(fronts) == h + w - 1
+        for d, (sites, nbrs, scales) in enumerate(fronts):
+            r = np.arange(max(0, d - w + 1), min(h, d + 1))
+            expected = r * w + d - r
+            expected_nbrs, expected_scales = _neighbors(model, expected)
+            assert np.array_equal(sites, expected)
+            assert np.array_equal(nbrs, expected_nbrs)
+            assert np.array_equal(scales, expected_scales)
 
 
 def test_icm_beta_zero_two_sweeps():
