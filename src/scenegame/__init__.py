@@ -16,7 +16,6 @@ from .image import (
     write_pnm,
 )
 from .mrf import (
-    AnnealSchedule,
     EnergyModel,
     GameConfig,
     SmoothnessField,
@@ -32,7 +31,6 @@ from .mrf import (
 )
 
 __all__ = [
-    "AnnealSchedule",
     "DisplacementLabelSet",
     "EnergyModel",
     "GameConfig",

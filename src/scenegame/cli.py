@@ -293,6 +293,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         feature_rows.append(_feature_sidecar_row(
                             train_x, config, size, noise, trial))
     except Exception as exc:  # partial results still get flushed
+        logging.getLogger(__name__).debug("experiment failed", exc_info=True)
         failure = f"{type(exc).__name__}: {exc}"
 
     by_level = {}
@@ -489,9 +490,12 @@ def _cmd_experiment(args):
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
     config = ExperimentConfig.from_mapping(mapping)
+    if config.feature_select and not args.out:
+        raise CliError("feature_select = on writes its sidecar to <out>.features.csv "
+                       "and needs --out")
     report = run_experiment(config)
     _write_text(report.to_csv(), args.out)
-    if config.feature_select and args.out:
+    if config.feature_select:
         _write_text(report.feature_csv(), args.out + ".features.csv")
     if report.failure is not None:
         print(f"ERROR: experiment failed: {report.failure}", file=sys.stderr)

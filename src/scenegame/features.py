@@ -1,13 +1,11 @@
-"""Block image features, correlation-driven feature selection, and simplex
-weight optimization.
+"""Block image features, correlation-driven feature selection, and
+closed-form simplex weights.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-WEIGHT_STEP = 0.05
-WEIGHT_ITERS = 500
 HISTOGRAM_BINS = 16
 
 
@@ -244,17 +242,8 @@ def select_features(samples, threshold: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Simplex weight optimization
+# Simplex weights
 # ---------------------------------------------------------------------------
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
 
 def weight_objective(table: ScoreTable, weights: np.ndarray) -> float:
     """Sum over samples of the weighted normalized score ratio.
@@ -267,27 +256,20 @@ def weight_objective(table: ScoreTable, weights: np.ndarray) -> float:
 
 
 def optimize_weights(table: ScoreTable):
-    """Maximize the normalized weighted objective over the simplex.
+    """Exact maximum of the normalized weighted objective over the simplex.
 
-    Projected-gradient ascent from the uniform point (fixed step 0.05,
-    500 iterations), returning the best iterate seen; the uniform start is
-    included, so the result never scores below uniform weights.
-    Returns (WeightVector, objective value).
+    With G_j = sum_i (H_ij - min_j) and R_j = max_j - min_j > 0, the
+    objective is the linear-fractional (G.w) / (R.w) (Charnes & Cooper 1962),
+    which equals sum_j [w_j R_j / sum_k w_k R_k] (G_j / R_j): a convex
+    combination of the per-criterion ratios G_j / R_j. It can be no larger
+    than the largest ratio, and the vertex of that criterion attains it, so
+    no point of the simplex, the uniform one included, scores higher. The
+    weight is spread evenly over the criteria whose ratio equals the maximum
+    exactly (identical criteria share it). Returns (WeightVector, objective
+    value), the value computed by weight_objective.
     """
-    m = table.criterion_count
-    gains = (table.scores - table.anti_ideal).sum(axis=0)  # per-criterion numerators
-    ranges = table.ideal - table.anti_ideal
-    w = np.full(m, 1.0 / m)
-    best_w = w
-    best_val = weight_objective(table, w)
-    for _ in range(WEIGHT_ITERS):
-        num = float(gains @ w)
-        den = float(ranges @ w)
-        grad = (gains * den - num * ranges) / (den * den)
-        w = project_to_simplex(w + WEIGHT_STEP * grad)
-        val = weight_objective(table, w)
-        if val > best_val:
-            best_val = val
-            best_w = w
-    return WeightVector(weights=best_w), best_val
-
+    gains = (table.scores - table.anti_ideal).sum(axis=0)
+    ratio = gains / (table.ideal - table.anti_ideal)
+    best = ratio == ratio.max()
+    weights = best / np.count_nonzero(best)
+    return WeightVector(weights=weights), weight_objective(table, weights)

@@ -18,6 +18,10 @@ from . import gmm as gmm_mod
 from .image import DisplacementLabelSet, Image, LabelField
 
 EXHAUSTIVE_LIMIT = 10 ** 6
+# Geometric cooling: T = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP).
+ANNEAL_T0 = 2.0
+ANNEAL_DECAY = 0.9
+ANNEAL_SWEEPS_PER_TEMP = 5
 
 
 class EllipticityError(ValueError):
@@ -25,26 +29,8 @@ class EllipticityError(ValueError):
 
 
 @dataclass(frozen=True)
-class AnnealSchedule:
-    """Geometric cooling: T = t0 * decay^(sweep // sweeps_per_temp)."""
-
-    t0: float = 2.0
-    decay: float = 0.9
-    sweeps_per_temp: int = 5
-
-    def __post_init__(self):
-        if self.t0 <= 0:
-            raise ValueError("t0 must be > 0")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must be strictly inside (0, 1)")
-        if self.sweeps_per_temp < 1:
-            raise ValueError("sweeps_per_temp must be >= 1")
-
-
-@dataclass(frozen=True)
 class GameConfig:
     max_sweeps: int = 60
-    schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
     seed: int = 0
 
     def __post_init__(self):
@@ -301,7 +287,6 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     _check_dims(model, init)
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(config.seed) % 2 ** 63)
-    schedule = config.schedule
     flat = init.labels.ravel().copy()
     colours = []
     for colour in (0, 1):
@@ -309,7 +294,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
         colours.append((sites, *_neighbors(model, sites)))
     trace = []
     for sweep in range(config.max_sweeps):
-        temp = schedule.t0 * schedule.decay ** (sweep // schedule.sweeps_per_temp)
+        temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
         for sites, nbrs, scales in colours:
             cumulative = np.cumsum(

@@ -182,6 +182,17 @@ def test_experiment_failure_flushes_partial_rows():
     assert report.to_csv().strip().endswith(f"# FAILED: {report.failure}")
 
 
+def test_experiment_failure_logs_traceback_at_debug(caplog):
+    config = small_config(sizes=(20, 8), images_per_class=1, epochs=1)
+    with caplog.at_level(logging.DEBUG, logger="scenegame.cli"):
+        report = run_experiment(config)
+    records = [r for r in caplog.records if r.name == "scenegame.cli"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert records[0].exc_info[0] is ValueError
+    assert report.failure == f"ValueError: {records[0].exc_info[1]}"
+
+
 def test_experiment_accuracy_at_small_size_and_high_noise():
     """An accuracy figure that a training change can move. Criterion 9
     (20 px, noise 1) reads 1.0000 at every seed tried, so it cannot show a
@@ -355,6 +366,22 @@ def test_cli_experiment_with_config(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith(REPORT_HEADER)
+
+
+def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "sizes = 20\nnoise_levels = 1\nimages_per_class = 4\n"
+        "trials = 1\nepochs = 1\nbatch_size = 5\nfeature_select = on\nseed = 3\n"
+    )
+    ran = []
+    monkeypatch.setattr("scenegame.cli.run_experiment", ran.append)
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert not ran  # rejected before any work
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: ")
+    assert "<out>.features.csv" in captured.err and "--out" in captured.err
 
 
 def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):

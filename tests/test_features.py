@@ -14,10 +14,10 @@ from scenegame.features import (
     feature_names,
     features_to_csv,
     optimize_weights,
-    project_to_simplex,
     select_features,
     weight_objective,
 )
+from scenegame import cli
 from scenegame.features import _abs_correlation
 from scenegame.image import Image
 
@@ -405,6 +405,90 @@ def test_objective_invariant_under_affine_rescale():
     assert value2 == pytest.approx(value, abs=1e-6)
 
 
+def test_many_criteria_closed_form_beats_vertices_and_interior():
+    rng = np.random.default_rng(43)
+    for m in range(3, 9):
+        table = ScoreTable(scores=rng.beta(rng.uniform(1, 5, m), rng.uniform(1, 5, m),
+                                           (int(rng.integers(5, 30)), m)))
+        wv, value = optimize_weights(table)
+        assert wv.weights.min() >= 0.0
+        assert wv.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert value == weight_objective(table, wv.weights)
+        tol = 1e-12 * abs(value)
+        for vertex in np.eye(m):
+            assert value >= weight_objective(table, vertex) - tol
+        for point in rng.dirichlet(np.ones(m), 170):
+            assert value >= weight_objective(table, point) - tol
+
+
+def test_three_identical_criteria_share_the_weight():
+    col = np.array([0.1, 0.4, 0.9, 0.3, 0.7])
+    table = ScoreTable(scores=np.column_stack([col, col, col]))
+    wv, value = optimize_weights(table)
+    assert np.array_equal(wv.weights, np.full(3, 1.0 / 3.0))
+    assert value == pytest.approx(weight_objective(table, np.array([1.0, 0.0, 0.0])))
+
+
+# The projected-gradient ascent optimize_weights used before its closed form.
+
+def project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def reference_optimize_weights(table, step=0.05, iters=500):
+    m = table.criterion_count
+    gains = (table.scores - table.anti_ideal).sum(axis=0)  # per-criterion numerators
+    ranges = table.ideal - table.anti_ideal
+    w = np.full(m, 1.0 / m)
+    best_w = w
+    best_val = weight_objective(table, w)
+    for _ in range(iters):
+        num = float(gains @ w)
+        den = float(ranges @ w)
+        grad = (gains * den - num * ranges) / (den * den)
+        w = project_to_simplex(w + step * grad)
+        val = weight_objective(table, w)
+        if val > best_val:
+            best_val = val
+            best_w = w
+    return WeightVector(weights=best_w), best_val
+
+
+def assert_matches_reference(table):
+    wv, value = optimize_weights(table)
+    ref_wv, ref_value = reference_optimize_weights(table)
+    assert wv.weights.tobytes() == ref_wv.weights.tobytes()
+    assert value == ref_value
+
+
+def test_closed_form_matches_gradient_ascent_on_criterion_7_tables():
+    for seed in range(20):
+        rng = np.random.default_rng(9000 + seed)
+        a = rng.beta(4.0, 1.5, 12)
+        b = rng.beta(1.5, 4.0, 12)
+        cols = (a, b) if seed % 2 == 0 else (b, a)
+        assert_matches_reference(ScoreTable(scores=np.column_stack(cols)))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_closed_form_matches_gradient_ascent_on_experiment_sidecar(seed):
+    # The table _feature_sidecar_row builds for the 20x20, noise-1 cell of
+    # an experiment with 200 images per class and holdout 0.2.
+    images, labels = cli._cell_dataset(seed, 200, 20, 1)
+    rng = np.random.default_rng([seed, 20, 1, 0, 7])
+    (train_x, _), _ = cli._split(images, labels, 0.2, rng)
+    matrix = feature_matrix(train_x)
+    selected = select_features(matrix, 0.9)
+    table = ScoreTable(scores=matrix[:, list(selected)])
+    assert table.criterion_count > 2
+    assert_matches_reference(table)
+
+
 def test_zero_range_criterion_rejected():
     with pytest.raises(ValueError):
         ScoreTable(scores=np.array([[1.0, 2.0], [1.0, 3.0]]))
@@ -415,16 +499,6 @@ def test_weight_vector_validation():
         WeightVector(weights=np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         WeightVector(weights=np.array([-0.1, 1.1]))
-
-
-def test_simplex_projection():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        v = rng.normal(0, 2, int(rng.integers(1, 6)))
-        w = project_to_simplex(v)
-        assert w.min() >= 0.0
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert project_to_simplex(np.array([0.5, 0.5])) == pytest.approx([0.5, 0.5])
 
 
 def test_feature_vector_validation():

@@ -9,7 +9,6 @@ from scenegame.gmm import GmmParams
 from scenegame.gmm import fit as gmm_fit
 from scenegame.image import DisplacementLabelSet, Image, LabelField, gen_scene
 from scenegame.mrf import (
-    AnnealSchedule,
     EllipticityError,
     EnergyModel,
     GameConfig,
@@ -546,10 +545,9 @@ def sequential_gibbs(model, init, config):
     order = [(r, c) for parity in (0, 1)
              for r in range(h) for c in range(w) if (r + c) % 2 == parity]
     rng = np.random.default_rng(config.seed)
-    schedule = config.schedule
     records = []
     for sweep in range(config.max_sweeps):
-        temp = schedule.t0 * schedule.decay ** (sweep // schedule.sweeps_per_temp)
+        temp = mrf.ANNEAL_T0 * mrf.ANNEAL_DECAY ** (sweep // mrf.ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
         for r, c in order:
             costs = naive_site_costs(model, lab, r, c)
@@ -587,13 +585,6 @@ def test_anneal_hot_phase_matches_sequential_gibbs():
                                              first_sweep=config.max_sweeps + 1)
         assert out == tail
         assert trace_to_csv(trace[config.max_sweeps:]) == trace_to_csv(tail_trace)
-
-
-def test_anneal_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealSchedule(t0=0.0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(decay=1.0)
 
 
 # ---------------------------------------------------------------------------
