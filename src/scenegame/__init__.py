@@ -17,7 +17,6 @@ from .image import (
 )
 from .mrf import (
     EnergyModel,
-    GameConfig,
     SmoothnessField,
     build_registration_game,
     build_segmentation_game,
@@ -33,7 +32,6 @@ from .mrf import (
 __all__ = [
     "DisplacementLabelSet",
     "EnergyModel",
-    "GameConfig",
     "Image",
     "LabelField",
     "PnmError",

@@ -124,6 +124,10 @@ class ExperimentConfig:
             raise CliError("holdout must be in (0, 1)")
         if self.seed < 0:
             raise CliError("seed must be >= 0")
+        # The training keys pass the trainer's own checks before any work.
+        net_mod.TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
+                            batch_size=self.batch_size, margin=self.margin)
+        net_mod.LossWeights((self.triplet_weight, self.ce_weight))
 
     _PARSERS = {
         "sizes": _parse_int_list,
@@ -361,13 +365,17 @@ def _write_text(text: str, path):
 
 
 def _cmd_preprocess(args):
+    if args.method in ("lowpass", "highpass"):
+        cutoff = 0.5 if args.cutoff is None else args.cutoff
+    elif args.cutoff is not None:
+        raise CliError(f"--cutoff applies to lowpass and highpass only, not {args.method}")
     img = _read_image(args.input)
     if args.method == "equalize":
         out = preprocess.equalize(img)
-    elif args.method in ("lowpass", "highpass"):
-        out = preprocess.dft_enhance(img, args.method, args.cutoff)
-    else:
+    elif args.method == "haar":
         out = preprocess.haar_enhance(img)
+    else:
+        out = preprocess.dft_enhance(img, args.method, cutoff)
     _write_image(out, args.out)
     return 0
 
@@ -381,51 +389,43 @@ def _cmd_gmm_fit(args):
     return 0
 
 
-def _solve(model, init, args):
-    """Run the chosen solver. A run whose last sweep still moved labels
-    stopped before equilibrium: its output is written anyway, with one
-    warning on stderr."""
-    config = mrf.GameConfig(max_sweeps=args.max_sweeps, seed=args.seed)
+def _play(model, args):
+    """Start every pixel on its cheapest data label (Besag's pixelwise
+    maximum-likelihood start, see README), run --solver, and write the labels
+    and, with --trace, the sweep CSV. A run whose last sweep still moved labels
+    stopped before equilibrium: it is written anyway, with one warning on
+    stderr."""
+    init = LabelField(labels=np.argmin(model.data_costs, axis=2),
+                      label_count=model.label_count)
     if args.solver == "icm":
-        labels, trace = mrf.solve_icm(model, init, config)
+        labels, trace = mrf.solve_icm(model, init, args.max_sweeps)
     else:
-        labels, trace = mrf.solve_anneal(model, init, config)
+        labels, trace = mrf.solve_anneal(model, init, args.max_sweeps, args.seed)
     if trace[-1].changed > 0:
         print(f"WARNING: {args.solver} stopped at --max-sweeps {args.max_sweeps} "
               f"before equilibrium: its last sweep changed "
               f"{trace[-1].changed} labels", file=sys.stderr)
-    return labels, trace
+    _write_image(mrf.labels_to_image(labels), args.out)
+    if args.trace:
+        _write_text(mrf.trace_to_csv(trace), args.trace)
+    return 0
 
 
 def _cmd_segment(args):
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
-    model = mrf.build_segmentation_game(img, params, args.prior_weight, args.prior)
-    init = LabelField(labels=np.argmin(model.data_costs, axis=2),
-                      label_count=model.label_count)
-    labels, trace = _solve(model, init, args)
-    _write_image(mrf.labels_to_image(labels), args.out)
-    if args.trace:
-        _write_text(mrf.trace_to_csv(trace), args.trace)
-    return 0
+    return _play(mrf.build_segmentation_game(img, params, args.prior_weight,
+                                             args.prior), args)
 
 
 def _cmd_register(args):
     fixed = _read_image(args.fixed)
     moving = _read_image(args.moving)
-    label_set = DisplacementLabelSet.dense(args.radius)
     smooth = mrf.SmoothnessField.identity(fixed.height, fixed.width)
-    model = mrf.build_registration_game(fixed, moving, label_set,
-                                        args.prior_weight, smooth)
-    zero_label = label_set.offsets.index((0, 0))
-    init = LabelField(labels=np.full((fixed.height, fixed.width), zero_label),
-                      label_count=len(label_set))
-    labels, trace = _solve(model, init, args)
-    _write_image(mrf.labels_to_image(labels), args.out)
-    if args.trace:
-        _write_text(mrf.trace_to_csv(trace), args.trace)
-    return 0
+    return _play(mrf.build_registration_game(
+        fixed, moving, DisplacementLabelSet.dense(args.radius),
+        args.prior_weight, smooth), args)
 
 
 def _cmd_features(args):
@@ -464,8 +464,9 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     network = net_mod.load_net(args.model)
+    # Trial 1: scenes that train, which draws trial 0, never sees.
     images, labels = _cell_dataset(args.seed, args.images_per_class,
-                                   args.size, args.noise)
+                                   args.size, args.noise, trial=1)
     if args.crop is not None:
         # the centre crop, as train --crop saw it
         images = [net_mod.augment(img, args.crop)[4] for img in images]
@@ -531,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True,
                    choices=["equalize", "lowpass", "highpass", "haar"])
-    p.add_argument("--cutoff", type=float, default=0.5)
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="lowpass/highpass only (default 0.5)")
     p.add_argument("--out", default="out.pgm")
     p.set_defaults(func=_cmd_preprocess)
 

@@ -29,16 +29,6 @@ class EllipticityError(ValueError):
 
 
 @dataclass(frozen=True)
-class GameConfig:
-    max_sweeps: int = 60
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     sweep: int
     energy: float
@@ -261,18 +251,25 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
         sweep += 1
 
 
-def solve_icm(model: EnergyModel, init: LabelField, config: GameConfig):
+def _check_solve(model: EnergyModel, init: LabelField, max_sweeps: int):
+    _check_dims(model, init)
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+
+
+def solve_icm(model: EnergyModel, init: LabelField, max_sweeps: int = 60):
     """Greedy best-response dynamics to a unilateral-deviation-proof labeling.
 
     Sweeps visit pixels in raster order. Fast but local: the result always
     passes nash_check when it terminates before max_sweeps, yet may sit above
     the global minimum energy. Returns (labels, [SweepRecord...]).
     """
-    _check_dims(model, init)
-    return _descend(model, init, max_sweeps=config.max_sweeps)
+    _check_solve(model, init, max_sweeps)
+    return _descend(model, init, max_sweeps=max_sweeps)
 
 
-def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
+def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
+                 seed: int = 0):
     """Annealed random relaxation (Gibbs resampling with geometric cooling).
 
     Each site resamples its label with probability proportional to
@@ -284,16 +281,16 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     so the output is also unilateral-deviation-proof. Bit-reproducible for a
     fixed seed. Returns (labels, [SweepRecord...]).
     """
-    _check_dims(model, init)
+    _check_solve(model, init, max_sweeps)
     h, w, label_count = model.data_costs.shape
-    rng = np.random.default_rng(int(config.seed) % 2 ** 63)
+    rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()
     colours = []
     for colour in (0, 1):
         sites = np.flatnonzero(np.indices((h, w)).sum(axis=0) % 2 == colour)
         colours.append((sites, *_neighbors(model, sites)))
     trace = []
-    for sweep in range(config.max_sweeps):
+    for sweep in range(max_sweeps):
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
         for sites, nbrs, scales in colours:
@@ -312,7 +309,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, config: GameConfig):
     # no-unilateral-improvement postcondition holds.
     out, tail = _descend(model, LabelField(labels=flat.reshape(h, w),
                                            label_count=label_count),
-                         first_sweep=config.max_sweeps + 1)
+                         first_sweep=max_sweeps + 1)
     return out, trace + tail
 
 

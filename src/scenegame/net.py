@@ -430,6 +430,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.margin <= 0:
+            raise ValueError("margin must be > 0")
 
 
 def train(net: Network, images, labels, config: TrainConfig,

@@ -42,13 +42,11 @@ def run_solver_suite():
         model = mrf.EnergyModel(data_costs=dc, prior_weight=beta,
                                 prior_kind="potts")
         init = LabelField(labels=rng.integers(0, 2, (3, 3)), label_count=2)
-        config = mrf.GameConfig(max_sweeps=60, seed=k)
-
-        icm_labels, icm_trace = mrf.solve_icm(model, init, config)
+        icm_labels, icm_trace = mrf.solve_icm(model, init, max_sweeps=60)
         results["nash_ok"] += mrf.nash_check(model, icm_labels)[0]
         results["icm_traces"].append(icm_trace)
 
-        anneal_labels, anneal_trace = mrf.solve_anneal(model, init, config)
+        anneal_labels, anneal_trace = mrf.solve_anneal(model, init, max_sweeps=60, seed=k)
         results["anneal_traces"].append(anneal_trace)
         _, best_energy = mrf.exhaustive_oracle(model)
         energy = mrf.energy_of(model, anneal_labels)
@@ -178,7 +176,7 @@ def run_registration_suite():
         model = mrf.build_registration_game(fixed, moving, label_set, 0.5, field)
         init = LabelField(labels=np.full((size, size), zero),
                           label_count=len(label_set))
-        labels, _ = mrf.solve_icm(model, init, mrf.GameConfig(max_sweeps=60))
+        labels, _ = mrf.solve_icm(model, init, max_sweeps=60)
         margin = 2 + max(abs(sx), abs(sy))
         interior = labels.labels[margin:size - margin, margin:size - margin]
         true_label = label_set.offsets.index(shift)

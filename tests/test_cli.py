@@ -17,8 +17,10 @@ from scenegame.cli import (
     parse_config,
     run_experiment,
 )
+from scenegame import mrf, net, preprocess
 from scenegame.gmm import GmmParams
-from scenegame.image import gen_scene, read_pnm, write_pnm
+from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
+                             read_pnm, write_pnm)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,27 @@ def write_scene(tmp_path, name="scene.pgm", class_id=0, size=20, seed=3):
     return path, img
 
 
+@pytest.mark.parametrize("method", ["equalize", "haar"])
+def test_cli_preprocess_rejects_cutoff_where_it_is_unused(tmp_path, capsys, method):
+    src, _ = write_scene(tmp_path)
+    out = tmp_path / "out.pgm"
+    assert main(["preprocess", "--input", str(src), "--method", method,
+                 "--cutoff", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and err.count("\n") == 1
+    assert "lowpass" in err and "highpass" in err
+    assert not out.exists()
+
+
+def test_cli_preprocess_cutoff_defaults_to_half(tmp_path):
+    src, img = write_scene(tmp_path)
+    for method in ("lowpass", "highpass"):
+        out = tmp_path / f"{method}.pgm"
+        assert main(["preprocess", "--input", str(src), "--method", method,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == write_pnm(preprocess.dft_enhance(img, method, 0.5))
+
+
 def test_cli_preprocess_equalize(tmp_path):
     src, _ = write_scene(tmp_path)
     out = tmp_path / "out.pgm"
@@ -307,6 +330,38 @@ def test_cli_register(tmp_path):
     assert read_pnm(out.read_bytes()).width == 16
 
 
+def test_cli_register_starts_from_the_cheapest_data_label(tmp_path):
+    rng = np.random.default_rng(5)
+    rows, cols = np.indices((24, 24))
+    base = rng.integers(0, 256, (24, 24)).astype(np.uint8)
+    noisy = base[np.clip(rows + 1, 0, 23), np.clip(cols - 2, 0, 23)] \
+        + rng.normal(0.0, 8.0, (24, 24))
+    moving = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    fixed_p, moving_p = tmp_path / "fixed.pgm", tmp_path / "moving.pgm"
+    fixed_p.write_bytes(write_pnm(Image(base)))
+    moving_p.write_bytes(write_pnm(Image(moving)))
+    out, trace = tmp_path / "disp.pgm", tmp_path / "trace.csv"
+    assert main(["register", "--fixed", str(fixed_p), "--moving", str(moving_p),
+                 "--radius", "3", "--prior-weight", "20", "--out", str(out),
+                 "--trace", str(trace)]) == 0
+    model = mrf.build_registration_game(
+        Image(base), Image(moving), DisplacementLabelSet.dense(3), 20.0,
+        mrf.SmoothnessField.identity(24, 24))
+    init = LabelField(labels=np.argmin(model.data_costs, axis=2), label_count=49)
+    labels, expected = mrf.solve_icm(model, init, max_sweeps=60)
+    assert out.read_bytes() == write_pnm(mrf.labels_to_image(labels))
+    assert trace.read_text() == mrf.trace_to_csv(expected)
+
+
+def test_cli_segment_rejects_zero_sweeps(tmp_path, capsys):
+    src, _ = write_scene(tmp_path)
+    out = tmp_path / "labels.pgm"
+    assert main(["segment", "--input", str(src), "--components", "2",
+                 "--max-sweeps", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "ERROR: max_sweeps must be >= 1\n"
+    assert not out.exists()
+
+
 def test_cli_features(tmp_path, capsys):
     src1, _ = write_scene(tmp_path, "a.pgm", class_id=0)
     src2, _ = write_scene(tmp_path, "b.pgm", class_id=4)
@@ -338,6 +393,30 @@ def test_cli_train_eval(tmp_path, capsys):
                  "--images-per-class", "2", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("accuracy = ")
+
+
+def test_cli_eval_scores_scenes_train_never_saw(tmp_path, capsys, monkeypatch):
+    seen = {"train": [], "eval": []}
+    real_train, real_predict = net.train, net.predict
+
+    def train(network, images, *rest):
+        seen["train"].extend(images)
+        return real_train(network, images, *rest)
+
+    def predict(network, img):
+        seen["eval"].append(img)
+        return real_predict(network, img)
+
+    monkeypatch.setattr(net, "train", train)
+    monkeypatch.setattr(net, "predict", predict)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--size", "16", "--images-per-class", "6",
+                 "--epochs", "1", "--out", str(model), "--seed", "4"]) == 0
+    assert main(["eval", "--model", str(model), "--size", "16",
+                 "--images-per-class", "3", "--seed", "4"]) == 0
+    assert len(seen["train"]) == 30 and len(seen["eval"]) == 15
+    trained = {img.pixels.tobytes() for img in seen["train"]}
+    assert not any(img.pixels.tobytes() in trained for img in seen["eval"])
 
 
 def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
@@ -382,6 +461,27 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("ERROR: ")
     assert "<out>.features.csv" in captured.err and "--out" in captured.err
+
+
+@pytest.mark.parametrize("bad", [
+    "epochs = 0", "batch_size = 0", "learning_rate = -1", "margin = 0",
+    "train --margin 0",
+])
+def test_cli_rejects_bad_training_keys_before_any_work(
+        tmp_path, capsys, monkeypatch, bad):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    if bad.startswith("train"):
+        argv = ["train", "--margin", "0", "--images-per-class", "1", "--out", str(out)]
+    else:
+        # Two images per class mine no triplet, so no Triplet checks margin.
+        cfg.write_text(f"sizes = 20\nimages_per_class = 2\n{bad}\n")
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+    drawn = []
+    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and err.count("\n") == 1
+    assert not drawn and not out.exists()
 
 
 def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):
