@@ -114,8 +114,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sizes or any(s < 8 for s in self.sizes):
-            raise CliError("sizes must be nonempty, each >= 8")
+        if not self.sizes:
+            raise CliError("sizes must be nonempty")
+        try:  # each size must fit the default network
+            for size in self.sizes:
+                net_mod.feature_side(size)
+        except ValueError as exc:
+            raise CliError(f"sizes: {exc}") from exc
         if any(n not in (1, 2, 3) for n in self.noise_levels) or not self.noise_levels:
             raise CliError("noise_levels must be from 1..3")
         if self.images_per_class < 1 or self.trials < 1:
@@ -412,6 +417,7 @@ def _play(model, args):
 
 
 def _cmd_segment(args):
+    mrf.check_max_sweeps(args.max_sweeps)
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
@@ -420,6 +426,7 @@ def _cmd_segment(args):
 
 
 def _cmd_register(args):
+    mrf.check_max_sweeps(args.max_sweeps)
     fixed = _read_image(args.fixed)
     moving = _read_image(args.moving)
     smooth = mrf.SmoothnessField.identity(fixed.height, fixed.width)
@@ -443,17 +450,19 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
-    # Validate the arguments before anything is built from them.
+    # Validate the arguments, and build the network, before any scene is drawn.
     config = net_mod.TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
         crop_size=args.crop, margin=args.margin,
     )
     weights = net_mod.LossWeights((args.triplet_weight, args.ce_weight))
-    images, labels = _cell_dataset(args.seed, args.images_per_class,
-                                   args.size, args.noise)
+    if args.crop is not None and args.crop > args.size:
+        raise CliError(f"--crop {args.crop} exceeds --size {args.size}")
     network = net_mod.default_net(
         input_size=args.size if args.crop is None else args.crop, seed=args.seed)
+    images, labels = _cell_dataset(args.seed, args.images_per_class,
+                                   args.size, args.noise)
     _, trace = net_mod.train(network, images, labels, config, weights)
     net_mod.save_net(network, args.out)
     if args.trace:
@@ -524,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed_and_out(p, out_default=None):
-        p.add_argument("--seed", type=int, default=0)
+    def seed_and_out(p, out_default=None, seed_help=None):
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--out", default=out_default)
 
     p = sub.add_parser("preprocess", help="enhance one grayscale image")
@@ -564,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
     p.add_argument("--max-sweeps", type=int, default=60)
     p.add_argument("--trace", default=None)
-    seed_and_out(p, out_default="displacement.pgm")
+    seed_and_out(p, "displacement.pgm", "seeds --solver anneal only")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("features", help="block feature extraction to CSV")

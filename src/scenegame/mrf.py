@@ -251,8 +251,8 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
         sweep += 1
 
 
-def _check_solve(model: EnergyModel, init: LabelField, max_sweeps: int):
-    _check_dims(model, init)
+def check_max_sweeps(max_sweeps: int):
+    """The solvers' sweep bound; the CLI checks it before any work."""
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
 
@@ -264,7 +264,8 @@ def solve_icm(model: EnergyModel, init: LabelField, max_sweeps: int = 60):
     passes nash_check when it terminates before max_sweeps, yet may sit above
     the global minimum energy. Returns (labels, [SweepRecord...]).
     """
-    _check_solve(model, init, max_sweeps)
+    _check_dims(model, init)
+    check_max_sweeps(max_sweeps)
     return _descend(model, init, max_sweeps=max_sweeps)
 
 
@@ -281,7 +282,8 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     so the output is also unilateral-deviation-proof. Bit-reproducible for a
     fixed seed. Returns (labels, [SweepRecord...]).
     """
-    _check_solve(model, init, max_sweeps)
+    _check_dims(model, init)
+    check_max_sweeps(max_sweeps)
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()

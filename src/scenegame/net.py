@@ -27,20 +27,6 @@ class ShapeMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class Triplet:
-    """Anchor/positive/negative sample indices with the margin to enforce."""
-
-    anchor: int
-    positive: int
-    negative: int
-    margin: float = 0.5
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-
-
-@dataclass(frozen=True)
 class LossWeights:
     """Strictly positive coefficients of the combined objective."""
 
@@ -266,18 +252,24 @@ class Network:
         return sum(a.size for a in self.parameter_arrays())
 
 
-def default_net(input_size: int = 20, seed: int = 0) -> Network:
-    """conv(3x3x1x8)-relu-maxpool2 : conv(3x3x8x16)-relu-maxpool2 :
-    flatten-fc(32)-relu-fc(5). The smallest stack exercising every layer kind.
-    """
-    rng = np.random.default_rng(int(seed) % 2 ** 63)
+def feature_side(input_size: int) -> int:
+    """Side of default_net's last pooled feature map for a square input;
+    ValueError for an input too small for the stack."""
     side = input_size - 2
     side = (side - 2) // 2 + 1
     side = side - 2
     side = (side - 2) // 2 + 1
     if side < 1:
         raise ValueError(f"input size {input_size} is too small for the stack")
-    flat = side * side * 16
+    return side
+
+
+def default_net(input_size: int = 20, seed: int = 0) -> Network:
+    """conv(3x3x1x8)-relu-maxpool2 : conv(3x3x8x16)-relu-maxpool2 :
+    flatten-fc(32)-relu-fc(5). The smallest stack exercising every layer kind.
+    """
+    flat = feature_side(input_size) ** 2 * 16
+    rng = np.random.default_rng(int(seed) % 2 ** 63)
     return Network([
         Conv2D(3, 3, 1, 8, rng=rng),
         ReLU(),
@@ -313,20 +305,21 @@ def predict(net: Network, img: Image):
 # Losses
 # ---------------------------------------------------------------------------
 
-def triplet_batch_loss(embeddings, triplets):
-    """Mean hinge triplet loss over a batch and its gradient wrt embeddings.
+def triplet_batch_loss(embeddings, triplets, margin: float):
+    """Mean hinge triplet loss over (anchor, positive, negative) index rows,
+    and its gradient wrt embeddings.
 
-    Active hinges are summed in triplet order, and the gradient rows are
-    added in the order (a0, p0, n0, a1, ...), so repeated indices accumulate
-    exactly as a per-triplet loop would.
+    Active hinges are summed in row order, and the gradient rows are added in
+    the order (a0, p0, n0, a1, ...), so repeated indices accumulate exactly as
+    a per-triplet loop would. No rows give a loss of 0.0 and a zero gradient.
     """
+    if margin <= 0:
+        raise ValueError("margin must be > 0")
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
-    if not triplets:
+    index = np.asarray(triplets, dtype=np.intp)
+    if index.size == 0:
         return 0.0, grad
-    index = np.array([(t.anchor, t.positive, t.negative) for t in triplets],
-                     dtype=np.intp)
-    margin = np.array([t.margin for t in triplets])
     a, p, n = emb[index[:, 0]], emb[index[:, 1]], emb[index[:, 2]]
     hinge = ((a - p) ** 2).sum(axis=1) - ((a - n) ** 2).sum(axis=1) + margin
     active = hinge > 0
@@ -334,7 +327,7 @@ def triplet_batch_loss(embeddings, triplets):
     a, p, n = a[active], p[active], n[active]
     rows = np.stack([2.0 * (n - p), -2.0 * (a - p), 2.0 * (a - n)], axis=1)
     np.add.at(grad, index[active].ravel(), rows.reshape(-1, emb.shape[1]))
-    count = len(triplets)
+    count = len(index)
     return float(total) / count, grad / count
 
 
@@ -361,36 +354,34 @@ def combined_loss(weights: LossWeights, terms) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Triplet mining and augmentation
+# Mining and augmentation
 # ---------------------------------------------------------------------------
 
-def mine_triplets(embeddings, labels, margin: float = 0.5,
-                  warn_skipped: bool = True):
-    """One triplet per anchor: the nearest same-class positive and the
-    nearest different-class negative.
+def mine_triplets(embeddings, labels, warn_skipped: bool = True):
+    """One (anchor, positive, negative) row per anchor, in anchor order, as a
+    (k, 3) integer array: the nearest same-class positive and the nearest
+    different-class negative.
 
-    Distance ties resolve to the lowest sample index. Anchors whose class has
-    no second sample are skipped (and logged unless warn_skipped is off --
-    the trainer disables it because in-batch singletons are routine).
+    Distance ties resolve to the lowest sample index. Anchors with no other
+    sample of their class, or no sample of another class, are skipped (and
+    logged unless warn_skipped is off -- the trainer disables it because both
+    are routine in small batches); a single-class batch mines no row.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if np.unique(labels).size < 2:
-        raise ValueError("need at least 2 classes to mine triplets")
     diff2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
     same_class = labels[:, None] == labels[None, :]
     same = same_class & ~np.eye(labels.size, dtype=bool)
     # argmin returns the first minimum: ties go to the lowest sample index
     pos = np.where(same, diff2, np.inf).argmin(axis=1)
     neg = np.where(same_class, np.inf, diff2).argmin(axis=1)
-    has_pos = same.any(axis=1)
-    triplets = [Triplet(int(a), int(pos[a]), int(neg[a]), margin)
-                for a in np.flatnonzero(has_pos)]
-    skipped = np.flatnonzero(~has_pos).tolist()
+    kept = same.any(axis=1) & ~same_class.all(axis=1)
+    skipped = np.flatnonzero(~kept).tolist()
     if skipped and warn_skipped:
-        logger.warning("skipped %d anchors with singleton classes: %s",
+        logger.warning("skipped %d anchors with no positive or no negative: %s",
                        len(skipped), skipped)
-    return triplets
+    anchors = np.flatnonzero(kept)
+    return np.stack([anchors, pos[anchors], neg[anchors]], axis=1)
 
 
 def augment(img: Image, crop) -> list:
@@ -428,10 +419,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.crop_size is not None and self.crop_size < 1:
+            raise ValueError("crop_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.margin <= 0:
             raise ValueError("margin must be > 0")
+
+
+def _objective(emb, scores, labels, triplets, weights: LossWeights, margin):
+    """The combined (triplet, cross-entropy) loss of one batch and its
+    weighted gradients wrt embedding and scores: (loss, d_emb, d_scores)."""
+    trip, d_emb = triplet_batch_loss(emb, triplets, margin)
+    ce, d_scores = softmax_cross_entropy(scores, labels)
+    a_trip, a_ce = weights.values
+    return combined_loss(weights, (trip, ce)), a_trip * d_emb, a_ce * d_scores
 
 
 def train(net: Network, images, labels, config: TrainConfig,
@@ -439,8 +441,8 @@ def train(net: Network, images, labels, config: TrainConfig,
     """Plain SGD on the combined triplet + cross-entropy objective.
 
     Deterministic for a fixed seed. Returns (net, per-epoch mean loss trace);
-    the network is updated in place. Batches that happen to hold a single
-    class contribute a zero triplet term for that step.
+    the network is updated in place. A batch that mines no triplet, such as
+    one holding a single class, contributes a zero triplet term for that step.
     """
     images = list(images)
     labels = list(int(v) for v in labels)
@@ -455,13 +457,9 @@ def train(net: Network, images, labels, config: TrainConfig,
     if missing:
         raise ValueError(f"dataset is missing classes {sorted(missing)}")
     if config.crop_size is not None:
-        expanded_images = []
-        expanded_labels = []
-        for img, lbl in zip(images, labels):
-            for crop in augment(img, config.crop_size):
-                expanded_images.append(crop)
-                expanded_labels.append(lbl)
-        images, labels = expanded_images, expanded_labels
+        crops = [augment(img, config.crop_size) for img in images]
+        labels = [lbl for lbl, five in zip(labels, crops) for _ in five]
+        images = [crop for five in crops for crop in five]
 
     x_all = _image_batch(images)
     y_all = np.asarray(labels, dtype=np.int64)
@@ -475,17 +473,12 @@ def train(net: Network, images, labels, config: TrainConfig,
             idx = order[start:start + config.batch_size]
             xb, yb = x_all[idx], y_all[idx]
             emb, scores = net.forward(xb)
-            ce, d_scores = softmax_cross_entropy(scores, yb)
-            if np.unique(yb).size >= 2:
-                triplets = mine_triplets(emb, yb, margin=config.margin,
-                                         warn_skipped=False)
-                trip, d_emb = triplet_batch_loss(emb, triplets)
-            else:
-                trip, d_emb = 0.0, np.zeros_like(emb)
-            a_trip, a_ce = weights.values
-            epoch_loss += combined_loss(weights, (trip, ce))
+            triplets = mine_triplets(emb, yb, warn_skipped=False)
+            loss, d_emb, d_scores = _objective(emb, scores, yb, triplets,
+                                               weights, config.margin)
+            epoch_loss += loss
             batch_count += 1
-            net.backward(a_trip * d_emb, a_ce * d_scores)
+            net.backward(d_emb, d_scores)
             if config.learning_rate:
                 for layer in net.trainable():
                     layer.weights -= config.learning_rate * layer.d_weights
@@ -511,20 +504,14 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
         )
     x = _image_batch(images)
     y = np.asarray(labels, dtype=np.int64)
-    emb0, _ = net.forward(x)
-    triplets = mine_triplets(emb0, y, margin=margin)
-
-    def total_loss():
-        emb, scores = net.forward(x)
-        ce, _ = softmax_cross_entropy(scores, y)
-        trip, _ = triplet_batch_loss(emb, triplets)
-        return combined_loss(weights, (trip, ce))
-
     emb, scores = net.forward(x)
-    ce, d_scores = softmax_cross_entropy(scores, y)
-    trip, d_emb = triplet_batch_loss(emb, triplets)
-    a_trip, a_ce = weights.values
-    net.backward(a_trip * d_emb, a_ce * d_scores)
+    triplets = mine_triplets(emb, y)
+    _, d_emb, d_scores = _objective(emb, scores, y, triplets, weights, margin)
+    net.backward(d_emb, d_scores)
+
+    def loss():
+        return _objective(*net.forward(x), y, triplets, weights, margin)[0]
+
     params = net.parameter_arrays()
     grads = [g.copy() for g in net.gradient_arrays()]
 
@@ -540,9 +527,9 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
         arr = params[which]
         original = arr.flat[local]
         arr.flat[local] = original + step
-        plus = total_loss()
+        plus = loss()
         arr.flat[local] = original - step
-        minus = total_loss()
+        minus = loss()
         arr.flat[local] = original
         numeric = (plus - minus) / (2.0 * step)
         analytic = grads[which].flat[local]

@@ -88,6 +88,11 @@ def test_experiment_config_unknown_key_fatal():
 def test_experiment_config_validation():
     with pytest.raises(CliError):
         ExperimentConfig(sizes=(4,))
+    with pytest.raises(CliError, match="too small"):
+        ExperimentConfig(sizes=(20, 9))
+    with pytest.raises(CliError):
+        ExperimentConfig(sizes=())
+    assert ExperimentConfig(sizes=(10,)).sizes == (10,)
     with pytest.raises(CliError):
         ExperimentConfig(noise_levels=(0,))
     with pytest.raises(CliError):
@@ -174,18 +179,33 @@ def test_experiment_feature_sidecar():
     assert csv.startswith("input_size,noise_level,trial,selected,weights,objective")
 
 
-def test_experiment_failure_flushes_partial_rows():
-    # 8x8 inputs are too small for the default stack; the 20x20 cell ran first
-    # and must still appear, followed by the failure marker
-    config = small_config(sizes=(20, 8), images_per_class=1, epochs=1)
+def fail_network_at_size(monkeypatch, size):
+    """A stage failure in the cell of one size: its network cannot be built.
+    (A size the network rejects no longer passes ExperimentConfig.)"""
+    real = net.default_net
+
+    def default_net(input_size=20, seed=0):
+        if input_size == size:
+            raise ValueError(f"no network for input size {size}")
+        return real(input_size, seed)
+
+    monkeypatch.setattr(net, "default_net", default_net)
+
+
+def test_experiment_failure_flushes_partial_rows(monkeypatch):
+    # the 20x20 cell ran first and must still appear, followed by the
+    # failure marker of the 24x24 cell
+    fail_network_at_size(monkeypatch, 24)
+    config = small_config(sizes=(20, 24), images_per_class=1, epochs=1)
     report = run_experiment(config)
     assert report.failure is not None
     assert len(report.rows) == 1
     assert report.to_csv().strip().endswith(f"# FAILED: {report.failure}")
 
 
-def test_experiment_failure_logs_traceback_at_debug(caplog):
-    config = small_config(sizes=(20, 8), images_per_class=1, epochs=1)
+def test_experiment_failure_logs_traceback_at_debug(caplog, monkeypatch):
+    fail_network_at_size(monkeypatch, 24)
+    config = small_config(sizes=(20, 24), images_per_class=1, epochs=1)
     with caplog.at_level(logging.DEBUG, logger="scenegame.cli"):
         report = run_experiment(config)
     records = [r for r in caplog.records if r.name == "scenegame.cli"]
@@ -353,13 +373,26 @@ def test_cli_register_starts_from_the_cheapest_data_label(tmp_path):
     assert trace.read_text() == mrf.trace_to_csv(expected)
 
 
-def test_cli_segment_rejects_zero_sweeps(tmp_path, capsys):
+def test_cli_segment_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
     src, _ = write_scene(tmp_path)
     out = tmp_path / "labels.pgm"
+    fitted = []
+    monkeypatch.setattr("scenegame.gmm.fit", lambda *a, **k: fitted.append(a))
     assert main(["segment", "--input", str(src), "--components", "2",
                  "--max-sweeps", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "ERROR: max_sweeps must be >= 1\n"
-    assert not out.exists()
+    assert not fitted and not out.exists()
+
+
+def test_cli_register_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
+    src, _ = write_scene(tmp_path)
+    out = tmp_path / "disp.pgm"
+    read = []
+    monkeypatch.setattr("scenegame.cli.read_pnm", lambda *a: read.append(a))
+    assert main(["register", "--fixed", str(src), "--moving", str(src),
+                 "--max-sweeps", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "ERROR: max_sweeps must be >= 1\n"
+    assert not read and not out.exists()
 
 
 def test_cli_features(tmp_path, capsys):
@@ -465,15 +498,16 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     "epochs = 0", "batch_size = 0", "learning_rate = -1", "margin = 0",
-    "train --margin 0",
+    "sizes = 8", "train --margin 0", "train --size 16 --crop 20",
+    "train --crop 0", "train --size 9",
 ])
 def test_cli_rejects_bad_training_keys_before_any_work(
         tmp_path, capsys, monkeypatch, bad):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
     if bad.startswith("train"):
-        argv = ["train", "--margin", "0", "--images-per-class", "1", "--out", str(out)]
+        argv = [*bad.split(), "--images-per-class", "1", "--out", str(out)]
     else:
-        # Two images per class mine no triplet, so no Triplet checks margin.
+        # A later line overrides an earlier one, so `sizes = 8` replaces 20.
         cfg.write_text(f"sizes = 20\nimages_per_class = 2\n{bad}\n")
         argv = ["experiment", "--config", str(cfg), "--out", str(out)]
     drawn = []

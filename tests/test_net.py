@@ -15,16 +15,17 @@ from scenegame.net import (
     ReLU,
     ShapeMismatchError,
     TrainConfig,
-    Triplet,
     augment,
     combined_loss,
     default_net,
+    feature_side,
     forward,
     grad_check,
     load_net,
     mine_triplets,
     predict,
     save_net,
+    softmax_cross_entropy,
     train,
     triplet_batch_loss,
 )
@@ -310,7 +311,7 @@ def test_forward_returns_embedding_and_scores():
 
 def one_triplet_loss(a, p, n, margin):
     """Hinge loss of a single triplet through the batch API."""
-    loss, _ = triplet_batch_loss(np.stack([a, p, n]), [Triplet(0, 1, 2, margin)])
+    loss, _ = triplet_batch_loss(np.stack([a, p, n]), np.array([[0, 1, 2]]), margin)
     return loss
 
 
@@ -348,22 +349,22 @@ def test_triplet_validation():
         one_triplet_loss(np.zeros(2), np.zeros(2), np.zeros(2), margin=0.0)
 
 
-def reference_triplet_batch_loss(embeddings, triplets):
+def reference_triplet_batch_loss(embeddings, triplets, margin):
     """The per-triplet loop that the whole-array loss replaced, kept as the
     reference."""
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
-    if not triplets:
+    if not len(triplets):
         return 0.0, grad
     total = 0.0
-    for t in triplets:
-        a, p, n = emb[t.anchor], emb[t.positive], emb[t.negative]
-        hinge = ((a - p) ** 2).sum() - ((a - n) ** 2).sum() + t.margin
+    for anchor, positive, negative in triplets:
+        a, p, n = emb[anchor], emb[positive], emb[negative]
+        hinge = ((a - p) ** 2).sum() - ((a - n) ** 2).sum() + margin
         if hinge > 0:
             total += hinge
-            grad[t.anchor] += 2.0 * (n - p)
-            grad[t.positive] += -2.0 * (a - p)
-            grad[t.negative] += 2.0 * (a - n)
+            grad[anchor] += 2.0 * (n - p)
+            grad[positive] += -2.0 * (a - p)
+            grad[negative] += 2.0 * (a - n)
     count = len(triplets)
     return float(total) / count, grad / count
 
@@ -375,30 +376,30 @@ def test_triplet_batch_loss_matches_per_triplet_reference():
     across triplets, all-inactive batches and the empty list."""
     rng = np.random.default_rng(67)
     seen = {"zero_hinge": 0, "all_inactive": 0, "repeated": 0}
-    for case in range(900):
+    for case in range(1200):
         n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         if case % 2:
             emb = rng.integers(-2, 3, (n, dim)).astype(np.float64)
         else:
             emb = rng.normal(0, 1, (n, dim))
         margins = [0.5, 1.0, 2.0] if case % 2 else [0.01, 0.5, 3.0]
-        triplets = [Triplet(*(int(v) for v in rng.integers(0, n, 3)),
-                            margin=float(rng.choice(margins)))
-                    for _ in range(int(rng.integers(0, 13)))]
-        loss, grad = triplet_batch_loss(emb, triplets)
-        expected_loss, expected_grad = reference_triplet_batch_loss(emb, triplets)
+        margin = float(rng.choice(margins))
+        triplets = rng.integers(0, n, (int(rng.integers(0, 13)), 3))
+        loss, grad = triplet_batch_loss(emb, triplets, margin)
+        expected_loss, expected_grad = reference_triplet_batch_loss(
+            emb, triplets, margin)
         assert type(loss) is float and repr(loss) == repr(expected_loss)
         assert grad.tobytes() == expected_grad.tobytes()
-        hinges = [((emb[t.anchor] - emb[t.positive]) ** 2).sum()
-                  - ((emb[t.anchor] - emb[t.negative]) ** 2).sum() + t.margin
-                  for t in triplets]
+        hinges = [((emb[a] - emb[p]) ** 2).sum() - ((emb[a] - emb[q]) ** 2).sum()
+                  + margin for a, p, q in triplets]
         seen["zero_hinge"] += any(h == 0 for h in hinges)
-        seen["all_inactive"] += bool(triplets) and all(h <= 0 for h in hinges)
-        used = [i for t in triplets for i in (t.anchor, t.positive, t.negative)]
+        seen["all_inactive"] += bool(hinges) and all(h <= 0 for h in hinges)
+        used = triplets.ravel().tolist()
         seen["repeated"] += len(used) != len(set(used))
     assert min(seen.values()) > 20, seen
-    loss, grad = triplet_batch_loss(np.ones((2, 3)), [])
-    assert loss == 0.0 and grad.tobytes() == np.zeros((2, 3)).tobytes()
+    for empty in ([], np.zeros((0, 3), dtype=np.intp)):
+        loss, grad = triplet_batch_loss(np.ones((2, 3)), empty, 0.5)
+        assert loss == 0.0 and grad.tobytes() == np.zeros((2, 3)).tobytes()
 
 
 def test_combined_loss_single_term():
@@ -540,18 +541,17 @@ def test_mine_two_by_two_forced_choice():
     labels = [0, 0, 1, 1]
     triplets = mine_triplets(emb, labels)
     assert len(triplets) == 4
-    t0 = triplets[0]
-    assert (t0.anchor, t0.positive, t0.negative) == (0, 1, 2)
+    assert triplets[0].tolist() == [0, 1, 2]
 
 
 def test_mine_identical_embeddings_tie_to_lowest_index():
     emb = np.zeros((4, 3))
     labels = [0, 0, 1, 1]
     triplets = mine_triplets(emb, labels)
-    assert (triplets[0].positive, triplets[0].negative) == (1, 2)
-    assert (triplets[2].positive, triplets[2].negative) == (3, 0)
+    assert triplets[0, 1:].tolist() == [1, 2]
+    assert triplets[2, 1:].tolist() == [3, 0]
     again = mine_triplets(emb, labels)
-    assert triplets == again
+    assert np.array_equal(triplets, again)
 
 
 def test_mine_matches_brute_force_scan():
@@ -561,8 +561,7 @@ def test_mine_matches_brute_force_scan():
     while np.unique(labels).size < 2:
         labels = rng.integers(0, 3, 20)
     triplets = mine_triplets(emb, labels)
-    by_anchor = {t.anchor: t for t in triplets}
-    for anchor, t in by_anchor.items():
+    for anchor, positive, negative in triplets:
         best_pos, best_pos_d = None, np.inf
         best_neg, best_neg_d = None, np.inf
         for j in range(20):
@@ -571,21 +570,19 @@ def test_mine_matches_brute_force_scan():
                 best_pos, best_pos_d = j, d
             if labels[j] != labels[anchor] and d < best_neg_d:
                 best_neg, best_neg_d = j, d
-        assert t.positive == best_pos
-        assert t.negative == best_neg
+        assert positive == best_pos
+        assert negative == best_neg
 
 
 reference_logger = logging.getLogger("reference_mining")
 
 
-def reference_mine_triplets(embeddings, labels, margin=0.5, warn_skipped=True):
+def reference_mine_triplets(embeddings, labels, warn_skipped=True):
     """The per-anchor mining loop that the masked argmin replaced, kept as
-    the reference."""
+    the reference: a list of (anchor, positive, negative) tuples."""
     logger = reference_logger
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if np.unique(labels).size < 2:
-        raise ValueError("need at least 2 classes to mine triplets")
     diff2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2)
     n = emb.shape[0]
     triplets = []
@@ -593,14 +590,14 @@ def reference_mine_triplets(embeddings, labels, margin=0.5, warn_skipped=True):
     for anchor in range(n):
         same = np.flatnonzero((labels == labels[anchor]) & (np.arange(n) != anchor))
         other = np.flatnonzero(labels != labels[anchor])
-        if same.size == 0:
+        if same.size == 0 or other.size == 0:
             skipped.append(anchor)
             continue
         pos = int(same[np.argmin(diff2[anchor, same])])
         neg = int(other[np.argmin(diff2[anchor, other])])
-        triplets.append(Triplet(anchor, pos, neg, margin))
+        triplets.append((anchor, pos, neg))
     if skipped and warn_skipped:
-        logger.warning("skipped %d anchors with singleton classes: %s",
+        logger.warning("skipped %d anchors with no positive or no negative: %s",
                        len(skipped), skipped)
     return triplets
 
@@ -615,14 +612,12 @@ def test_mine_matches_per_anchor_reference_with_ties(caplog):
             labels[0] = labels[1] + 1
         # small integers: many exactly equal distances
         emb = rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(np.float64)
-        margin = float(rng.choice([0.5, 1.0, 2.0]))
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            got = mine_triplets(emb, labels, margin=margin)
-            expected = reference_mine_triplets(emb, labels, margin=margin)
-        assert got == expected
-        assert all(type(v) is int for t in got
-                   for v in (t.anchor, t.positive, t.negative))
+            got = mine_triplets(emb, labels)
+            expected = reference_mine_triplets(emb, labels)
+        assert got.dtype.kind == "i" and got.shape == (len(expected), 3)
+        assert [tuple(row) for row in got.tolist()] == expected
         messages = [r.getMessage() for r in caplog.records]
         classes, counts = np.unique(labels, return_counts=True)
         if (counts == 1).any():
@@ -646,18 +641,23 @@ def test_mine_skips_singleton_classes():
     emb = np.array([[0.0], [1.0], [2.0]])
     labels = [0, 1, 1]
     triplets = mine_triplets(emb, labels)
-    assert all(t.anchor != 0 for t in triplets)
+    assert 0 not in triplets[:, 0]
     assert len(triplets) == 2
 
 
-def test_mine_requires_two_classes():
-    with pytest.raises(ValueError):
-        mine_triplets(np.zeros((3, 2)), [1, 1, 1])
+def test_mine_single_class_batch_mines_no_row(caplog):
+    with caplog.at_level(logging.WARNING):
+        triplets = mine_triplets(np.zeros((3, 2)), [1, 1, 1])
+    assert triplets.shape == (0, 3) and triplets.dtype.kind == "i"
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 3 anchors with no positive or no negative: [0, 1, 2]"]
 
 
 def test_triplet_margin_validation():
-    with pytest.raises(ValueError):
-        Triplet(0, 1, 2, margin=0.0)
+    for margin in (0.0, -0.5):
+        for triplets in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.intp)):
+            with pytest.raises(ValueError, match="margin"):
+                triplet_batch_loss(np.zeros((3, 2)), triplets, margin)
 
 
 def test_augment_full_size_copies():
@@ -733,6 +733,64 @@ def test_train_deterministic_per_seed():
         _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
         traces.append(trace)
     assert traces[0] == traces[1]
+
+
+def reference_train(net, images, labels, config, weights):
+    """train's step before the objective had one implementation, kept as the
+    reference: a single-class batch skips mining, and the cross-entropy
+    term, triplet term and combined loss are assembled separately before the
+    weighted backward. Also returns the number of single-class batches."""
+    x_all = np.stack([img.plane() / 255.0 for img in images])[..., None]
+    y_all = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(config.seed)
+    trace, single_class = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(images))
+        epoch_loss, batch_count = 0.0, 0
+        for start in range(0, len(images), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xb, yb = x_all[idx], y_all[idx]
+            emb, scores = net.forward(xb)
+            ce, d_scores = softmax_cross_entropy(scores, yb)
+            if np.unique(yb).size >= 2:
+                triplets = reference_mine_triplets(emb, yb, warn_skipped=False)
+                trip, d_emb = reference_triplet_batch_loss(emb, triplets, config.margin)
+            else:
+                single_class += 1
+                trip, d_emb = 0.0, np.zeros_like(emb)
+            a_trip, a_ce = weights.values
+            epoch_loss += combined_loss(weights, (trip, ce))
+            batch_count += 1
+            net.backward(a_trip * d_emb, a_ce * d_scores)
+            for layer in net.trainable():
+                layer.weights -= config.learning_rate * layer.d_weights
+                layer.bias -= config.learning_rate * layer.d_bias
+        trace.append(epoch_loss / batch_count)
+    return trace, single_class
+
+
+def test_train_matches_per_step_reference_with_single_class_batches():
+    images, labels = scene_batch(size=16, per_class=3)
+    weights = LossWeights((0.7, 1.3))
+    config = TrainConfig(epochs=4, learning_rate=0.05, batch_size=2, seed=8,
+                         margin=0.8)
+    net, ref = default_net(input_size=16, seed=4), default_net(input_size=16, seed=4)
+    _, trace = train(net, images, labels, config, weights)
+    expected, single_class = reference_train(ref, images, labels, config, weights)
+    assert single_class > 0
+    assert repr(trace) == repr(expected)
+    for got, want in zip(net.parameter_arrays(), ref.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_feature_side_sets_the_smallest_input():
+    assert feature_side(10) == 1
+    with pytest.raises(ValueError, match="too small"):
+        feature_side(9)
+    with pytest.raises(ValueError, match="too small"):
+        default_net(input_size=9)
+    for size in (10, 16, 20, 33):
+        assert default_net(input_size=size).layers[-3].din == feature_side(size) ** 2 * 16
 
 
 def test_train_validates_dataset():
