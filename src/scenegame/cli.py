@@ -449,6 +449,12 @@ def _cmd_features(args):
     return 0
 
 
+def _check_crop(crop, size):
+    """Reject a --crop that no --size scene can give, before any work."""
+    if crop is not None and not 1 <= crop <= size:
+        raise CliError(f"--crop {crop} must be between 1 and --size {size}")
+
+
 def _cmd_train(args):
     # Validate the arguments, and build the network, before any scene is drawn.
     config = net_mod.TrainConfig(
@@ -457,8 +463,7 @@ def _cmd_train(args):
         crop_size=args.crop, margin=args.margin,
     )
     weights = net_mod.LossWeights((args.triplet_weight, args.ce_weight))
-    if args.crop is not None and args.crop > args.size:
-        raise CliError(f"--crop {args.crop} exceeds --size {args.size}")
+    _check_crop(args.crop, args.size)
     network = net_mod.default_net(
         input_size=args.size if args.crop is None else args.crop, seed=args.seed)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
@@ -472,6 +477,9 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    _check_crop(args.crop, args.size)
+    if args.images_per_class < 1:
+        raise CliError("--images-per-class must be >= 1")
     network = net_mod.load_net(args.model)
     # Trial 1: scenes that train, which draws trial 0, never sees.
     images, labels = _cell_dataset(args.seed, args.images_per_class,

@@ -58,9 +58,9 @@ def _log_normal(x, mean, variance):
 
 
 def _sample_weights(counts, size):
-    """Validated float64 per-sample weights, or None for unit weights."""
+    """Validated float64 per-sample weights; None means one each."""
     if counts is None:
-        return None
+        return np.ones(size)
     counts = np.asarray(counts, dtype=np.float64)
     if counts.shape != (size,):
         raise ValueError(f"counts must have shape ({size},), got {counts.shape}")
@@ -71,15 +71,21 @@ def _sample_weights(counts, size):
     return counts
 
 
+def _posterior(values, params: GmmParams, counts):
+    """Responsibilities and summed log-likelihood, both from one log joint
+    table log(weight_m * N(x_n; mean_m, var_m)) and its row log-sum-exp."""
+    logp = _log_normal(values[:, None], params.means[None, :], params.variances[None, :])
+    logp += np.log(np.maximum(params.weights[None, :], 1e-300))
+    peak = logp.max(axis=1, keepdims=True)
+    resp = np.exp(logp - peak)
+    totals = resp.sum(axis=1, keepdims=True)
+    return resp / totals, float((peak + np.log(totals))[:, 0] @ counts)
+
+
 def log_likelihood(data, params: GmmParams, counts=None) -> float:
     """Summed log-likelihood; ``counts[n]`` is how many times sample n occurs."""
     data = np.asarray(data, dtype=np.float64)
-    counts = _sample_weights(counts, data.size)
-    logp = _log_normal(data[:, None], params.means[None, :], params.variances[None, :])
-    logp = logp + np.log(np.maximum(params.weights[None, :], 1e-300))
-    m = logp.max(axis=1, keepdims=True)
-    per_sample = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
-    return float(per_sample.sum() if counts is None else per_sample @ counts)
+    return _posterior(data, params, _sample_weights(counts, data.size))[1]
 
 
 def e_step(data, params: GmmParams) -> np.ndarray:
@@ -93,27 +99,20 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    logp = _log_normal(data[:, None], params.means[None, :], params.variances[None, :])
-    logp = logp + np.log(np.maximum(params.weights[None, :], 1e-300))
-    logp -= logp.max(axis=1, keepdims=True)
-    resp = np.exp(logp)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    return _posterior(data, params, _sample_weights(None, data.size))[0]
 
 
 def m_step(data, resp, counts=None) -> GmmParams:
     """Closed-form Q-maximizer: responsibility-weighted weights, means, and
     floored variances. Sample n counts ``counts[n]`` times (default once)."""
     data = np.asarray(data, dtype=np.float64)
-    resp = np.asarray(resp, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
-    if counts is not None:
-        resp = resp * counts[:, None]
+    resp = np.asarray(resp, dtype=np.float64) * counts[:, None]
     totals = resp.sum(axis=0)
     if np.any(totals < 1e-12):
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
-    weights = totals / (data.size if counts is None else counts.sum())
+    weights = totals / counts.sum()
     means = (resp * data[:, None]).sum(axis=0) / totals
     variances = (resp * (data[:, None] - means[None, :]) ** 2).sum(axis=0) / totals
     variances = np.maximum(variances, VARIANCE_FLOOR)
@@ -148,25 +147,25 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
     data = np.asarray(data, dtype=np.float64).ravel()
     if component_count < 1:
         raise ValueError("component_count must be >= 1")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if data.size < component_count:
         raise ValueError(
             f"need at least {component_count} samples, got {data.size}"
         )
     params = _init_params(data, component_count, seed)
     values, counts = np.unique(data, return_counts=True)
-    trace = EmTrace()
-    previous = log_likelihood(values, params, counts)
-    trace.loglik_per_iter.append(previous)
+    counts = _sample_weights(counts, values.size)
+    resp, loglik = _posterior(values, params, counts)
+    trace = EmTrace([loglik])
     for _ in range(max_iters):
-        resp = e_step(values, params)
         params = m_step(values, resp, counts)
-        current = log_likelihood(values, params, counts)
-        trace.loglik_per_iter.append(current)
+        resp, loglik = _posterior(values, params, counts)
+        trace.loglik_per_iter.append(loglik)
         trace.iterations_used += 1
-        if abs(current - previous) < epsilon:
+        if abs(loglik - trace.loglik_per_iter[-2]) < epsilon:
             trace.converged = True
             break
-        previous = current
     return params, trace
 
 

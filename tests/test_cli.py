@@ -384,6 +384,17 @@ def test_cli_segment_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
     assert not fitted and not out.exists()
 
 
+def test_cli_gmm_fit_rejects_negative_max_iters(tmp_path, capsys):
+    src, _ = write_scene(tmp_path)
+    out = tmp_path / "params.txt"
+    argv = ["gmm-fit", "--input", str(src), "--components", "2", "--out", str(out)]
+    assert main([*argv, "--max-iters", "-4"]) == 2
+    assert capsys.readouterr().err == "ERROR: max_iters must be >= 0, got -4\n"
+    assert not out.exists()
+    assert main([*argv, "--max-iters", "0"]) == 0  # the initial parameters
+    assert "iterations = 0" in out.read_text()
+
+
 def test_cli_register_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
     src, _ = write_scene(tmp_path)
     out = tmp_path / "disp.pgm"
@@ -499,13 +510,19 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("bad", [
     "epochs = 0", "batch_size = 0", "learning_rate = -1", "margin = 0",
     "sizes = 8", "train --margin 0", "train --size 16 --crop 20",
-    "train --crop 0", "train --size 9",
+    "train --crop 0", "train --size 9", "eval --size 16 --crop 20",
+    "eval --crop 0", "eval --images-per-class 0", "eval --images-per-class -3",
 ])
 def test_cli_rejects_bad_training_keys_before_any_work(
         tmp_path, capsys, monkeypatch, bad):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
     if bad.startswith("train"):
         argv = [*bad.split(), "--images-per-class", "1", "--out", str(out)]
+    elif bad.startswith("eval"):
+        # A loadable model, so that only the flags under test can stop eval.
+        model = tmp_path / "model.bin"
+        net.save_net(net.default_net(), model)
+        argv = ["eval", "--model", str(model), *bad.split()[1:]]
     else:
         # A later line overrides an earlier one, so `sizes = 8` replaces 20.
         cfg.write_text(f"sizes = 20\nimages_per_class = 2\n{bad}\n")

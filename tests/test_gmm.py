@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scenegame import gmm
 from scenegame.gmm import (
     EmptyComponentError,
     EmTrace,
@@ -148,6 +149,42 @@ def test_fit_rejects_too_many_components():
         fit([1.0, 2.0], 3)
 
 
+def test_fit_rejects_negative_max_iters(monkeypatch):
+    data = [0.1, 0.2, 0.8, 0.9]
+    init = []
+    monkeypatch.setattr(gmm, "_init_params", lambda *a: init.append(a))
+    with pytest.raises(ValueError, match="max_iters"):
+        fit(data, 2, max_iters=-4)
+    assert not init  # rejected before any work
+    monkeypatch.undo()
+    params, trace = fit(data, 2, max_iters=0)  # zero stays valid: the start
+    start = _init_params(np.asarray(data), 2, 0)
+    assert np.array_equal(params.means, start.means)
+    assert (trace.iterations_used, trace.converged) == (0, False)
+    assert trace.loglik_per_iter == [log_likelihood(data, start)]
+
+
+def test_fit_builds_one_density_table_per_parameter_set(monkeypatch):
+    # k iterations see k + 1 parameter sets (the start and one per M-step);
+    # each set's log joint table gives both its responsibilities and its
+    # trace entry.
+    evaluations = []
+    log_normal = gmm._log_normal
+
+    def counting(*args):
+        evaluations.append(1)
+        return log_normal(*args)
+
+    monkeypatch.setattr(gmm, "_log_normal", counting)
+    data = gen_scene(1, 32, 2, 5).plane().astype(np.float64).ravel() / 255.0
+    for max_iters in (0, 1, 7, 200):
+        evaluations.clear()
+        _, trace = fit(data, 3, max_iters=max_iters)
+        assert len(evaluations) == trace.iterations_used + 1
+        assert len(trace.loglik_per_iter) == trace.iterations_used + 1
+    assert trace.converged  # at 68 iterations: the early stop counts too
+
+
 # ---------------------------------------------------------------------------
 # Histogram EM against the per-sample loop
 # ---------------------------------------------------------------------------
@@ -179,6 +216,36 @@ def reference_fit(data, component_count, epsilon=1e-8, max_iters=200, seed=0):
     return params, trace
 
 
+def histogram_reference_fit(data, component_count, epsilon=1e-8,
+                            max_iters=200, seed=0):
+    """fit's histogram loop before one posterior pass served both the E-step
+    and the trace: each iteration calls e_step, m_step and log_likelihood,
+    and builds every parameter set's log joint table twice."""
+    data = np.asarray(data, dtype=np.float64).ravel()
+    if component_count < 1:
+        raise ValueError("component_count must be >= 1")
+    if data.size < component_count:
+        raise ValueError(
+            f"need at least {component_count} samples, got {data.size}"
+        )
+    params = _init_params(data, component_count, seed)
+    values, counts = np.unique(data, return_counts=True)
+    trace = EmTrace()
+    previous = log_likelihood(values, params, counts)
+    trace.loglik_per_iter.append(previous)
+    for _ in range(max_iters):
+        resp = e_step(values, params)
+        params = m_step(values, resp, counts)
+        current = log_likelihood(values, params, counts)
+        trace.loglik_per_iter.append(current)
+        trace.iterations_used += 1
+        if abs(current - previous) < epsilon:
+            trace.converged = True
+            break
+        previous = current
+    return params, trace
+
+
 def fit_outcome(fit_fn, data, component_count, seed):
     try:
         return fit_fn(data, component_count, seed=seed)
@@ -186,9 +253,24 @@ def fit_outcome(fit_fn, data, component_count, seed):
         return str(exc)
 
 
+def exact_outcome(fit_fn, data, component_count, seed):
+    """A fit as bytes: the error, or the parameter bytes, the trace repr,
+    the iteration count and the convergence flag."""
+    outcome = fit_outcome(fit_fn, data, component_count, seed)
+    if isinstance(outcome, str):
+        return outcome
+    params, trace = outcome
+    return (params.weights.tobytes(), params.means.tobytes(),
+            params.variances.tobytes(), repr(trace.loglik_per_iter),
+            trace.iterations_used, trace.converged)
+
+
 def assert_same_fit(data, component_count, seed):
     """fit and reference_fit agree: the same error, or the same iterations
-    and parameters. Returns the outcome."""
+    and parameters. fit is byte-identical to histogram_reference_fit.
+    Returns the outcome."""
+    assert exact_outcome(fit, data, component_count, seed) == exact_outcome(
+        histogram_reference_fit, data, component_count, seed)
     expected = fit_outcome(reference_fit, data, component_count, seed)
     got = fit_outcome(fit, data, component_count, seed)
     if isinstance(expected, str) or isinstance(got, str):
@@ -223,17 +305,31 @@ def test_fit_on_histogram_matches_per_sample_loop_on_distinct_values():
         assert_same_fit(data, 1 + k, seed=k)
 
 
+# Fewer distinct values than components. With two equally common values the
+# middle quantile falls between them, and that component empties.
+HEAVY_TIE_CASES = [(np.repeat([0.2, 0.7], [40, 60]), 3),
+                   (np.repeat([0.2, 0.7], [30, 30]), 3),
+                   (np.full(50, 0.4), 2),
+                   (np.repeat([0.0, 0.9], [22, 22]), 5)]
+
+
 def test_fit_on_histogram_matches_per_sample_loop_on_heavy_ties():
-    # Fewer distinct values than components. With two equally common values
-    # the middle quantile falls between them, and that component empties.
-    cases = [(np.repeat([0.2, 0.7], [40, 60]), 3),
-             (np.repeat([0.2, 0.7], [30, 30]), 3),
-             (np.full(50, 0.4), 2),
-             (np.repeat([0.0, 0.9], [22, 22]), 5)]
     outcomes = [assert_same_fit(data, k, seed)
-                for data, k in cases for seed in range(3)]
+                for data, k in HEAVY_TIE_CASES for seed in range(3)]
     raised = sum(isinstance(o, str) for o in outcomes)
     assert 0 < raised < len(outcomes)  # both branches exercised
+
+
+def test_fit_is_byte_identical_to_histogram_loop_on_scenes():
+    sizes = (16, 32, 64, 96, 128)
+    for class_id in range(5):
+        for noise in (1, 2, 3):
+            size = sizes[(class_id + 2 * noise) % len(sizes)]
+            img = gen_scene(class_id, size, noise, 31 * class_id + noise)
+            data = img.plane().astype(np.float64).ravel() / 255.0
+            k = 1 + (class_id + noise) % 5
+            assert exact_outcome(fit, data, k, noise) == exact_outcome(
+                histogram_reference_fit, data, k, noise), (class_id, noise, k)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +370,8 @@ def test_counts_none_equals_unit_counts():
     resp = e_step(values, WEIGHTED_PARAMS)
     unweighted = m_step(values, resp)
     unit = m_step(values, resp, ones)
-    for name in ("weights", "means", "variances"):
-        np.testing.assert_allclose(getattr(unit, name), getattr(unweighted, name),
-                                   rtol=1e-12)
+    for name in ("weights", "means", "variances"):  # one path: exactly equal
+        assert np.array_equal(getattr(unit, name), getattr(unweighted, name)), name
     assert log_likelihood(values, WEIGHTED_PARAMS, ones) == pytest.approx(
         log_likelihood(values, WEIGHTED_PARAMS), rel=1e-12)
 
