@@ -10,7 +10,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,22 +81,29 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _parse_int_list(value: str):
-    return tuple(int(v) for v in value.split(",") if v.strip())
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise CliError(f"expected on/off, got {value!r}")
+def _parse_value(kind, value: str):
+    """A config value as its field's declared type: a tuple is a
+    comma-separated int list, a bool is on/off, an int or float is itself."""
+    if kind is tuple:
+        return tuple(int(v) for v in value.split(",") if v.strip())
+    if kind is bool:
+        low = value.lower()
+        if low in ("on", "true", "yes", "1"):
+            return True
+        if low in ("off", "false", "no", "0"):
+            return False
+        raise CliError(f"expected on/off, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated parameters of the synthetic accuracy experiment."""
+    """Validated parameters of the synthetic accuracy experiment.
+
+    Each field is one config key: its declared type says how the value
+    parses (_parse_value), and its default is also the default of `train`'s
+    flag of the same name.
+    """
 
     sizes: tuple = (20,)
     noise_levels: tuple = (1,)
@@ -129,34 +136,25 @@ class ExperimentConfig:
             raise CliError("holdout must be in (0, 1)")
         if self.seed < 0:
             raise CliError("seed must be >= 0")
+        if not math.isfinite(self.theta):
+            raise CliError("theta must be finite")
         # The training keys pass the trainer's own checks before any work.
         net_mod.TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
                             batch_size=self.batch_size, margin=self.margin)
         net_mod.LossWeights((self.triplet_weight, self.ce_weight))
 
-    _PARSERS = {
-        "sizes": _parse_int_list,
-        "noise_levels": _parse_int_list,
-        "images_per_class": int,
-        "trials": int,
-        "holdout": float,
-        "epochs": int,
-        "learning_rate": float,
-        "batch_size": int,
-        "margin": float,
-        "triplet_weight": float,
-        "ce_weight": float,
-        "feature_select": _parse_bool,
-        "theta": float,
-        "seed": int,
-    }
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        unknown = sorted(set(mapping) - set(cls._PARSERS))
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(mapping) - set(types))
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {key: cls._PARSERS[key](value) for key, value in mapping.items()}
+        kwargs = {}
+        for key, value in mapping.items():
+            try:
+                kwargs[key] = _parse_value(types[key], value)
+            except ValueError as exc:
+                raise CliError(f"{key}: {exc}") from exc
         return cls(**kwargs)
 
 
@@ -481,21 +479,22 @@ def _cmd_eval(args):
     if args.images_per_class < 1:
         raise CliError("--images-per-class must be >= 1")
     network = net_mod.load_net(args.model)
+    side = args.size if args.crop is None else args.crop
+    try:  # one blank input finds a size the model rejects before any draw
+        net_mod.forward(network, Image(np.zeros((side, side), dtype=np.uint8)))
+    except net_mod.ShapeMismatchError as exc:
+        raise CliError(
+            f"model does not accept {side}x{side} inputs ({exc}); a model "
+            f"trained with --crop C needs eval --crop C"
+        ) from exc
     # Trial 1: scenes that train, which draws trial 0, never sees.
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise, trial=1)
     if args.crop is not None:
         # the centre crop, as train --crop saw it
         images = [net_mod.augment(img, args.crop)[4] for img in images]
-    side = args.size if args.crop is None else args.crop
-    try:
-        hits = sum(net_mod.predict(network, img)[0] == lbl
-                   for img, lbl in zip(images, labels))
-    except net_mod.ShapeMismatchError as exc:
-        raise CliError(
-            f"model does not accept {side}x{side} inputs ({exc}); a model "
-            f"trained with --crop C needs eval --crop C"
-        ) from exc
+    hits = sum(net_mod.predict(network, img)[0] == lbl
+               for img, lbl in zip(images, labels))
     print(f"accuracy = {hits / len(images):.4f}")
     return 0
 
@@ -540,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "classification on synthetic data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ExperimentConfig()
 
     def seed_and_out(p, out_default=None, seed_help=None):
         p.add_argument("--seed", type=int, default=0, help=seed_help)
@@ -594,13 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier on synthetic scenes")
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--noise", type=int, default=1)
-    p.add_argument("--images-per-class", type=int, default=40)
-    p.add_argument("--epochs", type=int, default=12)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=25)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--triplet-weight", type=float, default=1.0)
-    p.add_argument("--ce-weight", type=float, default=1.0)
+    for flag in ("images-per-class", "epochs", "learning-rate", "batch-size",
+                 "margin", "triplet-weight", "ce-weight"):
+        value = getattr(defaults, flag.replace("-", "_"))
+        p.add_argument(f"--{flag}", type=type(value), default=value)
     p.add_argument("--crop", type=int, default=None,
                    help="train on the five C x C crops of each scene")
     p.add_argument("--trace", default=None)

@@ -230,7 +230,10 @@ def select_features(samples, threshold: float) -> tuple:
 
     A column with zero peak-to-peak range has no correlation and is dropped
     first. With fewer than two columns left, each is its own representative.
+    The threshold must be finite.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 3:
         raise ValueError("need a samples-by-features matrix with at least 3 samples")

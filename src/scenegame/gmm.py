@@ -137,8 +137,8 @@ def _init_params(data, component_count, seed):
 def fit(data, component_count: int, epsilon: float = 1e-8,
         max_iters: int = 200, seed: int = 0):
     """Run EM until the absolute change of the summed log-likelihood drops
-    below epsilon or max_iters is hit. Returns (GmmParams, EmTrace); the trace
-    log-likelihoods are nondecreasing within 1e-9.
+    below epsilon (finite, >= 0) or max_iters is hit. Returns (GmmParams,
+    EmTrace); the trace log-likelihoods are nondecreasing within 1e-9.
 
     The parameters start from the samples; the iterations then run on the
     distinct values and their counts, which carry the same sufficient
@@ -149,6 +149,8 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
         raise ValueError("component_count must be >= 1")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if data.size < component_count:
         raise ValueError(
             f"need at least {component_count} samples, got {data.size}"

@@ -70,8 +70,8 @@ class EnergyModel:
             raise ValueError("data_costs must have shape (h, w, L)")
         if not np.all(np.isfinite(dc)):
             raise ValueError("data_costs must be finite")
-        if self.prior_weight < 0:
-            raise ValueError("prior_weight must be >= 0")
+        if not 0 <= self.prior_weight < np.inf:
+            raise ValueError("prior_weight must be finite and >= 0")
         h, w, label_count = dc.shape
         if self.prior_kind == "potts":
             pair = 1.0 - np.eye(label_count)

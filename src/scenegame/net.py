@@ -7,6 +7,7 @@ gradient against central finite differences.
 """
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Strictly positive coefficients of the combined objective."""
+    """Finite, strictly positive coefficients of the combined objective."""
 
     values: tuple
 
@@ -36,8 +37,8 @@ class LossWeights:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("need at least one loss weight")
-        if any(v <= 0 for v in vals):
-            raise ValueError("every loss weight must be > 0")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("every loss weight must be finite and > 0")
         object.__setattr__(self, "values", vals)
 
 
@@ -421,10 +422,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.crop_size is not None and self.crop_size < 1:
             raise ValueError("crop_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 < self.margin < math.inf:
+            raise ValueError("margin must be finite and > 0")
 
 
 def _objective(emb, scores, labels, triplets, weights: LossWeights, margin):
@@ -541,32 +542,33 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
 # ---------------------------------------------------------------------------
 # Checkpoint format
 # ---------------------------------------------------------------------------
-# magic "SGNET001" | u32 layer count | per layer: u8 kind + u32 fields
-# (conv: kh kw cin cout stride; maxpool: window stride; dense: din dout) |
-# parameter tensors per trainable layer, weights then bias, raw little-endian
-# float64 in table order. Kind 3 (average pooling) is retired: no longer
-# written, and rejected on read.
+# magic "SGNET001" | u32 layer count | per layer: u8 kind + the u32 fields
+# that _LAYER_KINDS lists for it | parameter tensors per trainable layer,
+# weights then bias, raw little-endian float64 in table order. Kind 3
+# (average pooling) is retired: no longer written, and rejected on read.
 
 CHECKPOINT_MAGIC = b"SGNET001"
-_KIND_CODES = {Conv2D: 1, MaxPool2D: 2, ReLU: 4, Flatten: 5, Dense: 6}
+# kind code -> (layer class, its u32 constructor fields in record order)
+_LAYER_KINDS = {
+    1: (Conv2D, ("kh", "kw", "cin", "cout", "stride")),
+    2: (MaxPool2D, ("window", "stride")),
+    4: (ReLU, ()),
+    5: (Flatten, ()),
+    6: (Dense, ("din", "dout")),
+}
 
 
 def save_net(net: Network, path):
+    codes = {cls: kind for kind, (cls, _) in _LAYER_KINDS.items()}
     blob = bytearray(CHECKPOINT_MAGIC)
     blob += struct.pack("<I", len(net.layers))
     for layer in net.layers:
-        kind = _KIND_CODES[type(layer)]
-        blob += struct.pack("<B", kind)
-        if isinstance(layer, Conv2D):
-            blob += struct.pack("<5I", layer.kh, layer.kw, layer.cin,
-                                layer.cout, layer.stride)
-        elif isinstance(layer, MaxPool2D):
-            blob += struct.pack("<2I", layer.window, layer.stride)
-        elif isinstance(layer, Dense):
-            blob += struct.pack("<2I", layer.din, layer.dout)
-    for layer in net.trainable():
-        blob += layer.weights.astype("<f8").tobytes()
-        blob += layer.bias.astype("<f8").tobytes()
+        kind = codes[type(layer)]
+        names = _LAYER_KINDS[kind][1]
+        blob += struct.pack(f"<B{len(names)}I", kind,
+                            *(getattr(layer, name) for name in names))
+    for arr in net.parameter_arrays():
+        blob += arr.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
 
@@ -576,41 +578,26 @@ def load_net(path) -> Network:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint (bad magic)")
-    pos = 8
-    (layer_count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(nbytes):
+        nonlocal pos
+        if pos + nbytes > len(blob):
+            raise ValueError("checkpoint truncated")
+        pos += nbytes
+        return blob[pos - nbytes:pos]
+
+    (layer_count,) = struct.unpack("<I", take(4))
     layers = []
     for _ in range(layer_count):
-        (kind,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        if kind == 1:
-            kh, kw, cin, cout, stride = struct.unpack_from("<5I", blob, pos)
-            pos += 20
-            layers.append(Conv2D(kh, kw, cin, cout, stride))
-        elif kind == 2:
-            window, stride = struct.unpack_from("<2I", blob, pos)
-            pos += 8
-            layers.append(MaxPool2D(window, stride))
-        elif kind == 4:
-            layers.append(ReLU())
-        elif kind == 5:
-            layers.append(Flatten())
-        elif kind == 6:
-            din, dout = struct.unpack_from("<2I", blob, pos)
-            pos += 8
-            layers.append(Dense(din, dout))
-        else:
+        kind = take(1)[0]
+        if kind not in _LAYER_KINDS:
             raise ValueError(f"unknown layer kind {kind}")
+        cls, names = _LAYER_KINDS[kind]
+        layers.append(cls(*struct.unpack(f"<{len(names)}I", take(4 * len(names)))))
     net = Network(layers)
-    for layer in net.trainable():
-        for name in ("weights", "bias"):
-            arr = getattr(layer, name)
-            nbytes = arr.size * 8
-            data = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8")
-            if data.size != arr.size:
-                raise ValueError("checkpoint truncated")
-            setattr(layer, name, data.reshape(arr.shape).copy())
-            pos += nbytes
+    for arr in net.parameter_arrays():
+        arr[...] = np.frombuffer(take(arr.nbytes), dtype="<f8").reshape(arr.shape)
     if pos != len(blob):
         raise ValueError("checkpoint has trailing data")
     return net

@@ -1,5 +1,8 @@
 import logging
+import re
 import statistics
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,93 @@ def test_parse_config_rejects_bad_lines():
 def test_experiment_config_unknown_key_fatal():
     with pytest.raises(CliError, match="unknown config keys"):
         ExperimentConfig.from_mapping({"sizes": "20", "bogus": "1"})
+
+
+# The key table that ExperimentConfig.from_mapping read before it parsed each
+# value by its field's declared type; kept verbatim as the exact reference.
+def _parse_int_list(value: str):
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("on", "true", "yes", "1"):
+        return True
+    if low in ("off", "false", "no", "0"):
+        return False
+    raise CliError(f"expected on/off, got {value!r}")
+
+
+REFERENCE_PARSERS = {
+    "sizes": _parse_int_list,
+    "noise_levels": _parse_int_list,
+    "images_per_class": int,
+    "trials": int,
+    "holdout": float,
+    "epochs": int,
+    "learning_rate": float,
+    "batch_size": int,
+    "margin": float,
+    "triplet_weight": float,
+    "ce_weight": float,
+    "feature_select": _parse_bool,
+    "theta": float,
+    "seed": int,
+}
+
+
+def readme_config_block():
+    """(key, value) pairs of the README's `Keys and defaults` block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [tuple(part.strip() for part in line.split("#")[0].split("=", 1))
+            for line in block.splitlines()]
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    def shown(value):
+        if isinstance(value, bool):
+            return "on" if value else "off"
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        return str(value)
+
+    assert readme_config_block() == [
+        (f.name, shown(f.default)) for f in fields(ExperimentConfig)]
+
+
+EDGE_VALUES = ("1,,2", "ON", "0", "off", "3", "2.5", "-1", "nan", "inf", "x", "")
+
+
+@pytest.mark.parametrize("key", list(REFERENCE_PARSERS))
+def test_experiment_config_parses_each_key_as_the_reference_table(key):
+    readme = dict(readme_config_block())
+    for value in (readme[key], *EDGE_VALUES):
+        try:
+            parsed = REFERENCE_PARSERS[key](value)
+        except ValueError:
+            with pytest.raises(CliError, match=f"^{key}: "):
+                ExperimentConfig.from_mapping({key: value})
+            continue
+        try:
+            want = ExperimentConfig(**{key: parsed})
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                ExperimentConfig.from_mapping({key: value})
+            continue
+        got = ExperimentConfig.from_mapping({key: value})
+        assert got == want
+        assert type(getattr(got, key)) is type(parsed)
+
+
+def test_experiment_config_names_the_key_of_a_bad_value():
+    with pytest.raises(CliError, match=r"^sizes: invalid literal for int\(\)"):
+        ExperimentConfig.from_mapping({"sizes": "20,x"})
+    with pytest.raises(CliError, match="^feature_select: expected on/off, got 'maybe'$"):
+        ExperimentConfig.from_mapping({"feature_select": "maybe"})
+    with pytest.raises(CliError, match="^holdout: could not convert"):
+        ExperimentConfig.from_mapping({"holdout": "half"})
 
 
 def test_experiment_config_validation():
@@ -512,6 +602,7 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
     "sizes = 8", "train --margin 0", "train --size 16 --crop 20",
     "train --crop 0", "train --size 9", "eval --size 16 --crop 20",
     "eval --crop 0", "eval --images-per-class 0", "eval --images-per-class -3",
+    "eval --size 30 --images-per-class 40",
 ])
 def test_cli_rejects_bad_training_keys_before_any_work(
         tmp_path, capsys, monkeypatch, bad):
@@ -533,6 +624,46 @@ def test_cli_rejects_bad_training_keys_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("ERROR: ") and err.count("\n") == 1
     assert not drawn and not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    "learning_rate = nan", "margin = nan", "triplet_weight = inf", "theta = nan",
+    "train --learning-rate nan", "train --triplet-weight nan",
+    "train --margin inf", "train --ce-weight inf",
+    "segment --prior-weight nan", "segment --prior-weight inf",
+    "register --prior-weight nan", "features --select nan",
+    "gmm-fit --epsilon nan",
+])
+def test_cli_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, bad):
+    out = tmp_path / "out"
+    command, *flags = bad.split()
+    if command == "train":
+        argv = [command, *flags, "--size", "12", "--images-per-class", "4",
+                "--epochs", "2"]
+    elif command in ("segment", "gmm-fit"):
+        src, _ = write_scene(tmp_path, class_id=1, size=16)
+        argv = [command, "--input", str(src), "--components", "2", *flags]
+    elif command == "register":
+        src, _ = write_scene(tmp_path, size=16)
+        argv = [command, "--fixed", str(src), "--moving", str(src), *flags]
+    elif command == "features":
+        paths = [str(write_scene(tmp_path, f"{k}.pgm", class_id=k)[0])
+                 for k in range(3)]
+        argv = [command, *paths, *flags]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("sizes = 12\nimages_per_class = 4\nepochs = 2\n"
+                       f"feature_select = on\n{bad}\n")
+        argv = ["experiment", "--config", str(cfg)]
+    drawn = []
+    monkeypatch.setattr("scenegame.cli.gen_scene",
+                        lambda *a: drawn.append(a) or gen_scene(*a))
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR: ") and captured.err.count("\n") == 1
+    assert "finite" in captured.err
+    assert not drawn
+    assert {p.suffix for p in tmp_path.iterdir()} <= {".pgm", ".cfg"}  # inputs only
 
 
 def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):

@@ -846,3 +846,131 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"SGNET001" + struct.pack("<IB2I", 1, 3, 2, 2))
     with pytest.raises(ValueError, match="unknown layer kind 3"):
         load_net(path)
+
+
+# The checkpoint writer and reader as they were before one kind table
+# (net._LAYER_KINDS) declared the layer records; kept verbatim as the exact
+# reference for the byte format.
+_KIND_CODES = {Conv2D: 1, MaxPool2D: 2, ReLU: 4, Flatten: 5, Dense: 6}
+
+
+def reference_save_net(net: Network, path):
+    blob = bytearray(b"SGNET001")
+    blob += struct.pack("<I", len(net.layers))
+    for layer in net.layers:
+        kind = _KIND_CODES[type(layer)]
+        blob += struct.pack("<B", kind)
+        if isinstance(layer, Conv2D):
+            blob += struct.pack("<5I", layer.kh, layer.kw, layer.cin,
+                                layer.cout, layer.stride)
+        elif isinstance(layer, MaxPool2D):
+            blob += struct.pack("<2I", layer.window, layer.stride)
+        elif isinstance(layer, Dense):
+            blob += struct.pack("<2I", layer.din, layer.dout)
+    for layer in net.trainable():
+        blob += layer.weights.astype("<f8").tobytes()
+        blob += layer.bias.astype("<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+
+
+def reference_load_net(path) -> Network:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:8] != b"SGNET001":
+        raise ValueError("not a network checkpoint (bad magic)")
+    pos = 8
+    (layer_count,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    layers = []
+    for _ in range(layer_count):
+        (kind,) = struct.unpack_from("<B", blob, pos)
+        pos += 1
+        if kind == 1:
+            kh, kw, cin, cout, stride = struct.unpack_from("<5I", blob, pos)
+            pos += 20
+            layers.append(Conv2D(kh, kw, cin, cout, stride))
+        elif kind == 2:
+            window, stride = struct.unpack_from("<2I", blob, pos)
+            pos += 8
+            layers.append(MaxPool2D(window, stride))
+        elif kind == 4:
+            layers.append(ReLU())
+        elif kind == 5:
+            layers.append(Flatten())
+        elif kind == 6:
+            din, dout = struct.unpack_from("<2I", blob, pos)
+            pos += 8
+            layers.append(Dense(din, dout))
+        else:
+            raise ValueError(f"unknown layer kind {kind}")
+    net = Network(layers)
+    for layer in net.trainable():
+        for name in ("weights", "bias"):
+            arr = getattr(layer, name)
+            nbytes = arr.size * 8
+            data = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8")
+            if data.size != arr.size:
+                raise ValueError("checkpoint truncated")
+            setattr(layer, name, data.reshape(arr.shape).copy())
+            pos += nbytes
+    if pos != len(blob):
+        raise ValueError("checkpoint has trailing data")
+    return net
+
+
+def strided_net(seed):
+    """A stride-2 conv and an overlapping pool, for 14x14 inputs."""
+    rng = np.random.default_rng(seed)
+    return Network([Conv2D(3, 3, 1, 4, stride=2, rng=rng), ReLU(),
+                    MaxPool2D(3, 1), Flatten(), Dense(4 * 4 * 4, 5, rng=rng)])
+
+
+def dense_net(seed):
+    rng = np.random.default_rng(seed)
+    return Network([Dense(6, 4, rng=rng), ReLU(), Dense(4, 3, rng=rng)])
+
+
+CHECKPOINT_SEEDS = (0, 1, 7, 2026)
+CHECKPOINT_NETS = [
+    *[(f"default{size}", lambda seed, size=size: default_net(size, seed))
+      for size in (10, 12, 20, 32)],
+    ("strided", strided_net),
+    ("dense", dense_net),
+]
+
+
+def assert_same_net(a: Network, b: Network):
+    assert [type(layer) for layer in a.layers] == [type(layer) for layer in b.layers]
+    for x, y in zip(a.layers, b.layers):
+        assert vars(x).keys() == vars(y).keys()
+        for name, value in vars(x).items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == getattr(y, name).dtype
+                assert np.array_equal(value, getattr(y, name))
+            elif value is not None:
+                assert value == getattr(y, name)
+
+
+@pytest.mark.parametrize("name, build", CHECKPOINT_NETS,
+                         ids=[name for name, _ in CHECKPOINT_NETS])
+def test_checkpoint_matches_the_reference_format(tmp_path, name, build):
+    ours, ref = tmp_path / "ours.bin", tmp_path / "ref.bin"
+    for seed in CHECKPOINT_SEEDS:
+        net = build(seed)
+        save_net(net, ours)
+        reference_save_net(net, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        loaded = load_net(ref)
+        assert_same_net(loaded, reference_load_net(ref))
+        assert_same_net(loaded, net)
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    path = tmp_path / "model.bin"
+    save_net(strided_net(3), path)
+    blob = path.read_bytes()
+    for cut in range(len(b"SGNET001"), len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="^checkpoint truncated$"):
+            load_net(path)
