@@ -44,8 +44,10 @@ class KeyframePolicy:
     interval_s: float = 3.0
 
     def __post_init__(self):
-        if self.fps <= 0 or self.interval_s <= 0:
+        if self.fps <= 0 or self.interval_s <= 0:  # NaN passes, and fails below
             raise ValueError("fps and interval_s must be > 0")
+        if not math.isfinite(self.fps * self.interval_s):
+            raise ValueError("fps, interval_s and their product must be finite")
 
 
 def keyframe_indices(policy: KeyframePolicy, total_frames: int) -> list:
@@ -81,6 +83,18 @@ def parse_config(text: str) -> dict:
     return out
 
 
+# ExperimentConfig fields and train flags that are TrainConfig fields too.
+TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "margin",
+              "triplet_weight", "ce_weight")
+
+
+def _train_config(source, **extra) -> net_mod.TrainConfig:
+    """The TrainConfig of the TRAIN_KEYS attributes of source (an
+    ExperimentConfig or train's parsed flags), plus extra fields."""
+    return net_mod.TrainConfig(**{key: getattr(source, key) for key in TRAIN_KEYS},
+                               **extra)
+
+
 def _parse_value(kind, value: str):
     """A config value as its field's declared type: a tuple is a
     comma-separated int list, a bool is on/off, an int or float is itself."""
@@ -102,7 +116,7 @@ class ExperimentConfig:
 
     Each field is one config key: its declared type says how the value
     parses (_parse_value), and its default is also the default of `train`'s
-    flag of the same name.
+    flag of the same name. The TRAIN_KEYS fields take TrainConfig's defaults.
     """
 
     sizes: tuple = (20,)
@@ -110,12 +124,12 @@ class ExperimentConfig:
     images_per_class: int = 40
     trials: int = 1
     holdout: float = 0.2
-    epochs: int = 12
-    learning_rate: float = 0.05
-    batch_size: int = 25
-    margin: float = 0.5
-    triplet_weight: float = 1.0
-    ce_weight: float = 1.0
+    epochs: int = net_mod.TrainConfig.epochs
+    learning_rate: float = net_mod.TrainConfig.learning_rate
+    batch_size: int = net_mod.TrainConfig.batch_size
+    margin: float = net_mod.TrainConfig.margin
+    triplet_weight: float = net_mod.TrainConfig.triplet_weight
+    ce_weight: float = net_mod.TrainConfig.ce_weight
     feature_select: bool = False
     theta: float = 0.9
     seed: int = 0
@@ -138,10 +152,7 @@ class ExperimentConfig:
             raise CliError("seed must be >= 0")
         if not math.isfinite(self.theta):
             raise CliError("theta must be finite")
-        # The training keys pass the trainer's own checks before any work.
-        net_mod.TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
-                            batch_size=self.batch_size, margin=self.margin)
-        net_mod.LossWeights((self.triplet_weight, self.ce_weight))
+        _train_config(self)  # the trainer's own checks, before any work
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -253,6 +264,13 @@ def _feature_sidecar_row(train_images, config, size, noise, trial):
     return f"{size}*{size},{noise},{trial},{s_str},{w_str},{objective:.4f}"
 
 
+def _accuracy(network, images, labels) -> float:
+    """Fraction of images whose predicted class is their label."""
+    hits = sum(net_mod.predict(network, img)[0] == lbl
+               for img, lbl in zip(images, labels))
+    return hits / len(images)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Accuracy grid over (size, noise_level, trial) cells.
 
@@ -264,7 +282,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     so far with a failure marker.
     """
     cells = []
-    loss_weights = net_mod.LossWeights((config.triplet_weight, config.ce_weight))
     feature_rows = []
     failure = None
     try:
@@ -282,20 +299,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     network = net_mod.default_net(
                         input_size=size,
                         seed=_image_seed(config.seed, trial, size + noise))
-                    train_cfg = net_mod.TrainConfig(
-                        epochs=config.epochs,
-                        learning_rate=config.learning_rate,
-                        batch_size=config.batch_size,
-                        seed=_image_seed(config.seed, trial, 13 * size + noise),
-                        margin=config.margin,
-                    )
-                    net_mod.train(network, train_x, train_y, train_cfg, loss_weights)
-                    hits = sum(
-                        net_mod.predict(network, img)[0] == lbl
-                        for img, lbl in zip(test_x, test_y)
-                    )
-                    accuracy = hits / len(test_x)
-                    cells.append((size, noise, trial, accuracy))
+                    net_mod.train(network, train_x, train_y, _train_config(
+                        config, seed=_image_seed(config.seed, trial, 13 * size + noise)))
+                    cells.append((size, noise, trial,
+                                  _accuracy(network, test_x, test_y)))
                     if config.feature_select:
                         feature_rows.append(_feature_sidecar_row(
                             train_x, config, size, noise, trial))
@@ -455,18 +462,13 @@ def _check_crop(crop, size):
 
 def _cmd_train(args):
     # Validate the arguments, and build the network, before any scene is drawn.
-    config = net_mod.TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        batch_size=args.batch_size, seed=args.seed,
-        crop_size=args.crop, margin=args.margin,
-    )
-    weights = net_mod.LossWeights((args.triplet_weight, args.ce_weight))
+    config = _train_config(args, seed=args.seed, crop_size=args.crop)
     _check_crop(args.crop, args.size)
     network = net_mod.default_net(
         input_size=args.size if args.crop is None else args.crop, seed=args.seed)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
-    _, trace = net_mod.train(network, images, labels, config, weights)
+    _, trace = net_mod.train(network, images, labels, config)
     net_mod.save_net(network, args.out)
     if args.trace:
         lines = ["epoch,loss"] + [f"{i},{v!r}" for i, v in enumerate(trace)]
@@ -493,9 +495,7 @@ def _cmd_eval(args):
     if args.crop is not None:
         # the centre crop, as train --crop saw it
         images = [net_mod.augment(img, args.crop)[4] for img in images]
-    hits = sum(net_mod.predict(network, img)[0] == lbl
-               for img, lbl in zip(images, labels))
-    print(f"accuracy = {hits / len(images):.4f}")
+    print(f"accuracy = {_accuracy(network, images, labels):.4f}")
     return 0
 
 
@@ -594,10 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier on synthetic scenes")
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--noise", type=int, default=1)
-    for flag in ("images-per-class", "epochs", "learning-rate", "batch-size",
-                 "margin", "triplet-weight", "ce-weight"):
-        value = getattr(defaults, flag.replace("-", "_"))
-        p.add_argument(f"--{flag}", type=type(value), default=value)
+    for key in ("images_per_class", *TRAIN_KEYS):  # dest == key, for _train_config
+        value = getattr(defaults, key)
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(value), default=value)
     p.add_argument("--crop", type=int, default=None,
                    help="train on the five C x C crops of each scene")
     p.add_argument("--trace", default=None)

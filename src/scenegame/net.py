@@ -27,21 +27,6 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Finite, strictly positive coefficients of the combined objective."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("need at least one loss weight")
-        if not all(0 < v < math.inf for v in vals):
-            raise ValueError("every loss weight must be finite and > 0")
-        object.__setattr__(self, "values", vals)
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -314,8 +299,8 @@ def triplet_batch_loss(embeddings, triplets, margin: float):
     the order (a0, p0, n0, a1, ...), so repeated indices accumulate exactly as
     a per-triplet loop would. No rows give a loss of 0.0 and a zero gradient.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
+    if not 0 < margin < math.inf:
+        raise ValueError("margin must be finite and > 0")
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
     index = np.asarray(triplets, dtype=np.intp)
@@ -346,12 +331,10 @@ def softmax_cross_entropy(scores, labels):
     return loss, d_scores / n
 
 
-def combined_loss(weights: LossWeights, terms) -> float:
-    """Weighted sum of loss terms; the weights are validated strictly positive."""
-    terms = tuple(float(t) for t in terms)
-    if len(terms) != len(weights.values):
-        raise ValueError("weight and term counts must match")
-    return float(sum(a * f for a, f in zip(weights.values, terms)))
+def combined_loss(config: "TrainConfig", triplet: float, ce: float) -> float:
+    """The training objective: the triplet and cross-entropy terms weighted by
+    config's strictly positive loss weights."""
+    return config.triplet_weight * triplet + config.ce_weight * ce
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +393,17 @@ def augment(img: Image, crop) -> list:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
+    """Every training setting, with the defaults that `train`'s flags and the
+    experiment's config keys share."""
+
+    epochs: int = 12
     learning_rate: float = 0.05
-    batch_size: int = 32
+    batch_size: int = 25
+    margin: float = 0.5
+    triplet_weight: float = 1.0
+    ce_weight: float = 1.0
     seed: int = 0
     crop_size: int = None  # when set, train on the five crops of each image
-    margin: float = 0.5
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -426,19 +414,20 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and >= 0")
         if not 0 < self.margin < math.inf:
             raise ValueError("margin must be finite and > 0")
+        if not all(0 < w < math.inf for w in (self.triplet_weight, self.ce_weight)):
+            raise ValueError("every loss weight must be finite and > 0")
 
 
-def _objective(emb, scores, labels, triplets, weights: LossWeights, margin):
+def _objective(emb, scores, labels, triplets, config: TrainConfig):
     """The combined (triplet, cross-entropy) loss of one batch and its
     weighted gradients wrt embedding and scores: (loss, d_emb, d_scores)."""
-    trip, d_emb = triplet_batch_loss(emb, triplets, margin)
+    trip, d_emb = triplet_batch_loss(emb, triplets, config.margin)
     ce, d_scores = softmax_cross_entropy(scores, labels)
-    a_trip, a_ce = weights.values
-    return combined_loss(weights, (trip, ce)), a_trip * d_emb, a_ce * d_scores
+    return (combined_loss(config, trip, ce), config.triplet_weight * d_emb,
+            config.ce_weight * d_scores)
 
 
-def train(net: Network, images, labels, config: TrainConfig,
-          weights: LossWeights):
+def train(net: Network, images, labels, config: TrainConfig):
     """Plain SGD on the combined triplet + cross-entropy objective.
 
     Deterministic for a fixed seed. Returns (net, per-epoch mean loss trace);
@@ -451,8 +440,6 @@ def train(net: Network, images, labels, config: TrainConfig,
         raise ValueError("dataset is empty")
     if len(images) != len(labels):
         raise ValueError("images and labels must align")
-    if len(weights.values) != 2:
-        raise ValueError("training uses two loss terms (triplet, cross-entropy)")
     class_count = net.layers[-1].dout
     missing = set(range(class_count)) - set(labels)
     if missing:
@@ -475,8 +462,7 @@ def train(net: Network, images, labels, config: TrainConfig,
             xb, yb = x_all[idx], y_all[idx]
             emb, scores = net.forward(xb)
             triplets = mine_triplets(emb, yb, warn_skipped=False)
-            loss, d_emb, d_scores = _objective(emb, scores, yb, triplets,
-                                               weights, config.margin)
+            loss, d_emb, d_scores = _objective(emb, scores, yb, triplets, config)
             epoch_loss += loss
             batch_count += 1
             net.backward(d_emb, d_scores)
@@ -492,12 +478,12 @@ def train(net: Network, images, labels, config: TrainConfig,
 # Gradient check
 # ---------------------------------------------------------------------------
 
-def grad_check(net: Network, images, labels, weights: LossWeights,
-               margin: float = 0.5, samples: int = 50, step: float = 1e-4,
-               seed: int = 0) -> float:
+def grad_check(net: Network, images, labels, config: TrainConfig,
+               samples: int = 50, step: float = 1e-4, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients
-    over sampled parameters. The triplet set is mined once and frozen so the
-    loss stays smooth at the evaluation point."""
+    over sampled parameters, for the objective that train minimizes under
+    config (its margin and loss weights). The triplet set is mined once and
+    frozen so the loss stays smooth at the evaluation point."""
     if net.parameter_count() > GRAD_CHECK_PARAM_LIMIT:
         raise ValueError(
             f"net has {net.parameter_count()} parameters; grad_check "
@@ -507,11 +493,11 @@ def grad_check(net: Network, images, labels, weights: LossWeights,
     y = np.asarray(labels, dtype=np.int64)
     emb, scores = net.forward(x)
     triplets = mine_triplets(emb, y)
-    _, d_emb, d_scores = _objective(emb, scores, y, triplets, weights, margin)
+    _, d_emb, d_scores = _objective(emb, scores, y, triplets, config)
     net.backward(d_emb, d_scores)
 
     def loss():
-        return _objective(*net.forward(x), y, triplets, weights, margin)[0]
+        return _objective(*net.forward(x), y, triplets, config)[0]
 
     params = net.parameter_arrays()
     grads = [g.copy() for g in net.gradient_arrays()]

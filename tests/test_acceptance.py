@@ -144,8 +144,7 @@ def test_criterion_4_gradient_fidelity():
         for i in range(2):
             images.append(gen_scene(c, 16, 1, 100 + i))
             labels.append(c)
-    err = net_mod.grad_check(network, images, labels,
-                             net_mod.LossWeights((1.0, 1.0)),
+    err = net_mod.grad_check(network, images, labels, net_mod.TrainConfig(),
                              samples=60, seed=11)
     elapsed = time.perf_counter() - started
     assert err < 1e-3

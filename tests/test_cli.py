@@ -1,5 +1,7 @@
 import logging
+import math
 import re
+import shlex
 import statistics
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +15,8 @@ from scenegame.cli import (
     ExperimentConfig,
     KeyframePolicy,
     REPORT_HEADER,
+    _cell_dataset,
+    build_parser,
     gmm_to_text,
     keyframe_indices,
     label_to_action,
@@ -50,6 +54,10 @@ def test_keyframe_policy_validation():
         KeyframePolicy(interval_s=-1)
     with pytest.raises(ValueError):
         keyframe_indices(KeyframePolicy(), -1)
+    for fps, interval_s in ((math.nan, 3.0), (math.inf, 3.0), (20.0, math.nan),
+                            (1e200, 1e200)):
+        with pytest.raises(ValueError, match="fps, interval_s and their product"):
+            KeyframePolicy(fps=fps, interval_s=interval_s)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +537,50 @@ def test_cli_train_eval(tmp_path, capsys):
     assert out.startswith("accuracy = ")
 
 
+def test_cli_train_flags_set_the_matching_train_config_fields(tmp_path):
+    """Every flag train shares with TrainConfig, at a non-default value, gives
+    the checkpoint of net.train under the TrainConfig of the same values; the
+    swapped loss weights give another."""
+    model = tmp_path / "cli.bin"
+    assert main(["train", "--size", "16", "--images-per-class", "4",
+                 "--epochs", "3", "--learning-rate", "0.03", "--batch-size", "7",
+                 "--margin", "0.3", "--triplet-weight", "0.7", "--ce-weight", "1.3",
+                 "--crop", "14", "--seed", "5", "--out", str(model)]) == 0
+    images, labels = _cell_dataset(5, 4, 16, 1)  # the scenes train draws
+
+    def checkpoint(triplet_weight, ce_weight):
+        config = net.TrainConfig(epochs=3, learning_rate=0.03, batch_size=7,
+                                 margin=0.3, triplet_weight=triplet_weight,
+                                 ce_weight=ce_weight, seed=5, crop_size=14)
+        network = net.default_net(input_size=14, seed=5)
+        net.train(network, images, labels, config)
+        path = tmp_path / f"direct-{triplet_weight}.bin"
+        net.save_net(network, path)
+        return path.read_bytes()
+
+    assert model.read_bytes() == checkpoint(0.7, 1.3)
+    assert model.read_bytes() != checkpoint(1.3, 0.7)
+
+
+def readme_cli_examples():
+    """The `scenegame ...` commands of the README's CLI block, continuation
+    lines joined, as argument lists."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("scenegame ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    assert len(examples) == 13
+    parser = build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_cli_eval_scores_scenes_train_never_saw(tmp_path, capsys, monkeypatch):
     seen = {"train": [], "eval": []}
     real_train, real_predict = net.train, net.predict
@@ -686,6 +738,18 @@ def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    "--fps nan", "--fps inf", "--interval nan", "--interval inf",
+    "--fps 1e200 --interval 1e200",
+])
+def test_cli_keyframes_rejects_non_finite_values(capsys, flags):
+    assert main(["keyframes", *flags.split(), "--total", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: ") and captured.err.count("\n") == 1
+    assert "finite" in captured.err
 
 
 def test_cli_keyframes(capsys):

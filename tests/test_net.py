@@ -1,15 +1,17 @@
 import logging
+import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from scenegame import net as net_mod
 from scenegame.image import Image, gen_scene
 from scenegame.net import (
     Conv2D,
     Dense,
     Flatten,
-    LossWeights,
     MaxPool2D,
     Network,
     ReLU,
@@ -402,28 +404,106 @@ def test_triplet_batch_loss_matches_per_triplet_reference():
         assert loss == 0.0 and grad.tobytes() == np.zeros((2, 3)).tobytes()
 
 
-def test_combined_loss_single_term():
-    assert combined_loss(LossWeights((1.0,)), (0.7,)) == 0.7
-
-
 def test_combined_loss_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        LossWeights((1.0, 0.0))
-    with pytest.raises(ValueError):
-        LossWeights((-1.0,))
+    for weights in ((1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError,
+                           match="^every loss weight must be finite and > 0$"):
+            TrainConfig(triplet_weight=weights[0], ce_weight=weights[1])
 
 
 def test_combined_loss_weighted_sum():
-    assert combined_loss(LossWeights((2.0, 3.0)), (0.5, 1.0)) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        combined_loss(LossWeights((1.0,)), (0.5, 1.0))
+    config = TrainConfig(triplet_weight=2.0, ce_weight=3.0)
+    assert combined_loss(config, 0.5, 1.0) == pytest.approx(4.0)
 
 
 def test_combined_loss_monotone_in_terms():
-    w = LossWeights((0.5, 2.0))
-    base = combined_loss(w, (1.0, 1.0))
-    assert combined_loss(w, (1.5, 1.0)) > base
-    assert combined_loss(w, (1.0, 1.5)) > base
+    config = TrainConfig(triplet_weight=0.5, ce_weight=2.0)
+    base = combined_loss(config, 1.0, 1.0)
+    assert combined_loss(config, 1.5, 1.0) > base
+    assert combined_loss(config, 1.0, 1.5) > base
+
+
+# The combined objective before TrainConfig carried the margin and both loss
+# weights; kept verbatim as the exact reference for loss and gradients.
+@dataclass(frozen=True)
+class reference_LossWeights:
+    """Finite, strictly positive coefficients of the combined objective."""
+
+    values: tuple
+
+    def __post_init__(self):
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise ValueError("need at least one loss weight")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("every loss weight must be finite and > 0")
+        object.__setattr__(self, "values", vals)
+
+
+def reference_combined_loss(weights: reference_LossWeights, terms) -> float:
+    """Weighted sum of loss terms; the weights are validated strictly positive."""
+    terms = tuple(float(t) for t in terms)
+    if len(terms) != len(weights.values):
+        raise ValueError("weight and term counts must match")
+    return float(sum(a * f for a, f in zip(weights.values, terms)))
+
+
+def reference__objective(emb, scores, labels, triplets, weights: reference_LossWeights,
+                         margin):
+    """The combined (triplet, cross-entropy) loss of one batch and its
+    weighted gradients wrt embedding and scores: (loss, d_emb, d_scores)."""
+    trip, d_emb = triplet_batch_loss(emb, triplets, margin)
+    ce, d_scores = softmax_cross_entropy(scores, labels)
+    a_trip, a_ce = weights.values
+    return reference_combined_loss(weights, (trip, ce)), a_trip * d_emb, a_ce * d_scores
+
+
+# (margin, triplet_weight, ce_weight): the defaults, then non-default values
+OBJECTIVE_GRID = ((0.5, 1.0, 1.0), (0.3, 0.7, 1.3), (1.7, 2.5, 0.4),
+                  (0.05, 1e-3, 3.0), (4.0, 1, 2))
+
+
+def reference_objective_of(config):
+    """net._objective's signature, computed by the reference objective."""
+    weights = reference_LossWeights((config.triplet_weight, config.ce_weight))
+    return lambda emb, scores, labels, triplets, _config: reference__objective(
+        emb, scores, labels, triplets, weights, config.margin)
+
+
+@pytest.mark.parametrize("margin,triplet_weight,ce_weight", OBJECTIVE_GRID)
+def test_objective_matches_the_reference_objective(margin, triplet_weight, ce_weight):
+    config = TrainConfig(margin=margin, triplet_weight=triplet_weight,
+                         ce_weight=ce_weight)
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        emb = rng.normal(0, 1, (12, 4))
+        scores = rng.normal(0, 2, (12, 5))
+        labels = rng.integers(0, 3, 12)
+        triplets = mine_triplets(emb, labels, warn_skipped=False)
+        got = net_mod._objective(emb, scores, labels, triplets, config)
+        want = reference_objective_of(config)(emb, scores, labels, triplets, None)
+        assert repr(got[0]) == repr(want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("margin,triplet_weight,ce_weight", OBJECTIVE_GRID)
+def test_train_and_grad_check_match_the_reference_objective(
+        monkeypatch, margin, triplet_weight, ce_weight):
+    images, labels = scene_batch(size=16)
+    config = TrainConfig(epochs=2, learning_rate=0.05, batch_size=4, seed=3,
+                         margin=margin, triplet_weight=triplet_weight,
+                         ce_weight=ce_weight)
+    net, ref = default_net(input_size=16, seed=5), default_net(input_size=16, seed=5)
+    err = grad_check(net, images, labels, config, samples=20, seed=2)
+    _, trace = train(net, images, labels, config)
+    monkeypatch.setattr(net_mod, "_objective", reference_objective_of(config))
+    expected_err = grad_check(ref, images, labels, config, samples=20, seed=2)
+    _, expected = train(ref, images, labels, config)
+    assert repr(err) == repr(expected_err)
+    assert repr(trace) == repr(expected)
+    for got, want in zip(net.parameter_arrays(), ref.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +514,14 @@ def test_grad_check_linear_net():
     rng = np.random.default_rng(51)
     net = Network([Flatten(), Dense(64, 16, rng=rng), Dense(16, 5, rng=rng)])
     images, labels = scene_batch(size=8)
-    err = grad_check(net, images, labels, LossWeights((1.0, 1.0)), seed=5)
+    err = grad_check(net, images, labels, TrainConfig(), seed=5)
     assert err < 1e-6
 
 
 def test_grad_check_default_stack():
     net = default_net(input_size=16, seed=3)
     images, labels = scene_batch(size=16)
-    err = grad_check(net, images, labels, LossWeights((1.0, 1.0)),
-                     samples=60, seed=11)
+    err = grad_check(net, images, labels, TrainConfig(), samples=60, seed=11)
     assert err < 1e-3
 
 
@@ -451,7 +530,7 @@ def test_grad_check_rejects_large_nets():
     assert net.parameter_count() > 5000
     images, labels = scene_batch(size=20)
     with pytest.raises(ValueError):
-        grad_check(net, images, labels, LossWeights((1.0, 1.0)))
+        grad_check(net, images, labels, TrainConfig())
 
 
 def test_parameter_only_backward_matches_full_backward():
@@ -506,7 +585,7 @@ def test_backward_stops_before_layers_without_parameters():
     images, labels = scene_batch(size=8, per_class=2)
     calls = spy_on_backward(net)
     config = TrainConfig(epochs=40, learning_rate=0.05, batch_size=10, seed=2)
-    _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    _, trace = train(net, images, labels, config)
     assert trace[-1] < 0.5 * trace[0]
     assert calls[:3] == [(3, {}), (2, {}), (1, {"input_grad": False})]
     assert {index for index, _ in calls} == {1, 2, 3}  # Flatten is never called
@@ -516,7 +595,6 @@ def test_gradients_and_criterion_4_value_match_full_backward(monkeypatch):
     """Criterion 4's setup: the parameter gradients, and so grad_check's
     value, are the same bytes as with the full backward to the input."""
     images, labels = scene_batch(size=16)
-    weights = LossWeights((1.0, 1.0))
     net, ref = default_net(input_size=16, seed=3), default_net(input_size=16, seed=3)
     monkeypatch.setattr(ref, "backward", lambda d_emb, d_scores:
                         reference_network_backward(ref, d_emb, d_scores))
@@ -527,8 +605,8 @@ def test_gradients_and_criterion_4_value_match_full_backward(monkeypatch):
         model.backward(d_emb, np.ones_like(scores))
     for got, expected in zip(net.gradient_arrays(), ref.gradient_arrays()):
         assert got.tobytes() == expected.tobytes()
-    err = grad_check(net, images, labels, weights, samples=60, seed=11)
-    expected_err = grad_check(ref, images, labels, weights, samples=60, seed=11)
+    err = grad_check(net, images, labels, TrainConfig(), samples=60, seed=11)
+    expected_err = grad_check(ref, images, labels, TrainConfig(), samples=60, seed=11)
     assert repr(err) == repr(expected_err)
 
 
@@ -654,9 +732,10 @@ def test_mine_single_class_batch_mines_no_row(caplog):
 
 
 def test_triplet_margin_validation():
-    for margin in (0.0, -0.5):
+    # NaN fails every comparison, so a `margin <= 0` check would let it through
+    for margin in (0.0, -0.5, math.nan, math.inf):
         for triplets in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.intp)):
-            with pytest.raises(ValueError, match="margin"):
+            with pytest.raises(ValueError, match="^margin must be finite and > 0$"):
                 triplet_batch_loss(np.zeros((3, 2)), triplets, margin)
 
 
@@ -709,7 +788,7 @@ def test_train_zero_learning_rate_keeps_parameters():
     before = [a.copy() for a in net.parameter_arrays()]
     images, labels = scene_batch(size=16)
     config = TrainConfig(epochs=2, learning_rate=0.0, batch_size=4, seed=0)
-    train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    train(net, images, labels, config)
     for a, b in zip(net.parameter_arrays(), before):
         assert np.array_equal(a, b)
 
@@ -718,7 +797,7 @@ def test_train_overfits_small_batch():
     net = default_net(input_size=16, seed=4)
     images, labels = scene_batch(size=16, per_class=2)
     config = TrainConfig(epochs=200, learning_rate=0.05, batch_size=10, seed=1)
-    _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    _, trace = train(net, images, labels, config)
     assert trace[-1] < 0.10 * trace[0]
     for img, lbl in zip(images, labels):
         assert predict(net, img)[0] == lbl
@@ -730,7 +809,7 @@ def test_train_deterministic_per_seed():
     for _ in range(2):
         net = default_net(input_size=16, seed=6)
         config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=5, seed=21)
-        _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
+        _, trace = train(net, images, labels, config)
         traces.append(trace)
     assert traces[0] == traces[1]
 
@@ -759,7 +838,7 @@ def reference_train(net, images, labels, config, weights):
                 single_class += 1
                 trip, d_emb = 0.0, np.zeros_like(emb)
             a_trip, a_ce = weights.values
-            epoch_loss += combined_loss(weights, (trip, ce))
+            epoch_loss += reference_combined_loss(weights, (trip, ce))
             batch_count += 1
             net.backward(a_trip * d_emb, a_ce * d_scores)
             for layer in net.trainable():
@@ -771,11 +850,11 @@ def reference_train(net, images, labels, config, weights):
 
 def test_train_matches_per_step_reference_with_single_class_batches():
     images, labels = scene_batch(size=16, per_class=3)
-    weights = LossWeights((0.7, 1.3))
+    weights = reference_LossWeights((0.7, 1.3))
     config = TrainConfig(epochs=4, learning_rate=0.05, batch_size=2, seed=8,
-                         margin=0.8)
+                         margin=0.8, triplet_weight=0.7, ce_weight=1.3)
     net, ref = default_net(input_size=16, seed=4), default_net(input_size=16, seed=4)
-    _, trace = train(net, images, labels, config, weights)
+    _, trace = train(net, images, labels, config)
     expected, single_class = reference_train(ref, images, labels, config, weights)
     assert single_class > 0
     assert repr(trace) == repr(expected)
@@ -796,10 +875,10 @@ def test_feature_side_sets_the_smallest_input():
 def test_train_validates_dataset():
     net = default_net(input_size=16, seed=0)
     with pytest.raises(ValueError):
-        train(net, [], [], TrainConfig(), LossWeights((1.0, 1.0)))
+        train(net, [], [], TrainConfig())
     images, labels = scene_batch(size=16, per_class=1)
     with pytest.raises(ValueError, match="missing classes"):
-        train(net, images[:3], labels[:3], TrainConfig(), LossWeights((1.0, 1.0)))
+        train(net, images[:3], labels[:3], TrainConfig())
 
 
 def test_train_with_augmentation_runs():
@@ -807,7 +886,7 @@ def test_train_with_augmentation_runs():
     net = default_net(input_size=16, seed=0)
     config = TrainConfig(epochs=1, learning_rate=0.01, batch_size=10, seed=0,
                          crop_size=16)
-    _, trace = train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    _, trace = train(net, images, labels, config)
     assert len(trace) == 1
 
 
@@ -826,7 +905,7 @@ def test_checkpoint_round_trip(tmp_path):
     net = default_net(input_size=16, seed=8)
     images, labels = scene_batch(size=16)
     config = TrainConfig(epochs=1, learning_rate=0.05, batch_size=5, seed=3)
-    train(net, images, labels, config, LossWeights((1.0, 1.0)))
+    train(net, images, labels, config)
     path = tmp_path / "model.bin"
     save_net(net, path)
     loaded = load_net(path)
