@@ -71,21 +71,28 @@ def _sample_weights(counts, size):
     return counts
 
 
-def _posterior(values, params: GmmParams, counts):
-    """Responsibilities and summed log-likelihood, both from one log joint
-    table log(weight_m * N(x_n; mean_m, var_m)) and its row log-sum-exp."""
-    logp = _log_normal(values[:, None], params.means[None, :], params.variances[None, :])
-    logp += np.log(np.maximum(params.weights[None, :], 1e-300))
+def _posterior(values, mixture, counts):
+    """Responsibilities and summed log-likelihood under mixture = (weights,
+    means, variances), both from one log joint table
+    log(weight_m * N(x_n; mean_m, var_m)) and its row log-sum-exp."""
+    weights, means, variances = mixture
+    logp = _log_normal(values[:, None], means[None, :], variances[None, :])
+    logp += np.log(np.maximum(weights[None, :], 1e-300))
     peak = logp.max(axis=1, keepdims=True)
     resp = np.exp(logp - peak)
     totals = resp.sum(axis=1, keepdims=True)
     return resp / totals, float((peak + np.log(totals))[:, 0] @ counts)
 
 
+def _arrays(params: GmmParams):
+    """The (weights, means, variances) form the EM loop works on."""
+    return params.weights, params.means, params.variances
+
+
 def log_likelihood(data, params: GmmParams, counts=None) -> float:
     """Summed log-likelihood; ``counts[n]`` is how many times sample n occurs."""
     data = np.asarray(data, dtype=np.float64)
-    return _posterior(data, params, _sample_weights(counts, data.size))[1]
+    return _posterior(data, _arrays(params), _sample_weights(counts, data.size))[1]
 
 
 def e_step(data, params: GmmParams) -> np.ndarray:
@@ -99,7 +106,7 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    return _posterior(data, params, _sample_weights(None, data.size))[0]
+    return _posterior(data, _arrays(params), _sample_weights(None, data.size))[0]
 
 
 def m_step(data, resp, counts=None) -> GmmParams:
@@ -107,16 +114,22 @@ def m_step(data, resp, counts=None) -> GmmParams:
     floored variances. Sample n counts ``counts[n]`` times (default once)."""
     data = np.asarray(data, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
-    resp = np.asarray(resp, dtype=np.float64) * counts[:, None]
+    return GmmParams(*_m_step(data, np.asarray(resp, dtype=np.float64), counts))
+
+
+def _m_step(values, resp, counts):
+    """m_step's arithmetic on float64 arrays whose counts are already checked:
+    the (weights, means, variances) arrays. An empty component still raises
+    EmptyComponentError."""
+    resp = resp * counts[:, None]
     totals = resp.sum(axis=0)
     if np.any(totals < 1e-12):
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
     weights = totals / counts.sum()
-    means = (resp * data[:, None]).sum(axis=0) / totals
-    variances = (resp * (data[:, None] - means[None, :]) ** 2).sum(axis=0) / totals
-    variances = np.maximum(variances, VARIANCE_FLOOR)
-    return GmmParams(weights=weights, means=means, variances=variances)
+    means = (resp * values[:, None]).sum(axis=0) / totals
+    variances = (resp * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / totals
+    return weights, means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def _init_params(data, component_count, seed):
@@ -155,20 +168,21 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
         raise ValueError(
             f"need at least {component_count} samples, got {data.size}"
         )
-    params = _init_params(data, component_count, seed)
+    mixture = _arrays(_init_params(data, component_count, seed))
     values, counts = np.unique(data, return_counts=True)
+    # Checked once here; the loop's M-steps run unchecked on these arrays.
     counts = _sample_weights(counts, values.size)
-    resp, loglik = _posterior(values, params, counts)
+    resp, loglik = _posterior(values, mixture, counts)
     trace = EmTrace([loglik])
     for _ in range(max_iters):
-        params = m_step(values, resp, counts)
-        resp, loglik = _posterior(values, params, counts)
+        mixture = _m_step(values, resp, counts)
+        resp, loglik = _posterior(values, mixture, counts)
         trace.loglik_per_iter.append(loglik)
         trace.iterations_used += 1
         if abs(loglik - trace.loglik_per_iter[-2]) < epsilon:
             trace.converged = True
             break
-    return params, trace
+    return GmmParams(*mixture), trace
 
 
 def data_costs(img, params: GmmParams) -> np.ndarray:

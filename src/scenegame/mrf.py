@@ -160,18 +160,21 @@ def _neighbors(model: EnergyModel, sites):
     return nbrs, scales
 
 
-def _diagonal_fronts(model: EnergyModel):
-    """The flat sites of each anti-diagonal r + c = d, in increasing d and,
-    within a diagonal, increasing row, with their _neighbors rows: a list of
-    (sites, nbrs, scales) views into one table built for the whole grid."""
+def _parity_table(model: EnergyModel):
+    """Every flat site ordered by (diagonal parity, anti-diagonal r + c,
+    row), with its _neighbors rows, and each diagonal's start and end offset
+    in that table. Diagonals d, d + 2, ..., d + 2k are one contiguous slice.
+    Returns (sites, nbrs, scales, diagonal of each flat site, starts, ends)."""
     h, w = model.height, model.width
     diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
-    order = np.argsort(diagonal, kind="stable")
-    nbrs, scales = _neighbors(model, order)
-    sizes = np.bincount(diagonal)
-    ends = np.cumsum(sizes)
-    return [(order[lo:hi], nbrs[:, lo:hi], scales[:, lo:hi])
-            for lo, hi in zip(ends - sizes, ends)]
+    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
+    nbrs, scales = _neighbors(model, sites)
+    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
+    sizes = np.bincount(diagonal)[in_order]
+    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
+    ends[in_order] = np.cumsum(sizes)
+    starts[in_order] = ends[in_order] - sizes
+    return sites, nbrs, scales, diagonal, starts, ends
 
 
 def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
@@ -207,48 +210,76 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     d - 1) and the old right and lower ones (diagonal d + 1), and no two
     sites of one diagonal are neighbors, so this gives the raster labels.
 
+    Sweeps are pipelined: at step t, sweep j (from 0) updates diagonal
+    t - 2j, and all sweeps in flight go to the kernel in one call. Sweep j
+    reads its own labels on d - 1, set at step t - 1, and sweep j - 1's final
+    labels on d + 1, also set at step t - 1; the active diagonals share a
+    parity, so none is next to another. Each site thus sees the labels it
+    sees in sequential sweeps. Sweep j ends at step D - 1 + 2j (D diagonals);
+    its trace energy is taken on the labels as of its end, a copy kept apart
+    from the moves of the sweeps behind it.
+
     Only dirty sites are scored: all of them in the first sweep, then those
     with a neighbor that moved since they were last scored. A moving site
-    marks its four neighbors; the right and lower ones lie on diagonal d + 1
-    and are scored later in the same sweep, the left and upper ones were
-    already passed and are scored next sweep. A clean site's cost row would
+    marks its four neighbors; each mark is consumed by the site's next visit,
+    which is the same visit in both schedules. A clean site's cost row would
     be the same bit for bit, and it already holds a label no other label
     strictly beats, so it would not move: skipping it leaves the raster
-    labels and trace unchanged.
+    labels and trace unchanged. A sweep that moves nothing leaves no mark
+    for the sweeps behind it, so they move nothing either.
     """
     h, w, label_count = model.data_costs.shape
-    fronts = _diagonal_fronts(model)
+    diagonals = h + w - 1
+    table, nbrs, scales, diagonal, starts, ends = _parity_table(model)
     flat = labels.labels.ravel().copy()
+    settled = flat.copy()  # the labels as of the last sweep that ended
     dirty = np.ones(flat.size, dtype=bool)
+    pending = []  # (sites, new labels, sweep) of moves not yet in settled
     trace = []
-    sweep = first_sweep
+    t = 0
     while True:
-        changed = 0
-        for sites, nbrs, scales in fronts:
-            todo = dirty[sites]
-            count = np.count_nonzero(todo)
-            if count == 0:
-                continue
-            if count < sites.size:
-                keep = todo.nonzero()[0]
-                sites, nbrs, scales = sites[keep], nbrs[:, keep], scales[:, keep]
-            dirty[sites] = False
-            costs = _site_costs(model, flat, sites, nbrs, scales)
-            rows = np.arange(count)
-            best = costs.argmin(axis=1)
-            move = costs[rows, best] < costs[rows, flat[sites]]
-            moved = int(np.count_nonzero(move))
-            if moved:
-                flat[sites[move]] = best[move]
-                # Right and lower neighbors rescore this sweep, left and upper
-                # ones next sweep; a border side marks the mover itself.
-                dirty[nbrs[:, move]] = True
-                changed += moved
-        trace.append(SweepRecord(sweep=sweep, energy=_energy(model, flat.reshape(h, w)),
-                                 changed=changed, temperature=0.0))
-        if changed == 0 or len(trace) == max_sweeps:
-            return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
-        sweep += 1
+        # Sweeps oldest..newest are active: each has a diagonal t - 2j in
+        # range, and no sweep at or past max_sweeps starts.
+        oldest = max(0, (t - diagonals + 2) // 2)
+        newest = t // 2 if max_sweeps is None else min(t // 2, max_sweeps - 1)
+        if oldest <= newest:
+            lo, hi = starts[t - 2 * newest], ends[t - 2 * oldest]
+            keep = dirty[table[lo:hi]].nonzero()[0]
+            if keep.size == hi - lo:
+                sites, near, scale = table[lo:hi], nbrs[:, lo:hi], scales[:, lo:hi]
+            else:
+                at = keep + lo
+                sites, near, scale = table[at], nbrs[:, at], scales[:, at]
+            if sites.size:
+                dirty[sites] = False
+                costs = _site_costs(model, flat, sites, near, scale)
+                rows = np.arange(sites.size)
+                best = costs.argmin(axis=1)
+                move = costs[rows, best] < costs[rows, flat[sites]]
+                if move.any():
+                    movers = sites[move]
+                    flat[movers] = best[move]
+                    # Each neighbor is scored at its next visit; a border
+                    # side marks the mover itself.
+                    dirty[near[:, move]] = True
+                    pending.append((movers, best[move], (t - diagonal[movers]) // 2))
+        ended = t - diagonals + 1
+        if ended >= 0 and ended % 2 == 0:
+            sweep = ended // 2
+            changed = 0
+            if pending:
+                movers, new, owner = (np.concatenate(part) for part in zip(*pending))
+                own = owner == sweep
+                changed = int(np.count_nonzero(own))
+                settled[movers[own]] = new[own]
+                later = ~own
+                pending = [(movers[later], new[later], owner[later])] if changed < own.size else []
+            trace.append(SweepRecord(sweep=first_sweep + sweep,
+                                     energy=_energy(model, settled.reshape(h, w)),
+                                     changed=changed, temperature=0.0))
+            if changed == 0 or len(trace) == max_sweeps:
+                return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
+        t += 1
 
 
 def check_max_sweeps(max_sweeps: int):

@@ -484,6 +484,10 @@ def grad_check(net: Network, images, labels, config: TrainConfig,
     over sampled parameters, for the objective that train minimizes under
     config (its margin and loss weights). The triplet set is mined once and
     frozen so the loss stays smooth at the evaluation point."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
     if net.parameter_count() > GRAD_CHECK_PARAM_LIMIT:
         raise ValueError(
             f"net has {net.parameter_count()} parameters; grad_check "

@@ -185,6 +185,24 @@ def test_fit_builds_one_density_table_per_parameter_set(monkeypatch):
     assert trace.converged  # at 68 iterations: the early stop counts too
 
 
+def test_fit_checks_counts_once_and_keeps_the_empty_component_check(monkeypatch):
+    # fit builds the counts itself and checks them once; the iterations run
+    # the unchecked M-step, which still stops on an empty component.
+    checks = []
+    sample_weights = gmm._sample_weights
+
+    def counting(counts, size):
+        checks.append(size)
+        return sample_weights(counts, size)
+
+    monkeypatch.setattr(gmm, "_sample_weights", counting)
+    data = gen_scene(1, 32, 2, 5).plane().astype(np.float64).ravel() / 255.0
+    _, trace = fit(data, 3)
+    assert trace.iterations_used > 1 and len(checks) == 1
+    with pytest.raises(EmptyComponentError):
+        fit(np.repeat([0.0, 0.9], [22, 22]), 5)
+
+
 # ---------------------------------------------------------------------------
 # Histogram EM against the per-sample loop
 # ---------------------------------------------------------------------------

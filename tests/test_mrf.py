@@ -14,9 +14,9 @@ from scenegame.mrf import (
     SmoothnessField,
     SweepRecord,
     _check_dims,
-    _diagonal_fronts,
     _gibbs_weights,
     _neighbors,
+    _parity_table,
     _site_costs,
     build_registration_game,
     build_segmentation_game,
@@ -315,9 +315,79 @@ def reference_descend(model, labels, first_sweep=1, max_sweeps=None):
         sweep += 1
 
 
-def test_icm_matches_sequential_raster_reference():
-    # The anti-diagonal sweep must reproduce the per-site raster loop exactly:
-    # labels and every trace field, ties and sweep cuts included.
+def per_diagonal_descend(model, labels, first_sweep=1, max_sweeps=None):
+    """The sequential-sweep schedule: each sweep scores the dirty sites of one
+    anti-diagonal per kernel call, in increasing diagonal, and ends before
+    the next sweep starts. The pipelined _descend must match it exactly."""
+    h, w, label_count = model.data_costs.shape
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    order = np.argsort(diagonal, kind="stable")
+    table_nbrs, table_scales = _neighbors(model, order)
+    sizes = np.bincount(diagonal)
+    ends = np.cumsum(sizes)
+    fronts = [(order[lo:hi], table_nbrs[:, lo:hi], table_scales[:, lo:hi])
+              for lo, hi in zip(ends - sizes, ends)]
+    flat = labels.labels.ravel().copy()
+    dirty = np.ones(flat.size, dtype=bool)
+    trace = []
+    sweep = first_sweep
+    while True:
+        changed = 0
+        for sites, nbrs, scales in fronts:
+            keep = dirty[sites].nonzero()[0]
+            if keep.size == 0:
+                continue
+            sites, nbrs, scales = sites[keep], nbrs[:, keep], scales[:, keep]
+            dirty[sites] = False
+            costs = _site_costs(model, flat, sites, nbrs, scales)
+            rows = np.arange(keep.size)
+            best = costs.argmin(axis=1)
+            move = costs[rows, best] < costs[rows, flat[sites]]
+            flat[sites[move]] = best[move]
+            dirty[nbrs[:, move]] = True
+            changed += int(np.count_nonzero(move))
+        trace.append(SweepRecord(sweep=sweep, energy=mrf._energy(model, flat.reshape(h, w)),
+                                 changed=changed, temperature=0.0))
+        if changed == 0 or len(trace) == max_sweeps:
+            return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
+        sweep += 1
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+
+    def counting(model, flat, sites, nbrs, scales):
+        calls.append(len(sites))
+        return _site_costs(model, flat, sites, nbrs, scales)
+
+    monkeypatch.setattr(mrf, "_site_costs", counting)
+    return calls
+
+
+def assert_pipelined_matches(model, init, calls, first_sweep=1, max_sweeps=None,
+                             raster=True):
+    """Pipelined _descend against the per-diagonal schedule and, if raster,
+    the per-site reference: the same label bytes and trace repr, and at most
+    one kernel call per step of the pipeline."""
+    calls.clear()
+    out, trace = mrf._descend(model, init, first_sweep, max_sweeps)
+    steps = model.height + model.width - 1 + 2 * (len(trace) - 1)
+    assert len(calls) <= steps
+    references = [per_diagonal_descend(model, init, first_sweep, max_sweeps)]
+    if raster:
+        references.append(reference_descend(model, init, first_sweep, max_sweeps))
+    for expected, expected_trace in references:
+        assert out.labels.tobytes() == expected.labels.tobytes()
+        assert out.label_count == expected.label_count
+        assert repr(trace) == repr(expected_trace)
+    return trace
+
+
+def test_icm_matches_sequential_raster_reference(monkeypatch):
+    # The pipelined anti-diagonal sweeps must reproduce the per-site raster
+    # loop and the per-diagonal sweeps exactly: labels and every trace field,
+    # ties and sweep cuts included, on 1x1, 1xN, Nx1 and NxM grids.
+    calls = count_kernel_calls(monkeypatch)
     rng = np.random.default_rng(27)
     for k in range(240):
         n, m = (int(v) for v in rng.integers(2, 9, 2))
@@ -337,18 +407,18 @@ def test_icm_matches_sequential_raster_reference():
                             edge_weights_x=draw((h, w - 1)) if weighted else None,
                             edge_weights_y=draw((h - 1, w)) if weighted else None)
         init = field_of(rng.integers(0, labels, shape), labels)
-        max_sweeps = int(rng.integers(1, 6)) if k % 3 else 60
-        out, trace = solve_icm(model, init, max_sweeps=max_sweeps)
-        expected, expected_trace = reference_descend(model, init, max_sweeps=max_sweeps)
-        assert out == expected
-        assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+        # An offset first sweep, as in the annealed solver's tail.
+        first_sweep = 61 if k % 3 == 0 else 1
+        for max_sweeps in (1, 2, 3, None):
+            assert_pipelined_matches(model, init, calls, first_sweep, max_sweeps)
 
 
-def test_icm_matches_sequential_raster_reference_at_image_scale():
+def test_icm_matches_sequential_raster_reference_at_image_scale(monkeypatch):
     # At image scale most sites stop moving after a few sweeps, so the
     # active-set sweep skips most of the grid; labels and trace must not show
     # it. Cases: non-square grids, both priors, weighted edges, exact ties
     # from integer costs, and one cut at max_sweeps.
+    calls = count_kernel_calls(monkeypatch)
     rng = np.random.default_rng(28)
     cases = (((40, 33), 4, "potts", False, False, 60),
              ((33, 40), 5, "quadratic", True, False, 60),
@@ -366,9 +436,8 @@ def test_icm_matches_sequential_raster_reference_at_image_scale():
                             edge_weights_y=draw((h - 1, w)) if weighted else None)
         init = field_of(rng.integers(0, labels, (h, w)), labels)
         out, trace = solve_icm(model, init, max_sweeps=max_sweeps)
-        expected, expected_trace = reference_descend(model, init, max_sweeps=max_sweeps)
-        assert out == expected
-        assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+        assert repr(assert_pipelined_matches(model, init, calls, max_sweeps=max_sweeps)) \
+            == repr(trace)
 
 
 def test_icm_scores_only_sites_whose_neighborhood_changed(monkeypatch):
@@ -400,19 +469,54 @@ def test_icm_scores_only_sites_whose_neighborhood_changed(monkeypatch):
     assert sum(scored) < len(trace) * 64 * 64 // 2
 
 
-def test_diagonal_fronts_match_per_diagonal_neighbors():
+def test_parity_table_slices_match_per_diagonal_neighbors():
     rng = np.random.default_rng(30)
     for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (9, 4)):
         model = random_weighted_model(rng, (h, w), 3, "potts")
-        fronts = _diagonal_fronts(model)
-        assert len(fronts) == h + w - 1
-        for d, (sites, nbrs, scales) in enumerate(fronts):
+        sites, nbrs, scales, diagonal, starts, ends = _parity_table(model)
+        assert np.array_equal(diagonal, np.add.outer(np.arange(h), np.arange(w)).ravel())
+        assert np.array_equal(np.sort(sites), np.arange(h * w))
+        for d in range(h + w - 1):
             r = np.arange(max(0, d - w + 1), min(h, d + 1))
             expected = r * w + d - r
             expected_nbrs, expected_scales = _neighbors(model, expected)
-            assert np.array_equal(sites, expected)
-            assert np.array_equal(nbrs, expected_nbrs)
-            assert np.array_equal(scales, expected_scales)
+            lo, hi = starts[d], ends[d]
+            assert np.array_equal(sites[lo:hi], expected)
+            assert np.array_equal(nbrs[:, lo:hi], expected_nbrs)
+            assert np.array_equal(scales[:, lo:hi], expected_scales)
+            # Diagonals of one parity are adjacent in the table, so the
+            # diagonals a step scores form one slice.
+            if d + 2 < h + w - 1:
+                assert ends[d] == starts[d + 2]
+
+
+def test_pipelined_icm_matches_sequential_sweeps_on_registration(monkeypatch):
+    # 96x96 registration at radius 3 (49 labels), as the benchmark runs it:
+    # many sweeps in flight at once, each scoring only near earlier moves.
+    calls = count_kernel_calls(monkeypatch)
+    n = 96
+    rows, cols = np.indices((n, n))
+    for seed, max_sweeps in ((1, None), (2, 3)):
+        rng = np.random.default_rng(seed)
+        fixed = rng.integers(0, 256, (n, n)).astype(np.uint8)
+        shifted = fixed[np.clip(rows + 1, 0, n - 1), np.clip(cols - 2, 0, n - 1)]
+        moving = np.clip(np.rint(shifted + rng.normal(0.0, 8.0, (n, n))), 0, 255)
+        model = build_registration_game(Image(fixed), Image(moving.astype(np.uint8)),
+                                        DisplacementLabelSet.dense(3), 20.0,
+                                        SmoothnessField.identity(n, n))
+        init = field_of(np.argmin(model.data_costs, axis=2), model.label_count)
+        trace = assert_pipelined_matches(model, init, calls, max_sweeps=max_sweeps,
+                                         raster=False)
+        assert len(trace) > 2
+        if max_sweeps is None:
+            assert trace[-1].changed == 0
+            # Far fewer kernel calls than one per diagonal per sweep.
+            assert len(calls) < (2 * n - 1) * len(trace) // 3
+    # The per-site reference on the first two sweeps of the last pair.
+    out, trace = solve_icm(model, init, max_sweeps=2)
+    expected, expected_trace = reference_descend(model, init, max_sweeps=2)
+    assert out.labels.tobytes() == expected.labels.tobytes()
+    assert repr(trace) == repr(expected_trace)
 
 
 def test_icm_beta_zero_two_sweeps():

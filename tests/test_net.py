@@ -533,6 +533,23 @@ def test_grad_check_rejects_large_nets():
         grad_check(net, images, labels, TrainConfig())
 
 
+def test_grad_check_rejects_no_samples():
+    # No sampled parameter would compare nothing and pass vacuously.
+    net = Network([Flatten(), Dense(64, 5, rng=np.random.default_rng(52))])
+    images, labels = scene_batch(size=8)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            grad_check(net, images, labels, TrainConfig(), samples=samples)
+
+
+def test_grad_check_rejects_bad_step():
+    net = Network([Flatten(), Dense(64, 5, rng=np.random.default_rng(53))])
+    images, labels = scene_batch(size=8)
+    for step in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            grad_check(net, images, labels, TrainConfig(), step=step)
+
+
 def test_parameter_only_backward_matches_full_backward():
     rng = np.random.default_rng(68)
     cases = ((Conv2D(3, 2, 2, 3, stride=2, rng=rng), rng.normal(0, 1, (2, 8, 7, 2))),
