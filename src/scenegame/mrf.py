@@ -11,6 +11,7 @@ exhaustive oracle for verification at desk scale.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,13 @@ class EnergyModel:
         object.__setattr__(self, "data_costs", dc)
         object.__setattr__(self, "pair_cost", pair)
 
+    @cached_property
+    def site_table(self):
+        """The model's one _site_table, built on first use: every solve and
+        nash_check on this model reads it. Like pair_cost it is derived once,
+        so the model's arrays must not change after that."""
+        return _site_table(self)
+
     @property
     def height(self):
         return self.data_costs.shape[0]
@@ -137,13 +145,23 @@ def _energy(model: EnergyModel, lab: np.ndarray) -> float:
     return total + model.prior_weight * float(horiz.sum() + vert.sum())
 
 
-def _neighbors(model: EnergyModel, sites):
-    """Left, right, up and down neighbor of each flat site, as (4, n) flat
-    indices, and that edge's scale (prior_weight * edge weight) as (4, n, 1)
-    columns. A side with no neighbor points at the site itself with scale 0,
-    so its term adds an exact 0.0."""
+def _site_table(model: EnergyModel):
+    """Every flat site ordered by (diagonal parity, anti-diagonal r + c, row),
+    the one site order of every solver and nash_check. Returns (sites, nbrs,
+    scales, diagonal, starts, ends):
+
+    - nbrs (4, n) holds each site's left, right, up and down neighbor as a
+      flat index and scales (4, n, 1) that edge's prior_weight * edge weight;
+      a side with no neighbor points at the site itself with scale 0, so its
+      term adds an exact 0.0;
+    - diagonal is r + c of each flat site, in flat order;
+    - diagonal d fills table rows starts[d]:ends[d], and diagonals d, d + 2,
+      ..., d + 2k are one contiguous slice. The first (h * w + 1) // 2 rows
+      are the even checkerboard colour ((r + c) even), the rest the odd one.
+    """
     h, w = model.height, model.width
-    sites = np.asarray(sites, dtype=np.intp)
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
     r, c = np.divmod(sites, w)
     nbrs = np.tile(sites, (4, 1))
     scales = np.zeros((4, sites.size, 1))
@@ -157,18 +175,6 @@ def _neighbors(model: EnergyModel, sites):
                                                    (r < h - 1, w, sy, 0, 0))):
         nbrs[k, has] += step
         scales[k, has, 0] = grid[r[has] + er, c[has] + ec]
-    return nbrs, scales
-
-
-def _parity_table(model: EnergyModel):
-    """Every flat site ordered by (diagonal parity, anti-diagonal r + c,
-    row), with its _neighbors rows, and each diagonal's start and end offset
-    in that table. Diagonals d, d + 2, ..., d + 2k are one contiguous slice.
-    Returns (sites, nbrs, scales, diagonal of each flat site, starts, ends)."""
-    h, w = model.height, model.width
-    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
-    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
-    nbrs, scales = _neighbors(model, sites)
     in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
     sizes = np.bincount(diagonal)[in_order]
     starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
@@ -230,7 +236,7 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     """
     h, w, label_count = model.data_costs.shape
     diagonals = h + w - 1
-    table, nbrs, scales, diagonal, starts, ends = _parity_table(model)
+    table, nbrs, scales, diagonal, starts, ends = model.site_table
     flat = labels.labels.ravel().copy()
     settled = flat.copy()  # the labels as of the last sweep that ended
     dirty = np.ones(flat.size, dtype=bool)
@@ -244,13 +250,9 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
         newest = t // 2 if max_sweeps is None else min(t // 2, max_sweeps - 1)
         if oldest <= newest:
             lo, hi = starts[t - 2 * newest], ends[t - 2 * oldest]
-            keep = dirty[table[lo:hi]].nonzero()[0]
-            if keep.size == hi - lo:
-                sites, near, scale = table[lo:hi], nbrs[:, lo:hi], scales[:, lo:hi]
-            else:
-                at = keep + lo
+            at = dirty[table[lo:hi]].nonzero()[0] + lo
+            if at.size:
                 sites, near, scale = table[at], nbrs[:, at], scales[:, at]
-            if sites.size:
                 dirty[sites] = False
                 costs = _site_costs(model, flat, sites, near, scale)
                 rows = np.arange(sites.size)
@@ -318,19 +320,20 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()
-    colours = []
-    for colour in (0, 1):
-        sites = np.flatnonzero(np.indices((h, w)).sum(axis=0) % 2 == colour)
-        colours.append((sites, *_neighbors(model, sites)))
+    table, nbrs, scales = model.site_table[:3]
+    even = (h * w + 1) // 2  # the table's even-colour rows come first
+    # Each row's raster rank within its colour picks its uniform.
+    colours = [(table[half], nbrs[:, half], scales[:, half], np.argsort(np.argsort(table[half])))
+               for half in (slice(0, even), slice(even, None))]
     trace = []
     for sweep in range(max_sweeps):
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
-        for sites, nbrs, scales in colours:
+        for sites, nbrs, scales, rank in colours:
             cumulative = np.cumsum(
                 _gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
                 axis=1)
-            u = rng.random(sites.size) * cumulative[:, -1]
+            u = rng.random(sites.size)[rank] * cumulative[:, -1]
             # First label whose cumulative weight exceeds u, else the last.
             pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
             changed += int(np.count_nonzero(pick != flat[sites]))
@@ -350,19 +353,20 @@ def nash_check(model: EnergyModel, labels: LabelField):
     """True iff no single pixel can strictly lower the total energy alone.
 
     Otherwise returns the first raster-order witness ((row, col), better_label)
-    with the lowest such label. Uses the sweeps' site-cost kernel over all
-    sites, so a terminated solve always passes.
+    with the lowest such label. Scores the model's whole site table with the
+    sweeps' site-cost kernel, so a terminated solve always passes.
     """
     _check_dims(model, labels)
     flat = labels.labels.ravel()
-    sites = np.arange(flat.size)
-    costs = _site_costs(model, flat, sites, *_neighbors(model, sites))
-    better = costs < costs[sites, flat][:, None]
+    sites, nbrs, scales = model.site_table[:3]
+    costs = _site_costs(model, flat, sites, nbrs, scales)
+    better = costs < costs[np.arange(sites.size), flat[sites]][:, None]
     movers = np.flatnonzero(better.any(axis=1))
     if movers.size == 0:
         return True, None
-    r, c = divmod(int(movers[0]), model.width)
-    return False, ((r, c), int(np.argmax(better[movers[0]])))
+    first = movers[np.argmin(sites[movers])]
+    r, c = divmod(int(sites[first]), model.width)
+    return False, ((r, c), int(np.argmax(better[first])))
 
 
 def exhaustive_oracle(model: EnergyModel):

@@ -368,23 +368,20 @@ def mine_triplets(embeddings, labels, warn_skipped: bool = True):
     return np.stack([anchors, pos[anchors], neg[anchors]], axis=1)
 
 
-def augment(img: Image, crop) -> list:
-    """Five exact sub-images: the four corner crops plus the centered crop,
-    in (TL, TR, BL, BR, C) order. The center offset floors odd differences."""
-    if isinstance(crop, int):
-        ch = cw = crop
-    else:
-        ch, cw = crop
-    if ch < 1 or cw < 1:
+def augment(img: Image, crop: int) -> list:
+    """Five exact crop x crop sub-images: the four corner crops plus the
+    centered crop, in (TL, TR, BL, BR, C) order. The center offset floors odd
+    differences."""
+    if crop < 1:
         raise ValueError("crop must be positive")
     h, w = img.height, img.width
-    if ch > h or cw > w:
-        raise ValueError(f"crop {cw}x{ch} exceeds image {w}x{h}")
-    cy = (h - ch) // 2
-    cx = (w - cw) // 2
+    if crop > h or crop > w:
+        raise ValueError(f"crop {crop}x{crop} exceeds image {w}x{h}")
+    cy = (h - crop) // 2
+    cx = (w - crop) // 2
     px = img.pixels
-    corners = [(0, 0), (0, w - cw), (h - ch, 0), (h - ch, w - cw), (cy, cx)]
-    return [Image(px[r:r + ch, c:c + cw]) for r, c in corners]
+    corners = [(0, 0), (0, w - crop), (h - crop, 0), (h - crop, w - crop), (cy, cx)]
+    return [Image(px[r:r + crop, c:c + crop]) for r, c in corners]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from scenegame.mrf import (
     SweepRecord,
     _check_dims,
     _gibbs_weights,
-    _neighbors,
-    _parity_table,
     _site_costs,
+    _site_table,
     build_registration_game,
     build_segmentation_game,
     ellipticity_check,
@@ -250,7 +249,8 @@ def test_local_costs_match_per_site_reference():
         for model in (weighted, plain):
             for group in groups:
                 sites = [r * w + c for r, c in group]
-                costs = _site_costs(model, lab.ravel(), sites, *_neighbors(model, sites))
+                costs = _site_costs(model, lab.ravel(), sites,
+                                    *reference_neighbors(model, sites))
                 assert costs.shape == (len(sites), labels)
                 for (r, c), row in zip(group, costs):
                     # same arithmetic in the same order: exact equality
@@ -281,6 +281,24 @@ def reference_neighbor_table(model):
                 nbrs.append(((r + 1) * w + c, sy[r][c]))
             table.append(nbrs)
     return table
+
+
+def reference_neighbors(model, sites):
+    """The kernel's (4, n) neighbor indices and (4, n, 1) edge scales for the
+    given flat sites, from reference_neighbor_table: rows left, right, up,
+    down, and a side with no neighbor points at the site itself with scale 0."""
+    w = model.width
+    table = reference_neighbor_table(model)
+    sites = np.asarray(sites, dtype=np.intp)
+    nbrs = np.tile(sites, (4, 1))
+    scales = np.zeros((4, sites.size, 1))
+    for i, site in enumerate(sites.tolist()):
+        for nb, scale in table[site]:
+            # left/right share the site's row; up/down do not
+            side = 2 * (nb // w != site // w) + (nb > site)
+            nbrs[side, i] = nb
+            scales[side, i, 0] = scale
+    return nbrs, scales
 
 
 def reference_descend(model, labels, first_sweep=1, max_sweeps=None):
@@ -322,7 +340,7 @@ def per_diagonal_descend(model, labels, first_sweep=1, max_sweeps=None):
     h, w, label_count = model.data_costs.shape
     diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
     order = np.argsort(diagonal, kind="stable")
-    table_nbrs, table_scales = _neighbors(model, order)
+    table_nbrs, table_scales = reference_neighbors(model, order)
     sizes = np.bincount(diagonal)
     ends = np.cumsum(sizes)
     fronts = [(order[lo:hi], table_nbrs[:, lo:hi], table_scales[:, lo:hi])
@@ -469,17 +487,17 @@ def test_icm_scores_only_sites_whose_neighborhood_changed(monkeypatch):
     assert sum(scored) < len(trace) * 64 * 64 // 2
 
 
-def test_parity_table_slices_match_per_diagonal_neighbors():
+def test_site_table_slices_match_per_diagonal_neighbors():
     rng = np.random.default_rng(30)
-    for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (9, 4)):
+    for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (9, 4), (5, 7)):
         model = random_weighted_model(rng, (h, w), 3, "potts")
-        sites, nbrs, scales, diagonal, starts, ends = _parity_table(model)
+        sites, nbrs, scales, diagonal, starts, ends = _site_table(model)
         assert np.array_equal(diagonal, np.add.outer(np.arange(h), np.arange(w)).ravel())
         assert np.array_equal(np.sort(sites), np.arange(h * w))
         for d in range(h + w - 1):
             r = np.arange(max(0, d - w + 1), min(h, d + 1))
             expected = r * w + d - r
-            expected_nbrs, expected_scales = _neighbors(model, expected)
+            expected_nbrs, expected_scales = reference_neighbors(model, expected)
             lo, hi = starts[d], ends[d]
             assert np.array_equal(sites[lo:hi], expected)
             assert np.array_equal(nbrs[:, lo:hi], expected_nbrs)
@@ -488,6 +506,11 @@ def test_parity_table_slices_match_per_diagonal_neighbors():
             # diagonals a step scores form one slice.
             if d + 2 < h + w - 1:
                 assert ends[d] == starts[d + 2]
+        # The first (h * w + 1) // 2 rows are the even checkerboard colour,
+        # the rest the odd one: annealing's two halves.
+        even = (h * w + 1) // 2
+        assert np.all(diagonal[sites[:even]] % 2 == 0)
+        assert np.all(diagonal[sites[even:]] % 2 == 1)
 
 
 def test_pipelined_icm_matches_sequential_sweeps_on_registration(monkeypatch):
@@ -569,7 +592,8 @@ def gibbs_site_probabilities(model, labels, site, temperature):
     if not (0 <= r < model.height and 0 <= c < model.width):
         raise ValueError(f"site {site} is outside the {model.height}x{model.width} grid")
     site = [r * model.width + c]
-    costs = _site_costs(model, labels.labels.ravel(), site, *_neighbors(model, site))
+    costs = _site_costs(model, labels.labels.ravel(), site,
+                        *reference_neighbors(model, site))
     weights = _gibbs_weights(costs[0], temperature)
     return (weights / weights.sum()).tolist()
 
@@ -667,9 +691,18 @@ def sequential_gibbs(model, init, max_sweeps, seed):
 def test_anneal_hot_phase_matches_sequential_gibbs():
     # Sites of one checkerboard colour share no edge, so resampling a whole
     # colour at once must reproduce the sequential sampler draw for draw.
+    # The colours are the site table's first (h * w + 1) // 2 rows and the
+    # rest, each drawing its uniforms in raster order; the fixed shapes add
+    # 1x1 (no odd colour), thin grids and odd pixel counts (one even site
+    # more than odd).
     rng = np.random.default_rng(25)
-    for k in range(40):
-        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    fixed = ((1, 1), (1, 1), (1, 2), (1, 7), (1, 8), (2, 1), (7, 1), (6, 1),
+             (3, 3), (3, 5), (7, 3), (5, 5))
+    for k in range(40 + len(fixed)):
+        if k < 40:
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        else:
+            shape = fixed[k - 40]
         labels = int(rng.integers(2, 5))
         model = random_weighted_model(rng, shape, labels, ("potts", "quadratic")[k % 2])
         init = field_of(rng.integers(0, labels, shape), labels)
@@ -683,6 +716,37 @@ def test_anneal_hot_phase_matches_sequential_gibbs():
                                              first_sweep=max_sweeps + 1)
         assert out == tail
         assert trace_to_csv(trace[max_sweeps:]) == trace_to_csv(tail_trace)
+
+
+def test_site_table_is_built_once_per_model(monkeypatch):
+    builds = []
+
+    def counting(model):
+        builds.append(model)
+        return _site_table(model)
+
+    monkeypatch.setattr(mrf, "_site_table", counting)
+    rng = np.random.default_rng(32)
+    # Annealing's Gibbs phase, its best-response tail and nash_check.
+    model = random_weighted_model(rng, (7, 5), 3, "potts")
+    init = field_of(rng.integers(0, 3, (7, 5)), 3)
+    out, trace = solve_anneal(model, init, max_sweeps=4, seed=1)
+    assert len(trace) > 4
+    assert nash_check(model, out) == (True, None)
+    assert len(builds) == 1 and builds[0] is model
+    # Two ICM solves of one model; the second gives what a fresh model gives.
+    model = random_weighted_model(rng, (6, 9), 4, "quadratic")
+    starts = [field_of(rng.integers(0, 4, (6, 9)), 4) for _ in range(2)]
+    first = solve_icm(model, starts[0])
+    second = solve_icm(model, starts[1])
+    assert len(builds) == 2 and builds[1] is model
+    fresh = EnergyModel(data_costs=model.data_costs, prior_weight=model.prior_weight,
+                        prior_kind=model.prior_kind,
+                        edge_weights_x=model.edge_weights_x,
+                        edge_weights_y=model.edge_weights_y)
+    assert repr(solve_icm(fresh, starts[1])) == repr(second)
+    assert repr(first) != repr(second)
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +763,22 @@ def test_nash_single_pixel_argmin():
     assert witness == ((0, 0), 1)
 
 
+def better_labels(model, lab, r, c):
+    """The labels that strictly lower site (r, c)'s local cost."""
+    costs = naive_site_costs(model, lab, r, c)
+    return [lbl for lbl, x in enumerate(costs) if x < costs[lab[r, c]]]
+
+
+def reference_nash(model, lab):
+    """Per-site reference for nash_check: the first raster-order site with a
+    strictly better label, and its lowest such label."""
+    for r, c in np.ndindex(lab.shape):
+        better = better_labels(model, lab, r, c)
+        if better:
+            return False, ((r, c), better[0])
+    return True, None
+
+
 def test_nash_witness_matches_per_site_reference():
     rng = np.random.default_rng(26)
     for k in range(60):
@@ -708,14 +788,32 @@ def test_nash_witness_matches_per_site_reference():
         lab = rng.integers(0, labels, shape)
         if k % 3 == 0:  # also probe equilibria
             lab = solve_icm(model, field_of(lab, labels))[0].labels
-        expected = True, None
-        for r, c in np.ndindex(shape):
-            costs = naive_site_costs(model, lab, r, c)
-            better = [lbl for lbl, x in enumerate(costs) if x < costs[lab[r, c]]]
-            if better:
-                expected = False, ((r, c), better[0])
-                break
+        assert nash_check(model, field_of(lab, labels)) == reference_nash(model, lab)
+
+
+def test_nash_witness_on_thin_and_non_square_grids():
+    # nash_check scores the site table, whose (parity, diagonal, row) order
+    # is not raster order; the witness is still the mover with the lowest
+    # flat index. Equilibria with a few sites knocked off leave scattered
+    # movers, so the first mover in table order is often not the witness.
+    rng = np.random.default_rng(33)
+    table_order_differs = 0
+    for k in range(80):
+        n = int(rng.integers(2, 12))
+        shape = ((1, n), (n, 1), (3, 7), (7, 4), (2, 9))[k % 5]
+        labels = int(rng.integers(2, 5))
+        model = random_weighted_model(rng, shape, labels, ("potts", "quadratic")[k % 2])
+        lab = solve_icm(model, field_of(rng.integers(0, labels, shape), labels))[0].labels
+        lab = lab.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            lab[tuple(int(rng.integers(0, size)) for size in shape)] = rng.integers(0, labels)
+        expected = reference_nash(model, lab)
         assert nash_check(model, field_of(lab, labels)) == expected
+        if not expected[0]:
+            movers = {(r, c) for r, c in np.ndindex(shape) if better_labels(model, lab, r, c)}
+            in_table = [divmod(int(site), shape[1]) for site in _site_table(model)[0]]
+            table_order_differs += next(s for s in in_table if s in movers) != expected[1][0]
+    assert table_order_differs > 0
 
 
 def test_nash_global_minimizer_passes():

@@ -787,11 +787,11 @@ def test_augment_rejects_oversized_crop():
 def test_augment_crops_are_exact_subarrays():
     rng = np.random.default_rng(53)
     arr = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    for crop in augment(Image(arr), (4, 3)):
+    for crop in augment(Image(arr), 4):
         found = False
         for r in range(9 - 4 + 1):
-            for c in range(7 - 3 + 1):
-                if np.array_equal(crop.pixels, arr[r:r + 4, c:c + 3]):
+            for c in range(7 - 4 + 1):
+                if np.array_equal(crop.pixels, arr[r:r + 4, c:c + 4]):
                     found = True
         assert found
 
