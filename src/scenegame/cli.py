@@ -2,7 +2,8 @@
 feature extraction, classifier training, the synthetic accuracy experiment,
 and keyframe sampling.
 
-Config files are flat UTF-8 ``key = value`` text; unknown keys are fatal.
+Config files are flat UTF-8 ``key = value`` text; unknown and repeated keys
+are fatal.
 Reports are CSV with a fixed, versioned column set.
 """
 
@@ -70,8 +71,10 @@ def label_to_action(class_id: int) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_config(text: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' lines and blanks are skipped."""
+    """Parse flat ``key = value`` lines; '#' lines and blanks are skipped.
+    A key given twice is an error naming both lines."""
     out = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -79,7 +82,12 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise CliError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise CliError(f"config key {key!r} is repeated on lines "
+                           f"{first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -253,13 +261,12 @@ def _split(images, labels, holdout: float, rng):
 
 
 def _feature_sidecar_row(train_images, config, size, noise, trial):
-    matrix = features_mod.feature_matrix(train_images)
+    matrix = features_mod.extract_features(train_images)
     selected = features_mod.select_features(matrix, config.theta)
     if not selected:
         return f"{size}*{size},{noise},{trial},,,"
-    table = features_mod.ScoreTable(scores=matrix[:, list(selected)])
-    weights, objective = features_mod.optimize_weights(table)
-    w_str = ";".join(f"{v:.4f}" for v in weights.weights)
+    weights, objective = features_mod.optimize_weights(matrix[:, list(selected)])
+    w_str = ";".join(f"{v:.4f}" for v in weights)
     s_str = ";".join(map(str, selected))
     return f"{size}*{size},{noise},{trial},{s_str},{w_str},{objective:.4f}"
 
@@ -423,6 +430,7 @@ def _play(model, args):
 
 def _cmd_segment(args):
     mrf.check_max_sweeps(args.max_sweeps)
+    mrf.check_label_count(args.components)
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
@@ -432,23 +440,27 @@ def _cmd_segment(args):
 
 def _cmd_register(args):
     mrf.check_max_sweeps(args.max_sweeps)
+    label_set = DisplacementLabelSet.dense(args.radius)
+    mrf.check_label_count(len(label_set))
     fixed = _read_image(args.fixed)
     moving = _read_image(args.moving)
     smooth = mrf.SmoothnessField.identity(fixed.height, fixed.width)
     return _play(mrf.build_registration_game(
-        fixed, moving, DisplacementLabelSet.dense(args.radius),
-        args.prior_weight, smooth), args)
+        fixed, moving, label_set, args.prior_weight, smooth), args)
 
 
 def _cmd_features(args):
-    vectors = [features_mod.extract_features(_read_image(path))
-               for path in args.inputs]
+    if args.select is not None and args.out is None:
+        raise CliError("--select prints the selected columns on stdout and "
+                       "needs --out for the CSV")
+    # One call per input: the inputs may differ in size, and one batch may not.
+    rows = np.vstack([features_mod.extract_features([_read_image(path)])
+                      for path in args.inputs])
     # Select before writing, so a run that cannot select leaves no CSV.
     selected = None
     if args.select is not None:
-        selected = features_mod.select_features(
-            np.stack([fv.values for fv in vectors]), args.select)
-    _write_text(features_mod.features_to_csv(vectors), args.out)
+        selected = features_mod.select_features(rows, args.select)
+    _write_text(features_mod.features_to_csv(rows), args.out)
     if selected is not None:
         print(f"selected = {';'.join(map(str, selected))}")
     return 0

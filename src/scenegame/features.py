@@ -2,8 +2,6 @@
 closed-form simplex weights.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 HISTOGRAM_BINS = 16
@@ -11,81 +9,6 @@ HISTOGRAM_BINS = 16
 
 class DegenerateFeatureError(ValueError):
     """A feature column has zero variance, so its correlation is undefined."""
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Concatenated block descriptors: per block [mean, variance, 16-bin
-    histogram, edge density] over a fixed 2x2 block grid."""
-
-    values: np.ndarray
-    names: tuple
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size != len(self.names):
-            raise ValueError("values and names must align")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class FeatureClusterSet:
-    """Partition of feature indices plus one representative per cluster."""
-
-    clusters: tuple   # tuple of sorted index tuples
-    selected: tuple   # sorted representative indices, one per cluster
-
-    def __post_init__(self):
-        seen = [i for cluster in self.clusters for i in cluster]
-        if len(seen) != len(set(seen)):
-            raise ValueError("clusters must be disjoint")
-        if len(self.selected) != len(self.clusters):
-            raise ValueError("exactly one representative per cluster")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreTable:
-    """Sample-by-criterion scores with per-criterion ideal / anti-ideal points.
-
-    Every retained criterion must have a strictly positive score range;
-    zero-range criteria must be dropped by the caller before construction.
-    """
-
-    scores: np.ndarray       # (n_samples, n_criteria)
-    ideal: np.ndarray = field(init=False, default=None)       # per-criterion max
-    anti_ideal: np.ndarray = field(init=False, default=None)  # per-criterion min
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
-            raise ValueError("scores must be a nonempty 2-D table")
-        hi = s.max(axis=0)
-        lo = s.min(axis=0)
-        if np.any(hi <= lo):
-            bad = int(np.argmin(hi - lo))
-            raise ValueError(f"criterion {bad} has zero score range")
-        object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "ideal", hi)
-        object.__setattr__(self, "anti_ideal", lo)
-
-    @property
-    def criterion_count(self):
-        return self.scores.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Point on the probability simplex."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be 1-D and nonempty")
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "weights", np.maximum(w, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +27,7 @@ def feature_names() -> tuple:
     return tuple(names)
 
 
-def feature_matrix(images) -> np.ndarray:
+def extract_features(images) -> np.ndarray:
     """(N, 76) block descriptors of N equal-size images, one row each, in
     feature_names() order.
 
@@ -145,20 +68,10 @@ def feature_matrix(images) -> np.ndarray:
     return np.hstack(columns)
 
 
-def extract_features(img) -> FeatureVector:
-    """Deterministic 76-component descriptor over the 2x2 block grid: the
-    single row of feature_matrix([img])."""
-    return FeatureVector(values=feature_matrix([img])[0], names=feature_names())
-
-
-def features_to_csv(vectors) -> str:
-    """One CSV row per feature vector, with a header of component names."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("need at least one feature vector")
-    header = ",".join(vectors[0].names)
-    rows = [",".join(repr(float(v)) for v in fv.values) for fv in vectors]
-    return "\n".join([header, *rows]) + "\n"
+def features_to_csv(rows) -> str:
+    """One CSV row per descriptor row, under a header of component names."""
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+    return "\n".join([",".join(feature_names()), *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +88,10 @@ def _abs_correlation(samples: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(corr), 1.0)
 
 
-def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
-    """Agglomerative feature grouping by |Pearson correlation|.
+def cluster_and_select(samples, threshold: float) -> tuple:
+    """Agglomerative feature grouping by |Pearson correlation|: returns
+    (clusters, selected), the clusters as sorted index tuples ordered by
+    their first index, and the sorted representatives, one per cluster.
 
     Cluster-to-cluster similarity is the average pairwise |correlation|;
     merging continues while the maximum similarity is at least the threshold
@@ -218,10 +133,7 @@ def cluster_and_select(samples, threshold: float) -> FeatureClusterSet:
         # Centrality: mean |correlation| with the whole cluster (self included).
         scores = [float(np.mean(sim[f, cluster])) for f in cluster]
         selected.append(cluster[int(np.argmax(scores))])
-    return FeatureClusterSet(
-        clusters=tuple(tuple(c) for c in clusters),
-        selected=tuple(sorted(selected)),
-    )
+    return tuple(tuple(c) for c in clusters), tuple(sorted(selected))
 
 
 def select_features(samples, threshold: float) -> tuple:
@@ -240,25 +152,41 @@ def select_features(samples, threshold: float) -> tuple:
     varying = np.flatnonzero(np.ptp(samples, axis=0) > 0)
     if varying.size < 2:
         return tuple(int(i) for i in varying)
-    chosen = cluster_and_select(samples[:, varying], threshold)
-    return tuple(int(varying[i]) for i in chosen.selected)
+    _, selected = cluster_and_select(samples[:, varying], threshold)
+    return tuple(int(varying[i]) for i in selected)
 
 
 # ---------------------------------------------------------------------------
 # Simplex weights
 # ---------------------------------------------------------------------------
 
-def weight_objective(table: ScoreTable, weights: np.ndarray) -> float:
+def _gains_and_ranges(scores):
+    """Per-sample gains H_ij - min_j and per-criterion ranges max_j - min_j
+    of a sample-by-criterion score table.
+
+    Raises ValueError unless the table is a nonempty 2-D table whose
+    criteria all have a range > 0; the caller drops zero-range criteria.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
+        raise ValueError("scores must be a nonempty 2-D table")
+    hi = s.max(axis=0)
+    lo = s.min(axis=0)
+    if np.any(hi <= lo):
+        raise ValueError(f"criterion {int(np.argmin(hi - lo))} has zero score range")
+    return s - lo, hi - lo
+
+
+def weight_objective(scores, weights: np.ndarray) -> float:
     """Sum over samples of the weighted normalized score ratio.
 
     Per sample: (sum_j w_j (H_ij - min_j)) / (sum_j w_j (max_j - min_j)).
     """
-    gains = (table.scores - table.anti_ideal) @ weights
-    denom = float((table.ideal - table.anti_ideal) @ weights)
-    return float(gains.sum() / denom)
+    gains, ranges = _gains_and_ranges(scores)
+    return float((gains @ weights).sum() / float(ranges @ weights))
 
 
-def optimize_weights(table: ScoreTable):
+def optimize_weights(scores):
     """Exact maximum of the normalized weighted objective over the simplex.
 
     With G_j = sum_i (H_ij - min_j) and R_j = max_j - min_j > 0, the
@@ -268,11 +196,12 @@ def optimize_weights(table: ScoreTable):
     than the largest ratio, and the vertex of that criterion attains it, so
     no point of the simplex, the uniform one included, scores higher. The
     weight is spread evenly over the criteria whose ratio equals the maximum
-    exactly (identical criteria share it). Returns (WeightVector, objective
-    value), the value computed by weight_objective.
+    exactly (identical criteria share it). Returns (weights, objective
+    value): the weights as a 1-D array, the value computed by
+    weight_objective.
     """
-    gains = (table.scores - table.anti_ideal).sum(axis=0)
-    ratio = gains / (table.ideal - table.anti_ideal)
+    gains, ranges = _gains_and_ranges(scores)
+    ratio = gains.sum(axis=0) / ranges
     best = ratio == ratio.max()
     weights = best / np.count_nonzero(best)
-    return WeightVector(weights=weights), weight_objective(table, weights)
+    return weights, weight_objective(scores, weights)

@@ -524,8 +524,23 @@ def build_registration_game(fixed: Image, moving: Image,
                        edge_weights_x=wx, edge_weights_y=wy)
 
 
+# A label image has 256 gray levels, so it holds at most 256 distinct labels.
+LABEL_IMAGE_LEVELS = 256
+
+
+def check_label_count(label_count: int):
+    """Reject more labels than a label image can hold; the CLI checks this
+    before any work."""
+    if label_count > LABEL_IMAGE_LEVELS:
+        raise ValueError(f"{label_count} labels do not fit a label image "
+                         f"(at most {LABEL_IMAGE_LEVELS})")
+
+
 def labels_to_image(labels: LabelField) -> Image:
-    """Visualization: labels scaled onto 0..255 (label_count 1 maps to 0)."""
+    """Visualization: labels scaled onto 0..255 (label_count 1 maps to 0), one
+    gray level per label. Raises ValueError above LABEL_IMAGE_LEVELS labels,
+    where two labels would share a level."""
+    check_label_count(labels.label_count)
     if labels.label_count == 1:
         return Image(np.zeros(labels.labels.shape, dtype=np.uint8))
     scale = 255.0 / (labels.label_count - 1)

@@ -233,7 +233,7 @@ def test_criterion_7_weight_optimizer_vs_grid():
         a = rng.beta(4.0, 1.5, 12)
         b = rng.beta(1.5, 4.0, 12)
         cols = (a, b) if seed % 2 == 0 else (b, a)
-        table = features.ScoreTable(scores=np.column_stack(cols))
+        table = np.column_stack(cols)
         _, value = features.optimize_weights(table)
         grid_best = max(
             features.weight_objective(table, np.array([w1, 1.0 - w1]))

@@ -24,7 +24,7 @@ from scenegame.cli import (
     parse_config,
     run_experiment,
 )
-from scenegame import mrf, net, preprocess
+from scenegame import features, mrf, net, preprocess
 from scenegame.gmm import GmmParams
 from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
                              read_pnm, write_pnm)
@@ -526,6 +526,73 @@ def test_cli_features_select_needs_three_inputs_and_writes_nothing_otherwise(
     assert len(out.read_text().strip().split("\n")) == 4
 
 
+def test_cli_features_select_needs_out_and_reads_nothing_otherwise(
+        tmp_path, capsys, monkeypatch):
+    paths = [str(write_scene(tmp_path, f"{k}.pgm", class_id=k, size=16)[0])
+             for k in range(3)]
+    read = []
+    monkeypatch.setattr("scenegame.cli.read_pnm", lambda *a: read.append(a))
+    assert main(["features", *paths, "--select", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: ") and captured.err.count("\n") == 1
+    assert "--out" in captured.err
+    assert not read
+
+
+def test_cli_features_writes_each_inputs_own_row_across_sizes(tmp_path):
+    # One descriptor call per input: a 16 px and a 20 px scene in one run.
+    src1, img1 = write_scene(tmp_path, "a.pgm", class_id=0, size=16)
+    src2, img2 = write_scene(tmp_path, "b.pgm", class_id=2, size=20)
+    out = tmp_path / "features.csv"
+    assert main(["features", str(src1), str(src2), "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().split("\n")
+    assert header.split(",") == list(features.feature_names())
+    assert len(rows) == 2
+    for row, img in zip(rows, (img1, img2)):
+        expected = features.extract_features([img])[0]
+        assert row.split(",") == [repr(float(v)) for v in expected]
+
+
+def test_cli_register_rejects_more_labels_than_a_label_image_holds(
+        tmp_path, capsys, monkeypatch):
+    src, _ = write_scene(tmp_path, size=16)
+    out, trace = tmp_path / "disp.pgm", tmp_path / "trace.csv"
+    argv = ["register", "--fixed", str(src), "--moving", str(src),
+            "--out", str(out), "--trace", str(trace)]
+    read = []
+    real_read = read_pnm
+    monkeypatch.setattr("scenegame.cli.read_pnm",
+                        lambda data: read.append(1) or real_read(data))
+    assert main([*argv, "--radius", "8"]) == 2  # 17 x 17 = 289 labels
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: 289 labels ") and err.count("\n") == 1
+    assert not read and not out.exists() and not trace.exists()
+
+    written = []  # --radius 7: 225 labels, each on its own gray level
+    real_to_image = mrf.labels_to_image
+    monkeypatch.setattr(mrf, "labels_to_image",
+                        lambda labels: written.append(labels) or real_to_image(labels))
+    assert main([*argv, "--radius", "7"]) == 0
+    labels = written[0]
+    assert labels.label_count == 225
+    scale = 255.0 / 224
+    decoded = np.rint(read_pnm(out.read_bytes()).plane() / scale).astype(np.int64)
+    assert np.array_equal(decoded, labels.labels)
+
+
+def test_cli_segment_rejects_more_labels_than_a_label_image_holds(
+        tmp_path, capsys, monkeypatch):
+    src, _ = write_scene(tmp_path)
+    out = tmp_path / "labels.pgm"
+    fitted = []
+    monkeypatch.setattr("scenegame.gmm.fit", lambda *a, **k: fitted.append(a))
+    assert main(["segment", "--input", str(src), "--components", "257",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: 257 labels ")
+    assert not fitted and not out.exists()
+
+
 def test_cli_train_eval(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--size", "16", "--images-per-class", "4",
@@ -667,8 +734,7 @@ def test_cli_rejects_bad_training_keys_before_any_work(
         net.save_net(net.default_net(), model)
         argv = ["eval", "--model", str(model), *bad.split()[1:]]
     else:
-        # A later line overrides an earlier one, so `sizes = 8` replaces 20.
-        cfg.write_text(f"sizes = 20\nimages_per_class = 2\n{bad}\n")
+        cfg.write_text(f"images_per_class = 2\n{bad}\n")
         argv = ["experiment", "--config", str(cfg), "--out", str(out)]
     drawn = []
     monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
@@ -716,6 +782,18 @@ def test_cli_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, bad):
     assert "finite" in captured.err
     assert not drawn
     assert {p.suffix for p in tmp_path.iterdir()} <= {".pgm", ".cfg"}  # inputs only
+
+
+def test_cli_experiment_repeated_key_exits_2_and_writes_no_report(
+        tmp_path, capsys, monkeypatch):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
+    cfg.write_text("sizes = 12\nimages_per_class = 2\nepochs = 1\nsizes = 14\n")
+    ran = []
+    monkeypatch.setattr("scenegame.cli.run_experiment", ran.append)
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR: config key 'sizes' is repeated on lines 1 and 4\n"
+    assert not ran and not out.exists()
 
 
 def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):

@@ -157,8 +157,8 @@ def test_classes_separable_in_feature_space_at_low_noise():
 
     per_class = 8
     vectors = {
-        c: [extract_features(gen_scene(c, 20, 1, 500 + i)).values
-            for i in range(per_class)]
+        c: list(extract_features([gen_scene(c, 20, 1, 500 + i)
+                                  for i in range(per_class)]))
         for c in range(5)
     }
     intra = [np.linalg.norm(a - b)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scenegame import mrf
-from scenegame.features import FeatureVector, ScoreTable, WeightVector
 from scenegame.gmm import GmmParams
 from scenegame.gmm import fit as gmm_fit
 from scenegame.image import DisplacementLabelSet, Image, LabelField, gen_scene
@@ -146,21 +145,11 @@ def test_model_validation():
 
 
 def test_derived_fields_are_not_constructor_arguments():
-    scores = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cases = [
-        (EnergyModel, dict(data_costs=np.zeros((2, 2, 2)), prior_weight=1.0,
-                           pair_cost=np.full((2, 2), 99.0))),
-        (ScoreTable, dict(scores=scores, ideal=np.zeros(2))),
-        (ScoreTable, dict(scores=scores, anti_ideal=np.zeros(2))),
-    ]
-    for cls, kwargs in cases:
-        with pytest.raises(TypeError):
-            cls(**kwargs)
+    with pytest.raises(TypeError):
+        EnergyModel(data_costs=np.zeros((2, 2, 2)), prior_weight=1.0,
+                    pair_cost=np.full((2, 2), 99.0))
     assert potts_model(np.zeros((2, 2, 2)), 1.0).pair_cost.tolist() == [
         [0.0, 1.0], [1.0, 0.0]]
-    table = ScoreTable(scores=scores)
-    assert table.ideal.tolist() == [1.0, 1.0]
-    assert table.anti_ideal.tolist() == [0.0, 0.0]
 
 
 def test_array_records_compare_by_identity():
@@ -168,10 +157,7 @@ def test_array_records_compare_by_identity():
     # arrays, so it returns a bool instead of raising.
     def build():
         return (potts_model(np.zeros((2, 2, 2)), 1.0),
-                GmmParams(weights=[0.5, 0.5], means=[0.2, 0.8], variances=[0.1, 0.1]),
-                ScoreTable(scores=np.array([[0.0, 1.0], [1.0, 0.0]])),
-                FeatureVector(values=[1.0, 2.0], names=("a", "b")),
-                WeightVector(weights=[0.25, 0.75]))
+                GmmParams(weights=[0.5, 0.5], means=[0.2, 0.8], variances=[0.1, 0.1]))
 
     for first, second in zip(build(), build()):
         assert first == first
@@ -1137,6 +1123,17 @@ def test_labels_to_image_scaling():
     assert img.pixels.tolist() == [[0, 128], [255, 128]]
     single = labels_to_image(field_of([[0]], 1))
     assert single.pixels.tolist() == [[0]]
+
+
+def test_labels_to_image_gives_each_label_its_own_gray_level():
+    for count in (2, 49, 225, 255, 256):
+        labels = np.arange(count).reshape(1, count)
+        plane = labels_to_image(field_of(labels, count)).pixels
+        assert len(np.unique(plane)) == count
+        decoded = np.rint(plane / (255.0 / (count - 1))).astype(np.int64)
+        assert np.array_equal(decoded, labels)
+    with pytest.raises(ValueError, match="257 labels"):
+        labels_to_image(field_of(np.arange(257).reshape(1, 257), 257))
 
 
 def test_trace_csv_layout():

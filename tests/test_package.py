@@ -56,3 +56,23 @@ def test_traced_train_counts_the_rows_mining_returned(tmp_path, monkeypatch):
     counted = [s[6]["triplets"] for s in tracer.spans if s[3] == "net.mine_triplets"]
     assert counted == rows and sum(rows) > 0
     assert "net.loss" in {s[3] for s in tracer.spans}
+
+
+def test_traced_experiment_records_the_feature_stage(tmp_path):
+    """The feature stage runs through the three names the benchmark traces:
+    one descriptor call per experiment cell, then selection and weights."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("sizes = 12\nimages_per_class = 3\nepochs = 1\n"
+                   "feature_select = on\n")
+    tracer = load_spans().Tracer(scenegame)
+    tracer.install()
+    try:
+        assert scenegame.cli.main([
+            "experiment", "--config", str(cfg),
+            "--out", str(tmp_path / "report.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    buckets = [s[3] for s in tracer.spans]
+    assert buckets.count("features.extract") == 1  # one cell
+    assert buckets.count("features.select") >= 1
+    assert buckets.count("features.weights") >= 1
