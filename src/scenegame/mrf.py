@@ -69,6 +69,9 @@ class EnergyModel:
         dc = np.asarray(self.data_costs, dtype=np.float64)
         if dc.ndim != 3 or dc.shape[2] < 1:
             raise ValueError("data_costs must have shape (h, w, L)")
+        if dc.shape[0] < 1 or dc.shape[1] < 1:
+            raise ValueError(f"data_costs shape {dc.shape} has an empty grid; "
+                             "h and w must be >= 1")
         if not np.all(np.isfinite(dc)):
             raise ValueError("data_costs must be finite")
         if not 0 <= self.prior_weight < np.inf:
@@ -139,9 +142,11 @@ def _energy(model: EnergyModel, lab: np.ndarray) -> float:
     # Flat index of (site, label) in data_costs is site * label_count + label.
     picks = np.arange(0, lab.size * label_count, label_count) + lab.ravel()
     total = float(model.data_costs.take(picks).sum())
-    pair = model.pair_cost
-    horiz = pair[lab[:, :-1], lab[:, 1:]] * model.edge_weights_x
-    vert = pair[lab[:-1, :], lab[1:, :]] * model.edge_weights_y
+    # Flat index of (a, b) in pair_cost is a * label_count + b; one take per
+    # edge direction reads the same values as pair[a, b], several times faster.
+    pair = model.pair_cost.ravel()
+    horiz = pair.take(lab[:, :-1] * label_count + lab[:, 1:]) * model.edge_weights_x
+    vert = pair.take(lab[:-1, :] * label_count + lab[1:, :]) * model.edge_weights_y
     return total + model.prior_weight * float(horiz.sum() + vert.sum())
 
 
@@ -197,8 +202,9 @@ def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
 
 
 def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Unnormalized exp(-cost / T) over the last axis, shifted by its minimum."""
-    return np.exp(-(costs - costs.min(axis=-1, keepdims=True)) / temperature)
+    """Unnormalized exp(-cost / T) of label-major (L, n) costs, each site's
+    column shifted by its minimum."""
+    return np.exp(-(costs - costs.min(axis=0)) / temperature)
 
 
 def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
@@ -330,12 +336,15 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
         for sites, nbrs, scales, rank in colours:
-            cumulative = np.cumsum(
-                _gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
-                axis=1)
-            u = rng.random(sites.size)[rank] * cumulative[:, -1]
+            # Label-major: L contiguous rows of n sites, so each reduction
+            # runs across rows rather than along a last axis L wide.
+            cumulative = _gibbs_weights(
+                _site_costs(model, flat, sites, nbrs, scales).T.copy(), temp)
+            for l in range(1, label_count):  # cumsum's adds, row by row
+                cumulative[l] += cumulative[l - 1]
+            u = rng.random(sites.size)[rank] * cumulative[-1]
             # First label whose cumulative weight exceeds u, else the last.
-            pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
+            pick = np.minimum((cumulative <= u).sum(axis=0), label_count - 1)
             changed += int(np.count_nonzero(pick != flat[sites]))
             flat[sites] = pick
         trace.append(SweepRecord(sweep=sweep + 1, energy=_energy(model, flat.reshape(h, w)),

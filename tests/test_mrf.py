@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,43 @@ def test_energy_matches_naive_reference():
             naive_energy(model, labels), abs=1e-12)
 
 
+def reference_energy(model, lab):
+    """Verbatim copy of mrf._energy as it read pair_cost by fancy indexing,
+    pair[a, b]; the solver traces print repr(energy), so the flat-index read
+    must give these bits exactly."""
+    label_count = model.label_count
+    # Flat index of (site, label) in data_costs is site * label_count + label.
+    picks = np.arange(0, lab.size * label_count, label_count) + lab.ravel()
+    total = float(model.data_costs.take(picks).sum())
+    pair = model.pair_cost
+    horiz = pair[lab[:, :-1], lab[:, 1:]] * model.edge_weights_x
+    vert = pair[lab[:-1, :], lab[1:, :]] * model.edge_weights_y
+    return total + model.prior_weight * float(horiz.sum() + vert.sum())
+
+
+def test_energy_is_bitwise_the_fancy_indexed_reference():
+    rng = np.random.default_rng(41)
+    shapes = ((1, 1), (1, 9), (9, 1), (1, 64), (64, 1), (5, 7), (33, 20), (64, 64))
+    for labels in (1, 2, 3, 9, 49):
+        for kind in ("potts", "quadratic", "quadratic 2-D values"):
+            for shape in shapes:
+                if kind == "quadratic 2-D values":
+                    h, w = shape
+                    model = EnergyModel(
+                        data_costs=rng.normal(0, 3, shape + (labels,)),
+                        prior_weight=float(rng.uniform(0, 2)), prior_kind="quadratic",
+                        label_values=rng.normal(0, 2, (labels, 2)),
+                        edge_weights_x=rng.uniform(0, 2, (h, w - 1)),
+                        edge_weights_y=rng.uniform(0, 2, (h - 1, w)))
+                else:
+                    model = random_weighted_model(rng, shape, labels, kind)
+                lab = rng.integers(0, labels, shape)
+                assert mrf._energy(model, lab) == reference_energy(model, lab)
+                # Every site on the last label reads the table's last entry.
+                last = np.full(shape, labels - 1)
+                assert mrf._energy(model, last) == reference_energy(model, last)
+
+
 def test_energy_dimension_mismatch():
     model = potts_model(np.zeros((2, 2, 2)), 1.0)
     with pytest.raises(ValueError):
@@ -142,6 +180,17 @@ def test_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(data_costs=np.zeros((1, 1, 2)), prior_weight=0.0,
                     prior_kind="cubic")
+
+
+def test_model_rejects_an_empty_grid_naming_its_shape():
+    for shape in ((0, 3, 2), (3, 0, 2), (0, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"data_costs shape {shape}")):
+            EnergyModel(data_costs=np.zeros(shape), prior_weight=1.0)
+        with pytest.raises(ValueError, match="empty grid"):
+            EnergyModel(data_costs=np.zeros(shape), prior_weight=1.0,
+                        prior_kind="quadratic",
+                        edge_weights_x=np.ones((shape[0], max(shape[1] - 1, 0))),
+                        edge_weights_y=np.ones((max(shape[0] - 1, 0), shape[1])))
 
 
 def test_derived_fields_are_not_constructor_arguments():
@@ -580,7 +629,8 @@ def gibbs_site_probabilities(model, labels, site, temperature):
     site = [r * model.width + c]
     costs = _site_costs(model, labels.labels.ravel(), site,
                         *reference_neighbors(model, site))
-    weights = _gibbs_weights(costs[0], temperature)
+    # The solver passes label-major (L, n) costs; this site is one column.
+    weights = _gibbs_weights(costs.T, temperature)[:, 0]
     return (weights / weights.sum()).tolist()
 
 
@@ -693,15 +743,107 @@ def test_anneal_hot_phase_matches_sequential_gibbs():
         model = random_weighted_model(rng, shape, labels, ("potts", "quadratic")[k % 2])
         init = field_of(rng.integers(0, labels, shape), labels)
         max_sweeps = int(rng.integers(1, 25))
-        out, trace = solve_anneal(model, init, max_sweeps=max_sweeps, seed=k)
-        hot, records = sequential_gibbs(model, init, max_sweeps, k)
-        assert [(r.sweep, r.energy, r.changed, r.temperature)
-                for r in trace[:max_sweeps]] == records
-        assert all(r.temperature == 0.0 for r in trace[max_sweeps:])
-        tail, tail_trace = reference_descend(model, hot,
-                                             first_sweep=max_sweeps + 1)
-        assert out == tail
-        assert trace_to_csv(trace[max_sweeps:]) == trace_to_csv(tail_trace)
+        assert_anneal_matches_sequential_gibbs(model, init, max_sweeps, k)
+
+
+def assert_anneal_matches_sequential_gibbs(model, init, max_sweeps, seed):
+    out, trace = solve_anneal(model, init, max_sweeps=max_sweeps, seed=seed)
+    hot, records = sequential_gibbs(model, init, max_sweeps, seed)
+    assert [(r.sweep, r.energy, r.changed, r.temperature)
+            for r in trace[:max_sweeps]] == records
+    assert all(r.temperature == 0.0 for r in trace[max_sweeps:])
+    tail, tail_trace = reference_descend(model, hot, first_sweep=max_sweeps + 1)
+    assert out == tail
+    assert trace_to_csv(trace[max_sweeps:]) == trace_to_csv(tail_trace)
+
+
+def test_anneal_matches_sequential_gibbs_at_more_label_counts():
+    # The random cases above draw 2-4 labels. One label leaves the row
+    # accumulation empty (every pick is 0); 7 and 9 labels run it six and
+    # eight times. Thin grids and odd pixel counts as above.
+    rng = np.random.default_rng(27)
+    shapes = ((1, 1), (1, 6), (5, 1), (1, 9), (3, 5), (4, 4))
+    k = 0
+    for labels in (1, 7, 9):
+        for kind in ("potts", "quadratic"):
+            for shape in shapes:
+                model = random_weighted_model(rng, shape, labels, kind)
+                init = field_of(rng.integers(0, labels, shape), labels)
+                assert_anneal_matches_sequential_gibbs(model, init, 12, 100 + k)
+                k += 1
+
+
+def reference_gibbs_weights(costs, temperature):
+    """_gibbs_weights over a site-major (n, L) table's last axis."""
+    return np.exp(-(costs - costs.min(axis=-1, keepdims=True)) / temperature)
+
+
+def reference_anneal(model, init, max_sweeps, seed):
+    """Verbatim copy of solve_anneal with its site-major colour step: a
+    cumsum and a pick along the last axis of the (n, L) kernel output, and
+    trace energies from reference_energy."""
+    h, w, label_count = model.data_costs.shape
+    rng = np.random.default_rng(int(seed) % 2 ** 63)
+    flat = init.labels.ravel().copy()
+    table, nbrs, scales = model.site_table[:3]
+    even = (h * w + 1) // 2  # the table's even-colour rows come first
+    # Each row's raster rank within its colour picks its uniform.
+    colours = [(table[half], nbrs[:, half], scales[:, half], np.argsort(np.argsort(table[half])))
+               for half in (slice(0, even), slice(even, None))]
+    trace = []
+    for sweep in range(max_sweeps):
+        temp = mrf.ANNEAL_T0 * mrf.ANNEAL_DECAY ** (sweep // mrf.ANNEAL_SWEEPS_PER_TEMP)
+        changed = 0
+        for sites, nbrs, scales, rank in colours:
+            cumulative = np.cumsum(
+                reference_gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
+                axis=1)
+            u = rng.random(sites.size)[rank] * cumulative[:, -1]
+            # First label whose cumulative weight exceeds u, else the last.
+            pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
+            changed += int(np.count_nonzero(pick != flat[sites]))
+            flat[sites] = pick
+        trace.append(SweepRecord(sweep=sweep + 1,
+                                 energy=reference_energy(model, flat.reshape(h, w)),
+                                 changed=changed, temperature=temp))
+    out, tail = mrf._descend(model, LabelField(labels=flat.reshape(h, w),
+                                               label_count=label_count),
+                             first_sweep=max_sweeps + 1)
+    return out, trace + tail
+
+
+def test_label_major_weights_and_row_sums_are_bitwise_the_site_major_ones():
+    # The colour step's pieces on their own: label-major weights equal the
+    # site-major ones, and adding rows in place equals cumsum along the
+    # last axis, bit for bit.
+    rng = np.random.default_rng(28)
+    for labels in (1, 2, 3, 7, 49):
+        for n in (1, 5, 2048):
+            costs = rng.normal(0, 4, (n, labels))
+            for temp in (2.0, 2.0 * 0.9 ** 7, 1e-3):
+                weights = _gibbs_weights(costs.T.copy(), temp)
+                expected = reference_gibbs_weights(costs, temp)
+                assert np.array_equal(weights, expected.T)
+                for l in range(1, labels):
+                    weights[l] += weights[l - 1]
+                assert np.array_equal(weights, np.cumsum(expected, axis=1).T)
+
+
+def test_anneal_matches_the_site_major_step_at_benchmark_scale():
+    # The anneal benchmark's models: 64x64 class-0 scenes at noise 2, a
+    # 3-component mixture, Potts prior 1.0, the cheapest-label start and 60
+    # sweeps. Labels and the trace CSV must be the same bytes as the
+    # site-major colour step gives.
+    for seed in (2026, 4747):
+        for i in range(2):
+            scene = gen_scene(0, 64, 2, seed * 100 + i)
+            params, _ = gmm_fit(scene.plane().astype(np.float64).ravel() / 255.0, 3)
+            model = build_segmentation_game(scene, params, 1.0, "potts")
+            init = field_of(np.argmin(model.data_costs, axis=2), 3)
+            out, trace = solve_anneal(model, init, 60, seed)
+            ref, ref_trace = reference_anneal(model, init, 60, seed)
+            assert out.labels.tobytes() == ref.labels.tobytes()
+            assert trace_to_csv(trace) == trace_to_csv(ref_trace)
 
 
 def test_site_table_is_built_once_per_model(monkeypatch):
