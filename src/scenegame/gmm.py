@@ -31,6 +31,8 @@ class GmmParams:
         var = np.asarray(self.variances, dtype=np.float64)
         if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size < 1:
             raise ValueError("weights, means, variances must be equal-length 1-D")
+        if not np.isfinite(np.stack([w, mu, var])).all():
+            raise ValueError("weights, means, variances must be finite")
         if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
             raise ValueError("weights must be a probability vector")
         if np.any(var < VARIANCE_FLOOR):
@@ -71,17 +73,39 @@ def _sample_weights(counts, size):
     return counts
 
 
+def _sum_components(table):
+    """Per-value sum over the K rows of a (K, n) table, added in the order
+    (n, K).sum(axis=1) adds them: one by one below 8 components; from 8 on
+    numpy's unrolled pairwise routine, which a contiguous (n, K) copy gets."""
+    if table.shape[0] >= 8:
+        return np.ascontiguousarray(table.T).sum(axis=1)
+    total = table[0].copy()
+    for row in table[1:]:
+        total += row
+    return total
+
+
+def _sum_values(table):
+    """Per-component sum over the n values of a (K, n) table, added in the
+    order (n, K).sum(axis=0) adds them: value after value from 2 components
+    on, pairwise for one contiguous column. table.sum(axis=1) would sum every
+    row pairwise and change the bits."""
+    if table.shape[0] == 1:
+        return table.sum(axis=1)
+    return np.add.accumulate(table, axis=1)[:, -1]
+
+
 def _posterior(values, mixture, counts):
-    """Responsibilities and summed log-likelihood under mixture = (weights,
-    means, variances), both from one log joint table
-    log(weight_m * N(x_n; mean_m, var_m)) and its row log-sum-exp."""
+    """Component-major (K, n) responsibilities and the summed log-likelihood
+    under mixture = (weights, means, variances), both from one log joint
+    table log(weight_m * N(x_n; mean_m, var_m)) and its column log-sum-exp."""
     weights, means, variances = mixture
-    logp = _log_normal(values[:, None], means[None, :], variances[None, :])
-    logp += np.log(np.maximum(weights[None, :], 1e-300))
-    peak = logp.max(axis=1, keepdims=True)
+    logp = _log_normal(values[None, :], means[:, None], variances[:, None])
+    logp += np.log(np.maximum(weights[:, None], 1e-300))
+    peak = logp.max(axis=0)
     resp = np.exp(logp - peak)
-    totals = resp.sum(axis=1, keepdims=True)
-    return resp / totals, float((peak + np.log(totals))[:, 0] @ counts)
+    totals = _sum_components(resp)
+    return resp / totals, float((peak + np.log(totals)) @ counts)
 
 
 def _arrays(params: GmmParams):
@@ -106,7 +130,7 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    return _posterior(data, _arrays(params), _sample_weights(None, data.size))[0]
+    return _posterior(data, _arrays(params), _sample_weights(None, data.size))[0].T
 
 
 def m_step(data, resp, counts=None) -> GmmParams:
@@ -114,21 +138,21 @@ def m_step(data, resp, counts=None) -> GmmParams:
     floored variances. Sample n counts ``counts[n]`` times (default once)."""
     data = np.asarray(data, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
-    return GmmParams(*_m_step(data, np.asarray(resp, dtype=np.float64), counts))
+    return GmmParams(*_m_step(data, np.asarray(resp, dtype=np.float64).T, counts))
 
 
 def _m_step(values, resp, counts):
-    """m_step's arithmetic on float64 arrays whose counts are already checked:
-    the (weights, means, variances) arrays. An empty component still raises
-    EmptyComponentError."""
-    resp = resp * counts[:, None]
-    totals = resp.sum(axis=0)
-    if np.any(totals < 1e-12):
+    """m_step's arithmetic on float64 arrays whose counts are already checked,
+    with resp component-major (K, n): the (weights, means, variances) arrays.
+    An empty component still raises EmptyComponentError."""
+    resp = resp * counts
+    totals = _sum_values(resp)
+    if (totals < 1e-12).any():
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
     weights = totals / counts.sum()
-    means = (resp * values[:, None]).sum(axis=0) / totals
-    variances = (resp * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / totals
+    means = _sum_values(resp * values) / totals
+    variances = _sum_values(resp * (values - means[:, None]) ** 2) / totals
     return weights, means, np.maximum(variances, VARIANCE_FLOOR)
 
 
@@ -168,6 +192,8 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
         raise ValueError(
             f"need at least {component_count} samples, got {data.size}"
         )
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite")
     mixture = _arrays(_init_params(data, component_count, seed))
     values, counts = np.unique(data, return_counts=True)
     # Checked once here; the loop's M-steps run unchecked on these arrays.
