@@ -12,7 +12,6 @@ from .image import (
     gen_scene,
     read_pnm,
     scene_template,
-    to_gray,
     write_pnm,
 )
 from .mrf import (
@@ -51,7 +50,6 @@ __all__ = [
     "smoothness_residual",
     "solve_anneal",
     "solve_icm",
-    "to_gray",
     "write_pnm",
 ]
 

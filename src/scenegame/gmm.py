@@ -194,6 +194,10 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
         )
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.array([np.ptp(data), np.var(data)])
+    if not np.isfinite(spread).all():
+        raise ValueError("data range and variance must be finite in float64")
     mixture = _arrays(_init_params(data, component_count, seed))
     values, counts = np.unique(data, return_counts=True)
     # Checked once here; the loop's M-steps run unchecked on these arrays.

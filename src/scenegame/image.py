@@ -1,12 +1,12 @@
-"""Image values, a strict binary PGM/PPM codec, and the synthetic scene generator.
+"""Image values, a strict binary PGM codec, and the synthetic scene generator.
 
-Images are immutable uint8 grids (grayscale or RGB). The codec accepts only
-binary P5/P6 with maxval 255 so fixture files stay bit-exact. The generator
+Images are immutable (height, width) uint8 gray-level grids. The codec accepts
+only binary P5 with maxval 255 so fixture files stay bit-exact. The generator
 produces five procedurally distinct indoor-scene stand-ins (one template per
 class) with seeded additive noise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,22 +31,13 @@ class PnmPayloadError(PnmError):
 
 
 class Image:
-    """Immutable raster of uint8 intensities.
-
-    Grayscale images store pixels as (height, width); RGB as (height, width, 3).
-    """
+    """Immutable (height, width) raster of uint8 gray levels."""
 
     __slots__ = ("pixels",)
 
     def __init__(self, pixels):
         arr = np.asarray(pixels)
-        if arr.ndim == 2:
-            pass
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            pass
-        elif arr.ndim == 3 and arr.shape[2] == 1:
-            arr = arr[:, :, 0]
-        else:
+        if arr.ndim != 2:
             raise ValueError(f"unsupported pixel array shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image dimensions must be positive")
@@ -73,12 +64,10 @@ class Image:
 
     @property
     def channels(self):
-        return 1 if self.pixels.ndim == 2 else 3
+        return 1  # always gray; read by the output check in bench/workloads.py
 
     def plane(self):
-        """Grayscale pixel grid as (height, width); error on RGB."""
-        if self.channels != 1:
-            raise ValueError("image is not grayscale")
+        """The (height, width) pixel grid."""
         return self.pixels
 
     def __eq__(self, other):
@@ -92,20 +81,7 @@ class Image:
         return hash((self.pixels.shape, self.pixels.tobytes()))
 
     def __repr__(self):
-        return f"Image({self.width}x{self.height}, channels={self.channels})"
-
-
-def to_gray(img: Image) -> Image:
-    """Convert RGB to grayscale via rounded (299R + 587G + 114B) / 1000.
-
-    Integer arithmetic, so the result is reproducible bit-for-bit.
-    Grayscale input is returned unchanged.
-    """
-    if img.channels == 1:
-        return img
-    rgb = img.pixels.astype(np.int64)
-    gray = (299 * rgb[:, :, 0] + 587 * rgb[:, :, 1] + 114 * rgb[:, :, 2] + 500) // 1000
-    return Image(gray.astype(np.uint8))
+        return f"Image({self.width}x{self.height})"
 
 
 @dataclass(frozen=True)
@@ -147,40 +123,32 @@ class LabelField:
 
 @dataclass(frozen=True)
 class DisplacementLabelSet:
-    """Ordered discrete (dx, dy) offsets used as registration strategies.
-
-    dx moves along columns, dy along rows. The zero offset must be present.
+    """The registration strategies of a radius >= 0: every (dx, dy) offset
+    with |dx|, |dy| <= radius, row-major in (dy, dx). dx moves along columns,
+    dy along rows.
     """
 
-    offsets: tuple
     radius: int
+    offsets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        offs = tuple((int(dx), int(dy)) for dx, dy in self.offsets)
-        if len(set(offs)) != len(offs):
-            raise ValueError("offsets must be distinct")
-        if (0, 0) not in offs:
-            raise ValueError("offsets must contain (0, 0)")
-        for dx, dy in offs:
-            if abs(dx) > self.radius or abs(dy) > self.radius:
-                raise ValueError(f"offset ({dx}, {dy}) exceeds radius {self.radius}")
-        object.__setattr__(self, "offsets", offs)
+        if self.radius < 0:
+            raise ValueError("radius must be >= 0")
+        span = range(-self.radius, self.radius + 1)
+        object.__setattr__(self, "offsets",
+                           tuple((dx, dy) for dy in span for dx in span))
 
     @classmethod
     def dense(cls, radius: int) -> "DisplacementLabelSet":
-        """All offsets with |dx|, |dy| <= radius, row-major in (dy, dx)."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        offs = [(dx, dy) for dy in range(-radius, radius + 1)
-                for dx in range(-radius, radius + 1)]
-        return cls(offsets=tuple(offs), radius=radius)
+        """The set of the given radius; the CLI and benchmark build it here."""
+        return cls(radius)
 
     def __len__(self):
         return len(self.offsets)
 
 
 # ---------------------------------------------------------------------------
-# PNM codec (binary P5 / P6, maxval 255 only)
+# PGM codec (binary P5, maxval 255 only)
 # ---------------------------------------------------------------------------
 
 def _read_header_token(data: bytes, pos: int):
@@ -204,20 +172,17 @@ def _read_header_token(data: bytes, pos: int):
 
 
 def read_pnm(data: bytes) -> Image:
-    """Decode a binary PGM (P5) or PPM (P6) byte string with maxval 255.
+    """Decode a binary PGM (P5) byte string with maxval 255.
 
-    Header comments are skipped. Raises PnmHeaderError, PnmMaxvalError, or
-    PnmPayloadError depending on what is wrong.
+    Header comments are skipped; header numbers are ASCII decimal digits only.
+    Raises PnmHeaderError, PnmMaxvalError, or PnmPayloadError depending on
+    what is wrong.
     """
     data = bytes(data)
     if len(data) < 2:
         raise PnmHeaderError("file too short for a PNM magic number")
     magic = data[:2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
+    if magic != b"P5":
         raise PnmHeaderError(f"unsupported magic number {magic!r}")
 
     pos = 2
@@ -227,11 +192,9 @@ def read_pnm(data: bytes) -> Image:
             token, pos = _read_header_token(data, pos)
         except PnmHeaderError:
             raise PnmHeaderError(f"missing {name} in header")
-        try:
-            value = int(token)
-        except ValueError:
+        if not token.isdigit():  # bytes.isdigit is ASCII only; int() takes "+1_0"
             raise PnmHeaderError(f"non-numeric {name} {token!r}")
-        fields.append(value)
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PnmHeaderError(f"non-positive dimensions {width}x{height}")
@@ -243,7 +206,7 @@ def read_pnm(data: bytes) -> Image:
         raise PnmHeaderError("missing whitespace after maxval")
     pos += 1
 
-    expected = width * height * channels
+    expected = width * height
     payload = data[pos:]
     if len(payload) < expected:
         raise PnmPayloadError(
@@ -253,18 +216,12 @@ def read_pnm(data: bytes) -> Image:
         raise PnmPayloadError(
             f"trailing data: got {len(payload)} bytes, expected {expected}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 1:
-        arr = arr.reshape(height, width)
-    else:
-        arr = arr.reshape(height, width, 3)
-    return Image(arr)
+    return Image(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
 
 
 def write_pnm(img: Image) -> bytes:
-    """Encode to canonical binary P5/P6: single-space separators, maxval 255."""
-    magic = b"P5" if img.channels == 1 else b"P6"
-    header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
+    """Encode to canonical binary P5: single-space separators, maxval 255."""
+    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
 
 

@@ -504,8 +504,6 @@ def build_registration_game(fixed: Image, moving: Image,
     space; horizontal edges are weighted by the smoothness field's xx
     coefficient, vertical edges by yy (averaged over the edge endpoints).
     """
-    if fixed.channels != 1 or moving.channels != 1:
-        raise ValueError("registration expects grayscale images")
     if (fixed.height, fixed.width) != (moving.height, moving.width):
         raise ValueError("fixed and moving images must have the same size")
     if field.coeffs.shape[:2] != (fixed.height, fixed.width):

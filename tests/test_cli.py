@@ -391,6 +391,25 @@ def test_cli_missing_file_logs_traceback_at_debug(tmp_path, caplog):
     assert records[0].exc_info[0] is FileNotFoundError
 
 
+@pytest.mark.parametrize("command", [
+    ["preprocess", "--input", "{p6}", "--method", "equalize"],
+    ["gmm-fit", "--input", "{p6}", "--components", "2"],
+    ["segment", "--input", "{p6}", "--components", "2"],
+    ["features", "{p6}"],
+    ["register", "--fixed", "{p6}", "--moving", "{p5}", "--radius", "1"],
+    ["register", "--fixed", "{p5}", "--moving", "{p6}", "--radius", "1"],
+])
+def test_cli_rejects_a_colour_ppm_as_an_unsupported_magic_number(
+        tmp_path, capsys, command):
+    p6, p5, out = tmp_path / "rgb.ppm", tmp_path / "gray.pgm", tmp_path / "out"
+    p6.write_bytes(b"P6\n16 16\n255\n" + bytes(16 * 16 * 3))
+    p5.write_bytes(write_pnm(gen_scene(0, 16, 1, 0)))
+    argv = [arg.format(p6=p6, p5=p5) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "ERROR: unsupported magic number b'P6'\n"
+    assert not out.exists()
+
+
 def segment_trace(tmp_path, capsys, *extra):
     src, _ = write_scene(tmp_path, class_id=1, size=32)
     trace_path = tmp_path / "trace.csv"

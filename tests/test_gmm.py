@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,21 @@ def test_fit_rejects_non_finite_data_before_any_iteration(monkeypatch, bad):
     monkeypatch.setattr(gmm, "_init_params", lambda *a: init.append(a))
     with pytest.raises(ValueError, match="data must be finite"):
         fit([0.1, 0.2, bad, 0.5], 2)
+    assert not init
+
+
+@pytest.mark.parametrize("data, k", [([1e200, -1e200, 0.0, 5.0], 2),
+                                     ([1e308, -1e308], 1)])
+def test_fit_rejects_data_whose_spread_overflows(monkeypatch, data, k):
+    # Finite samples whose range or variance is not finite in float64: the
+    # error names the data, before any parameter is built and without a
+    # numpy overflow warning.
+    init = []
+    monkeypatch.setattr(gmm, "_init_params", lambda *a: init.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="data range and variance must be finite"):
+            fit(data, k)
     assert not init
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from scenegame.image import (
     gen_scene,
     read_pnm,
     scene_template,
-    to_gray,
     write_pnm,
 )
 
@@ -27,23 +28,12 @@ def test_write_canonical_gray():
     assert write_pnm(img) == b"P5\n1 1\n255\n" + bytes([7])
 
 
-def test_write_canonical_rgb():
-    img = Image(np.array([[[1, 2, 3]]], dtype=np.uint8))
-    data = write_pnm(img)
-    assert data == b"P6\n1 1\n255\n" + bytes([1, 2, 3])
-    assert read_pnm(data) == img
-
-
 def test_round_trip_random_images():
     rng = np.random.default_rng(321)
     for _ in range(50):
         h = int(rng.integers(1, 24))
         w = int(rng.integers(1, 24))
-        if rng.random() < 0.5:
-            arr = rng.integers(0, 256, (h, w), dtype=np.uint8)
-        else:
-            arr = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        img = Image(arr)
+        img = Image(rng.integers(0, 256, (h, w), dtype=np.uint8))
         data = write_pnm(img)
         assert read_pnm(data) == img
         # canonical files survive a decode/encode cycle byte-for-byte
@@ -59,6 +49,11 @@ def test_header_comments_skipped():
 def test_bad_magic_is_header_error():
     with pytest.raises(PnmHeaderError):
         read_pnm(b"P3\n1 1\n255\n\x00")
+
+
+def test_colour_ppm_is_an_unsupported_magic_number():
+    with pytest.raises(PnmHeaderError, match=r"unsupported magic number b'P6'"):
+        read_pnm(b"P6\n1 1\n255\n" + bytes([1, 2, 3]))
 
 
 def test_wrong_maxval_is_maxval_error():
@@ -86,6 +81,24 @@ def test_header_error_cases():
         read_pnm(b"P5\n1 1")
 
 
+@pytest.mark.parametrize("header, name, token", [
+    (b"P5\n1_0 1\n255\n", "width", b"1_0"),
+    (b"P5\n+10 1\n255\n", "width", b"+10"),
+    (b"P5\n10 -1\n255\n", "height", b"-1"),
+    (b"P5\n10 1\n2_55\n", "maxval", b"2_55"),
+    (b"P5\n10 1\n+255\n", "maxval", b"+255"),
+    (b"P5\n\xd9\xa1 1\n255\n", "width", b"\xd9\xa1"),
+])
+def test_header_numbers_are_ascii_digits_only(header, name, token):
+    with pytest.raises(PnmHeaderError, match=re.escape(f"non-numeric {name} {token!r}")):
+        read_pnm(header + bytes(10))
+
+
+def test_header_numbers_keep_leading_zeros():
+    img = read_pnm(b"P5\n002 01\n0255\n" + bytes([5, 6]))
+    assert img.pixels.tolist() == [[5, 6]]
+
+
 def test_image_rejects_bad_values():
     with pytest.raises(ValueError):
         Image(np.array([[300]]))
@@ -93,8 +106,12 @@ def test_image_rejects_bad_values():
         Image(np.array([[-1]]))
     with pytest.raises(ValueError):
         Image(np.array([[0.5]]))
-    with pytest.raises(ValueError):
-        Image(np.zeros((2, 2, 4), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 1), (2, 2, 4), (4,)])
+def test_image_is_gray_levels_only(shape):
+    with pytest.raises(ValueError, match="unsupported pixel array shape"):
+        Image(np.zeros(shape, dtype=np.uint8))
 
 
 def test_image_is_immutable():
@@ -103,15 +120,6 @@ def test_image_is_immutable():
         img.pixels[0, 0] = 1
     with pytest.raises(AttributeError):
         img.pixels = None
-
-
-def test_to_gray_fixed_rule():
-    img = Image(np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255], [10, 20, 30]]],
-                         dtype=np.uint8))
-    gray = to_gray(img)
-    # rounded (299R + 587G + 114B) / 1000
-    assert gray.pixels.tolist() == [[76, 150, 29, 18]]
-    assert to_gray(gray) == gray
 
 
 def test_gen_scene_deterministic():
@@ -186,8 +194,13 @@ def test_displacement_label_set():
     assert (0, 0) in dense.offsets
     assert dense.offsets[0] == (-1, -1)
     with pytest.raises(ValueError):
-        DisplacementLabelSet(offsets=((0, 0), (0, 0)), radius=1)
-    with pytest.raises(ValueError):
-        DisplacementLabelSet(offsets=((1, 0),), radius=1)
-    with pytest.raises(ValueError):
-        DisplacementLabelSet(offsets=((0, 0), (2, 0)), radius=1)
+        DisplacementLabelSet.dense(-1)
+
+
+def test_dense_offsets_are_row_major_in_dy_dx():
+    for r in range(5):
+        expected = tuple((dx, dy) for dy in range(-r, r + 1)
+                         for dx in range(-r, r + 1))
+        label_set = DisplacementLabelSet.dense(r)
+        assert label_set.offsets == expected
+        assert (label_set.radius, len(label_set)) == (r, (2 * r + 1) ** 2)

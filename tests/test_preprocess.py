@@ -36,12 +36,6 @@ def test_equalize_four_levels():
     assert out.pixels.tolist() == [[0, 0, 127, 255]]
 
 
-def test_equalize_rejects_multichannel():
-    rgb = Image(np.zeros((2, 2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        equalize(rgb)
-
-
 def test_equalize_idempotent_within_one_level():
     rng = np.random.default_rng(8)
     for _ in range(60):
