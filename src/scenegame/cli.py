@@ -18,7 +18,8 @@ import numpy as np
 from . import features as features_mod
 from . import gmm as gmm_mod
 from . import mrf, net as net_mod, preprocess
-from .image import Image, LabelField, DisplacementLabelSet, gen_scene, read_pnm, write_pnm
+from .image import (NOISE_SIGMA, DisplacementLabelSet, Image, LabelField,
+                    check_noise_level, gen_scene, read_pnm, write_pnm)
 
 REPORT_HEADER = "game_level,input_size,feature_complexity,noise_level,accuracy,robustness_error"
 
@@ -150,7 +151,7 @@ class ExperimentConfig:
                 net_mod.feature_side(size)
         except ValueError as exc:
             raise CliError(f"sizes: {exc}") from exc
-        if any(n not in (1, 2, 3) for n in self.noise_levels) or not self.noise_levels:
+        if any(n not in NOISE_SIGMA for n in self.noise_levels) or not self.noise_levels:
             raise CliError("noise_levels must be from 1..3")
         if self.images_per_class < 1 or self.trials < 1:
             raise CliError("images_per_class and trials must be >= 1")
@@ -476,6 +477,7 @@ def _cmd_train(args):
     # Validate the arguments, and build the network, before any scene is drawn.
     config = _train_config(args, seed=args.seed, crop_size=args.crop)
     _check_crop(args.crop, args.size)
+    check_noise_level(args.noise)
     network = net_mod.default_net(
         input_size=args.size if args.crop is None else args.crop, seed=args.seed)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
@@ -490,17 +492,23 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     _check_crop(args.crop, args.size)
+    check_noise_level(args.noise)
     if args.images_per_class < 1:
         raise CliError("--images-per-class must be >= 1")
     network = net_mod.load_net(args.model)
     side = args.size if args.crop is None else args.crop
-    try:  # one blank input finds a size the model rejects before any draw
-        net_mod.forward(network, Image(np.zeros((side, side), dtype=np.uint8)))
+    # One blank input finds a model eval cannot score, before any draw.
+    blank = Image(np.zeros((side, side), dtype=np.uint8))
+    try:
+        _, scores = net_mod.forward(network, blank)
     except net_mod.ShapeMismatchError as exc:
         raise CliError(
             f"model does not accept {side}x{side} inputs ({exc}); a model "
             f"trained with --crop C needs eval --crop C"
         ) from exc
+    if scores.size != net_mod.CLASS_COUNT:
+        raise CliError(f"model gives {scores.size} scores per input; eval needs "
+                       f"one per class ({net_mod.CLASS_COUNT})")
     # Trial 1: scenes that train, which draws trial 0, never sees.
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise, trial=1)

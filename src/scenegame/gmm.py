@@ -114,7 +114,9 @@ def _arrays(params: GmmParams):
 
 
 def log_likelihood(data, params: GmmParams, counts=None) -> float:
-    """Summed log-likelihood; ``counts[n]`` is how many times sample n occurs."""
+    """Summed log-likelihood; ``counts[n]`` is how many times sample n occurs.
+
+    No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
     return _posterior(data, _arrays(params), _sample_weights(counts, data.size))[1]
 
@@ -126,6 +128,8 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     A row is the posterior of one sample value, so it does not depend on how
     often the value occurs: on a (value, count) histogram it takes the values
     alone.
+
+    No stage calls it; bench/spans.py:FUNCTIONS patches it by name.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
@@ -135,7 +139,9 @@ def e_step(data, params: GmmParams) -> np.ndarray:
 
 def m_step(data, resp, counts=None) -> GmmParams:
     """Closed-form Q-maximizer: responsibility-weighted weights, means, and
-    floored variances. Sample n counts ``counts[n]`` times (default once)."""
+    floored variances. Sample n counts ``counts[n]`` times (default once).
+
+    No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
     return GmmParams(*_m_step(data, np.asarray(resp, dtype=np.float64).T, counts))

@@ -264,14 +264,20 @@ def scene_template(class_id: int, size: int) -> np.ndarray:
     return img.astype(np.uint8)
 
 
+def check_noise_level(noise_level: int):
+    """ValueError unless noise_level is one of NOISE_SIGMA's levels, the
+    ones gen_scene accepts; the CLI checks --noise with it before any work."""
+    if noise_level not in NOISE_SIGMA:
+        raise ValueError(f"noise_level must be in 1..3, got {noise_level}")
+
+
 def gen_scene(class_id: int, size: int, noise_level: int, seed: int) -> Image:
     """Deterministic synthetic scene: class template plus seeded Gaussian noise.
 
     Pure function of its arguments; sigma grows with noise_level (1..3).
     """
     template = scene_template(class_id, size)
-    if noise_level not in NOISE_SIGMA:
-        raise ValueError(f"noise_level must be in 1..3, got {noise_level}")
+    check_noise_level(noise_level)
     rng = np.random.default_rng([int(seed) % 2 ** 63, class_id, size, noise_level])
     noisy = template.astype(np.float64) + rng.normal(
         0.0, NOISE_SIGMA[noise_level], template.shape

@@ -503,6 +503,10 @@ def build_registration_game(fixed: Image, moving: Image,
     clamped). Neighboring displacements are coupled quadratically in offset
     space; horizontal edges are weighted by the smoothness field's xx
     coefficient, vertical edges by yy (averaged over the edge endpoints).
+
+    Every caller passes SmoothnessField.identity as field; the argument stays
+    because bench/workloads.py:292-293 builds one and passes it fifth, by
+    position.
     """
     if (fixed.height, fixed.width) != (moving.height, moving.width):
         raise ValueError("fixed and moving images must have the same size")

@@ -532,7 +532,8 @@ def grad_check(net: Network, images, labels, config: TrainConfig,
 # magic "SGNET001" | u32 layer count | per layer: u8 kind + the u32 fields
 # that _LAYER_KINDS lists for it | parameter tensors per trainable layer,
 # weights then bias, raw little-endian float64 in table order. Kind 3
-# (average pooling) is retired: no longer written, and rejected on read.
+# (average pooling) is retired: no longer written, and rejected on read. The
+# reader also rejects an empty layer table and any u32 field equal to 0.
 
 CHECKPOINT_MAGIC = b"SGNET001"
 # kind code -> (layer class, its u32 constructor fields in record order)
@@ -575,13 +576,20 @@ def load_net(path) -> Network:
         return blob[pos - nbytes:pos]
 
     (layer_count,) = struct.unpack("<I", take(4))
+    if layer_count == 0:
+        raise ValueError("checkpoint has no layers")
     layers = []
-    for _ in range(layer_count):
+    for index in range(layer_count):
         kind = take(1)[0]
         if kind not in _LAYER_KINDS:
             raise ValueError(f"unknown layer kind {kind}")
         cls, names = _LAYER_KINDS[kind]
-        layers.append(cls(*struct.unpack(f"<{len(names)}I", take(4 * len(names)))))
+        values = struct.unpack(f"<{len(names)}I", take(4 * len(names)))
+        for name, value in zip(names, values):
+            if value == 0:  # every layer size, window and stride is >= 1
+                raise ValueError(f"checkpoint layer {index} ({cls.__name__}) "
+                                 f"has {name} = 0; it must be >= 1")
+        layers.append(cls(*values))
     net = Network(layers)
     for arr in net.parameter_arrays():
         arr[...] = np.frombuffer(take(arr.nbytes), dtype="<f8").reshape(arr.shape)

@@ -3,6 +3,7 @@ import math
 import re
 import shlex
 import statistics
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -130,12 +131,12 @@ REFERENCE_PARSERS = {
 
 
 def readme_config_block():
-    """(key, value) pairs of the README's `Keys and defaults` block."""
+    """(key, value) pairs of the README's `Keys and defaults` block, read as
+    the config file it shows."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     block = text.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
-    return [tuple(part.strip() for part in line.split("#")[0].split("=", 1))
-            for line in block.splitlines()]
+    return list(parse_config(block).items())
 
 
 def test_readme_lists_every_config_key_with_its_default():
@@ -148,6 +149,11 @@ def test_readme_lists_every_config_key_with_its_default():
 
     assert readme_config_block() == [
         (f.name, shown(f.default)) for f in fields(ExperimentConfig)]
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    mapping = dict(readme_config_block())
+    assert ExperimentConfig.from_mapping(mapping) == ExperimentConfig()
 
 
 EDGE_VALUES = ("1,,2", "ON", "0", "off", "3", "2.5", "-1", "nan", "inf", "x", "")
@@ -707,6 +713,28 @@ def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
     assert "--crop" in err
 
 
+@pytest.mark.parametrize("layers, message", [
+    ((), "checkpoint has no layers"),
+    ((struct.pack("<B2I", 2, 0, 2),),
+     "checkpoint layer 0 (MaxPool2D) has window = 0; it must be >= 1"),
+    ((struct.pack("<B2I", 2, 2, 0),),
+     "checkpoint layer 0 (MaxPool2D) has stride = 0; it must be >= 1"),
+    ((struct.pack("<B", 4),),
+     "model gives 144 scores per input; eval needs one per class (5)"),
+], ids=["empty", "pool-window-0", "pool-stride-0", "relu-only"])
+def test_cli_eval_rejects_a_checkpoint_that_cannot_score_the_classes(
+        tmp_path, capsys, monkeypatch, layers, message):
+    model = tmp_path / "model.bin"
+    model.write_bytes(net.CHECKPOINT_MAGIC + struct.pack("<I", len(layers))
+                      + b"".join(layers))
+    drawn = []
+    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    assert main(["eval", "--model", str(model), "--size", "12",
+                 "--images-per-class", "1"]) == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert not drawn
+
+
 def test_cli_experiment_with_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -740,7 +768,7 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
     "sizes = 8", "train --margin 0", "train --size 16 --crop 20",
     "train --crop 0", "train --size 9", "eval --size 16 --crop 20",
     "eval --crop 0", "eval --images-per-class 0", "eval --images-per-class -3",
-    "eval --size 30 --images-per-class 40",
+    "eval --size 30 --images-per-class 40", "train --noise 0", "eval --noise 4",
 ])
 def test_cli_rejects_bad_training_keys_before_any_work(
         tmp_path, capsys, monkeypatch, bad):

@@ -942,6 +942,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"SGNET001" + struct.pack("<IB2I", 1, 3, 2, 2))
     with pytest.raises(ValueError, match="unknown layer kind 3"):
         load_net(path)
+    path.write_bytes(b"SGNET001" + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="^checkpoint has no layers$"):
+        load_net(path)
+
+
+ZERO_FIELDS = [(kind, cls, names, name)
+               for kind, (cls, names) in net_mod._LAYER_KINDS.items()
+               for name in names]
+
+
+@pytest.mark.parametrize("kind, cls, names, name", ZERO_FIELDS,
+                         ids=[f"{c[1].__name__}-{c[3]}" for c in ZERO_FIELDS])
+def test_checkpoint_rejects_a_zero_layer_field(tmp_path, kind, cls, names, name):
+    record = struct.pack(f"<B{len(names)}I", kind,
+                         *(0 if field == name else 2 for field in names))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"SGNET001" + struct.pack("<IB", 2, 4) + record)  # relu first
+    with pytest.raises(ValueError, match=rf"^checkpoint layer 1 \({cls.__name__}\) "
+                                         rf"has {name} = 0; it must be >= 1$"):
+        load_net(path)
 
 
 # The checkpoint writer and reader as they were before one kind table
