@@ -490,6 +490,26 @@ def _cmd_train(args):
     return 0
 
 
+def _blank_scores(network, side: int):
+    """Class scores of one blank side x side input."""
+    blank = Image(np.zeros((side, side), dtype=np.uint8))
+    return net_mod.forward(network, blank)[1]
+
+
+def _crop_hint(network, size: int) -> str:
+    """A hint naming the largest side C < size whose blank input the model
+    scores with one score per class ('; it accepts CxC inputs: use --crop
+    C'), or '' when no side does."""
+    for side in range(size - 1, 0, -1):
+        try:
+            scores = _blank_scores(network, side)
+        except net_mod.ShapeMismatchError:
+            continue
+        if scores.size == net_mod.CLASS_COUNT:
+            return f"; it accepts {side}x{side} inputs: use --crop {side}"
+    return ""
+
+
 def _cmd_eval(args):
     _check_crop(args.crop, args.size)
     check_noise_level(args.noise)
@@ -498,14 +518,11 @@ def _cmd_eval(args):
     network = net_mod.load_net(args.model)
     side = args.size if args.crop is None else args.crop
     # One blank input finds a model eval cannot score, before any draw.
-    blank = Image(np.zeros((side, side), dtype=np.uint8))
     try:
-        _, scores = net_mod.forward(network, blank)
+        scores = _blank_scores(network, side)
     except net_mod.ShapeMismatchError as exc:
-        raise CliError(
-            f"model does not accept {side}x{side} inputs ({exc}); a model "
-            f"trained with --crop C needs eval --crop C"
-        ) from exc
+        raise CliError(f"model does not accept {side}x{side} inputs ({exc})"
+                       + _crop_hint(network, args.size)) from exc
     if scores.size != net_mod.CLASS_COUNT:
         raise CliError(f"model gives {scores.size} scores per input; eval needs "
                        f"one per class ({net_mod.CLASS_COUNT})")

@@ -6,13 +6,14 @@ layer implements its own backward pass; grad_check compares the assembled
 gradient against central finite differences.
 """
 
+import functools
 import logging
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .image import Image
 
@@ -36,12 +37,57 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, shape)
 
 
+def _pending(layer, value):
+    """A layer's saved forward state, or RuntimeError when no forward is
+    waiting for its backward."""
+    if value is None:
+        raise RuntimeError(f"{type(layer).__name__}.backward needs a forward "
+                           f"first: no forward pass is pending")
+    return value
+
+
+def _mergeable(sizes, strides):
+    """Whether numpy can merge these axes (sizes, byte strides) into one
+    without a copy: after dropping size-1 axes, each stride is the next
+    axis' size times its stride."""
+    kept = [(size, stride) for size, stride in zip(sizes, strides) if size != 1]
+    return all(outer == size * inner
+               for (_, outer), (size, inner) in zip(kept, kept[1:]))
+
+
+@functools.lru_cache(maxsize=32)
+def _patch_index(h, w, kh, kw, stride):
+    """Flat pixel index of every patch entry of one h x w image, shape
+    (oh * ow, kh * kw): patch row (i, j) reads pixel (s*i + di, s*j + dj)
+    in column (di, dj). Read-only, since calls share it."""
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    corners = (np.arange(0, stride * oh, stride)[:, None] * w
+               + np.arange(0, stride * ow, stride))
+    offsets = np.arange(kh)[:, None] * w + np.arange(kw)
+    index = corners.reshape(-1, 1) + offsets.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 class Conv2D:
     """Valid convolution, stride >= 1, no padding.
 
     Each pass is one GEMM over the im2col patch matrix: one row per output
     pixel, columns in (kh, kw, cin) order so that the weights reshape to
-    (kh * kw * cin, cout) unchanged.
+    (kh * kw * cin, cout) unchanged. Forward gathers the matrix with one
+    np.take of whole pixels (cin values each) through a cached patch index,
+    and adds the bias along each image's flat (oh * ow * cout) row. Where
+    the windows tile x so that numpy reshapes them without a copy (say,
+    windows as wide as a one-image input, or a 1x1 kernel at stride 1), the
+    matrix is that strided view of x instead: its rows may overlap, which
+    BLAS cannot take, so numpy multiplies it in its own loop, and a gathered
+    copy would change the products' bits.
+
+    Backward computes the column gradient with the same GEMM. It then
+    copies each kernel offset's column block out as one contiguous
+    (n, oh, ow, cin) block, moving each pixel's cin values as one item, and
+    adds it onto its pixels.
     """
 
     def __init__(self, kh, kw, cin, cout, stride=1, rng=None):
@@ -66,12 +112,21 @@ class Conv2D:
         ow = (w - self.kw) // s + 1
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"input {h}x{w} smaller than the kernel")
-        # (n, h-kh+1, w-kw+1, cin, kh, kw) view -> strided rows, (kh, kw, cin) columns
-        windows = sliding_window_view(x, (self.kh, self.kw), axis=(1, 2))
-        cols = windows[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(
-            n * oh * ow, self.kh * self.kw * self.cin)
+        sn, sh, sw, sc = x.strides
+        rows, columns = (n, oh, ow), (self.kh, self.kw, self.cin)
+        shape = (n * oh * ow, self.kh * self.kw * self.cin)
+        if (_mergeable(rows, (sn, s * sh, s * sw))
+                and _mergeable(columns, (sh, sw, sc))):
+            # the windows tile x: the patch matrix is a strided view of it
+            windows = as_strided(x, rows + columns,
+                                 (sn, s * sh, s * sw, sh, sw, sc), writeable=False)
+            cols = windows.reshape(shape)
+        else:
+            index = _patch_index(h, w, self.kh, self.kw, s)
+            cols = x.reshape(n, h * w, self.cin).take(index, axis=1).reshape(shape)
         out = cols @ self.weights.reshape(-1, self.cout)
-        out += self.bias
+        per_image = out.reshape(n, oh * ow * self.cout)
+        per_image += np.tile(self.bias, oh * ow)
         self._cols = cols
         self._in_shape = x.shape
         return out.reshape(n, oh, ow, self.cout)
@@ -79,21 +134,23 @@ class Conv2D:
     def backward(self, dout, input_grad=True):
         """Set d_weights and d_bias; return the input gradient, or None
         without computing it when input_grad is off."""
-        cols, self._cols = self._cols, None
+        cols, self._cols = _pending(self, self._cols), None
         n, oh, ow, _ = dout.shape
-        s = self.stride
+        s, cin, offsets = self.stride, self.cin, self.kh * self.kw
         dout2 = dout.reshape(-1, self.cout)
         self.d_weights = (cols.T @ dout2).reshape(self.weights.shape)
         self.d_bias = dout2.sum(axis=0)
         if not input_grad:
             return None
-        dcols = (dout2 @ self.weights.reshape(-1, self.cout).T).reshape(
-            n, oh, ow, self.kh, self.kw, self.cin)
-        # col2im: add each kernel offset's column block back onto its pixels
+        dcols = dout2 @ self.weights.reshape(-1, self.cout).T
+        # one item per pixel block of cin values: column o is offset o's block
+        pixels = dcols.view(np.dtype((np.void, dcols.itemsize * cin)))
+        # col2im: add each kernel offset's block back onto its pixels
         dx = np.zeros(self._in_shape)
-        for di in range(self.kh):
-            for dj in range(self.kw):
-                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += dcols[:, :, :, di, dj]
+        for o in range(offsets):
+            di, dj = divmod(o, self.kw)
+            block = pixels[:, o].copy().view(dcols.dtype)
+            dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += block.reshape(n, oh, ow, cin)
         return dx
 
 
@@ -101,10 +158,11 @@ class MaxPool2D:
     """Max over k x k windows at stride s; trailing rows and columns that no
     window covers are dropped.
 
-    Forward takes a running np.maximum over the k * k strided views in
-    offset order (row-major within the window) and records, per output, the
-    first offset whose view equals the max: argmax's first-maximum rule over
-    the stacked views, without building the stack. Backward routes each
+    Forward copies the k * k strided views once into a window-major stack,
+    one contiguous (n, oh, ow, c) block per offset in offset order
+    (row-major within the window). It takes a running np.maximum over the
+    blocks and records, per output, the first offset whose block equals the
+    max: argmax's first-maximum rule over the stack. Backward routes each
     output's gradient to that pixel. Ties, and ReLU's -0.0 against 0.0,
     resolve like argmax; NaN activations are outside that contract.
     """
@@ -116,51 +174,81 @@ class MaxPool2D:
 
     def forward(self, x):
         k, s = self.window, self.stride
+        if x.ndim != 4:
+            raise ShapeMismatchError(
+                f"pool with a {k}x{k} window expects (N,H,W,C), got {x.shape}")
         n, h, w, c = x.shape
+        if h < k or w < k:
+            raise ShapeMismatchError(
+                f"pool input {x.shape} is smaller than its {k}x{k} window")
         oh = (h - k) // s + 1
         ow = (w - k) // s + 1
-        views = [x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
-                 for di in range(k) for dj in range(k)]
-        out = views[0].copy()
-        for v in views[1:]:
-            np.maximum(out, v, out=out)
+        stack = np.empty((k * k, n, oh, ow, c), dtype=x.dtype)
+        for o in range(k * k):
+            di, dj = divmod(o, k)
+            stack[o] = x[:, di:di + s * oh:s, dj:dj + s * ow:s, :]
+        out = stack[0].copy()
+        for block in stack[1:]:
+            np.maximum(out, block, out=out)
         # winner = number of leading offsets whose value is not the max
         winner = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
         alive = np.ones(out.shape, dtype=bool)
-        for v in views[:-1]:
-            alive &= v != out
-            winner += alive
+        for block in stack[:-1]:
+            alive &= block != out
+            winner += alive.view(np.uint8)
         self._winner = winner
         self._in_shape = x.shape
         return out
 
     def backward(self, dout):
+        winner, self._winner = _pending(self, self._winner), None
         k, s = self.window, self.stride
         oh, ow = dout.shape[1], dout.shape[2]
         dx = np.zeros(self._in_shape)
-        for o, (di, dj) in enumerate(
-            (di, dj) for di in range(k) for dj in range(k)
-        ):
-            dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += dout * (self._winner == o)
+        routed = np.empty_like(dout)
+        for o in range(k * k):
+            di, dj = divmod(o, k)
+            # dout * (winner == o), with the bool mask cast once
+            np.equal(winner, o, out=routed)
+            routed *= dout
+            dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += routed
         return dx
 
 
 class ReLU:
+    """x * (x > 0) forward and dout * (x > 0) backward. Each pass casts the
+    saved bool mask to the float type once and multiplies it in place, float
+    by float: the same products as numpy's bool-by-float multiply, -0.0 and
+    x * 0.0 included, without its per-element cast. Only the bool mask waits
+    for backward."""
+
+    def __init__(self):
+        self._mask = None
+
     def forward(self, x):
         self._mask = x > 0
-        return x * self._mask
+        out = self._mask.astype(x.dtype)
+        out *= x
+        return out
 
     def backward(self, dout):
-        return dout * self._mask
+        mask, self._mask = _pending(self, self._mask), None
+        grad = mask.astype(dout.dtype)
+        grad *= dout
+        return grad
 
 
 class Flatten:
+    def __init__(self):
+        self._shape = None
+
     def forward(self, x):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        shape, self._shape = _pending(self, self._shape), None
+        return dout.reshape(shape)
 
 
 class Dense:
@@ -182,7 +270,8 @@ class Dense:
     def backward(self, dout, input_grad=True):
         """Set d_weights and d_bias; return the input gradient, or None
         without computing it when input_grad is off."""
-        self.d_weights = self._x.T @ dout
+        x, self._x = _pending(self, self._x), None
+        self.d_weights = x.T @ dout
         self.d_bias = dout.sum(axis=0)
         if not input_grad:
             return None

@@ -713,6 +713,39 @@ def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
     assert "--crop" in err
 
 
+def test_cli_eval_names_a_crop_the_cropped_model_accepts(tmp_path, capsys):
+    model = tmp_path / "model.bin"
+    assert main(["train", "--size", "16", "--images-per-class", "2",
+                 "--epochs", "1", "--crop", "12", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--size", "16",
+                 "--images-per-class", "2"]) == 2
+    # 15 and 14 leave a 2x2 map for a dense layer sized for 1x1; 13 does not
+    assert capsys.readouterr().err == (
+        "ERROR: model does not accept 16x16 inputs (dense expects (N,16), "
+        "got (1, 64)); it accepts 13x13 inputs: use --crop 13\n")
+    assert main(["eval", "--model", str(model), "--size", "16", "--crop", "13",
+                 "--images-per-class", "2"]) == 0
+    assert capsys.readouterr().out.startswith("accuracy = ")
+
+
+@pytest.mark.parametrize("layers, reason", [
+    ([net.Conv2D(3, 3, 2, 4)], "conv expects (N,H,W,2), got (1, 12, 12, 1)"),
+    ([net.Dense(7, 5)], "dense expects (N,7), got (1, 12, 12, 1)"),
+], ids=["conv-cin-2", "lone-dense"])
+def test_cli_eval_gives_no_crop_hint_when_no_side_fits(
+        tmp_path, capsys, monkeypatch, layers, reason):
+    model = tmp_path / "model.bin"
+    net.save_net(net.Network(layers), model)
+    drawn = []
+    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    assert main(["eval", "--model", str(model), "--size", "12",
+                 "--images-per-class", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR: model does not accept 12x12 inputs ({reason})\n")
+    assert not drawn
+
+
 @pytest.mark.parametrize("layers, message", [
     ((), "checkpoint has no layers"),
     ((struct.pack("<B2I", 2, 0, 2),),

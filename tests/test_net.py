@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import struct
@@ -5,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scenegame import net as net_mod
 from scenegame.image import Image, gen_scene
@@ -142,6 +144,124 @@ def test_conv_gemm_matches_per_offset_reference():
         assert max_rel_error(dx, expected_dx) <= 1e-12
         assert max_rel_error(conv.d_weights, ref.d_weights) <= 1e-12
         assert max_rel_error(conv.d_bias, ref.d_bias) <= 1e-12
+
+
+class ReferenceGemmConv2D(Conv2D):
+    """The im2col GEMM convolution before its kernels copied in contiguous
+    blocks, kept verbatim as the byte-level reference: a copy of the 6-D
+    window view as the patch matrix, a broadcast bias add, and col2im by
+    strided reads of the full column gradient."""
+
+    def forward(self, x):
+        if x.ndim != 4 or x.shape[3] != self.cin:
+            raise ShapeMismatchError(
+                f"conv expects (N,H,W,{self.cin}), got {x.shape}"
+            )
+        n, h, w, _ = x.shape
+        s = self.stride
+        oh = (h - self.kh) // s + 1
+        ow = (w - self.kw) // s + 1
+        if oh < 1 or ow < 1:
+            raise ShapeMismatchError(f"input {h}x{w} smaller than the kernel")
+        # (n, h-kh+1, w-kw+1, cin, kh, kw) view -> strided rows, (kh, kw, cin) columns
+        windows = sliding_window_view(x, (self.kh, self.kw), axis=(1, 2))
+        cols = windows[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(
+            n * oh * ow, self.kh * self.kw * self.cin)
+        out = cols @ self.weights.reshape(-1, self.cout)
+        out += self.bias
+        self._cols = cols
+        self._in_shape = x.shape
+        return out.reshape(n, oh, ow, self.cout)
+
+    def backward(self, dout, input_grad=True):
+        """Set d_weights and d_bias; return the input gradient, or None
+        without computing it when input_grad is off."""
+        cols, self._cols = self._cols, None
+        n, oh, ow, _ = dout.shape
+        s = self.stride
+        dout2 = dout.reshape(-1, self.cout)
+        self.d_weights = (cols.T @ dout2).reshape(self.weights.shape)
+        self.d_bias = dout2.sum(axis=0)
+        if not input_grad:
+            return None
+        dcols = (dout2 @ self.weights.reshape(-1, self.cout).T).reshape(
+            n, oh, ow, self.kh, self.kw, self.cin)
+        # col2im: add each kernel offset's column block back onto its pixels
+        dx = np.zeros(self._in_shape)
+        for di in range(self.kh):
+            for dj in range(self.kw):
+                dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += dcols[:, :, :, di, dj]
+        return dx
+
+
+class ReferenceReLU(ReLU):
+    """The bool-mask ReLU, kept verbatim as the byte-level reference."""
+
+    def forward(self, x):
+        self._mask = x > 0
+        return x * self._mask
+
+    def backward(self, dout):
+        return dout * self._mask
+
+
+def test_conv_kernels_are_bitwise_the_reference_gemm():
+    """Every conv_cases() shape, on a contiguous input and on a view that
+    reads every other channel; the reference's patch matrix is a view of
+    the input in some of them (say, windows as wide as a one-image input)."""
+    rng = np.random.default_rng(71)
+    inputs = (lambda shape: rng.normal(0, 1, shape),
+              lambda shape: rng.normal(0, 1, shape[:3] + (2 * shape[3],))[..., ::2])
+    for (n, h, w, kh, kw, cin, cout, stride), make in itertools.product(
+            conv_cases(), inputs):
+        conv = Conv2D(kh, kw, cin, cout, stride=stride, rng=rng)
+        conv.bias = rng.normal(0, 1, cout)
+        ref = ReferenceGemmConv2D(kh, kw, cin, cout, stride=stride)
+        ref.weights, ref.bias = conv.weights.copy(), conv.bias.copy()
+        x = make((n, h, w, cin))
+        out, expected = conv.forward(x), ref.forward(x)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        dout = rng.normal(0, 1, out.shape)
+        dx, expected_dx = conv.backward(dout), ref.backward(dout)
+        assert dx.shape == x.shape
+        assert dx.tobytes() == expected_dx.tobytes()
+        assert conv.d_weights.tobytes() == ref.d_weights.tobytes()
+        assert conv.d_bias.tobytes() == ref.d_bias.tobytes()
+        conv.forward(x)
+        ref.forward(x)
+        assert conv.backward(dout, input_grad=False) is None
+        assert ref.backward(dout, input_grad=False) is None
+        assert conv.d_weights.tobytes() == ref.d_weights.tobytes()
+        assert conv.d_bias.tobytes() == ref.d_bias.tobytes()
+
+
+def test_relu_is_bitwise_the_reference_on_signed_zeros_and_infinities():
+    special = np.array([-0.0, 0.0, -1.5, -1e-300, 2.0, 1e-300, np.inf, -np.inf])
+    rng = np.random.default_rng(72)
+    for shape in ((8,), (2, 8), (3, 4, 5, 8), (1, 1, 1, 1)):
+        x = rng.choice(special, shape)
+        dout = rng.choice(np.concatenate([special, rng.normal(0, 1, 8)]), shape)
+        relu, ref = ReLU(), ReferenceReLU()
+        with np.errstate(invalid="ignore"):  # -inf * 0.0 and inf * 0.0
+            out, expected = relu.forward(x), ref.forward(x)
+            grad, expected_grad = relu.backward(dout), ref.backward(dout)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+    with np.errstate(invalid="ignore"):
+        out = ReLU().forward(special)
+    assert np.signbit(out[:-1]).tolist() == [True, False, True, True, False, False, False]
+    assert np.isnan(out[-1])  # -inf * 0.0, as with the bool mask
+
+
+def test_patch_index_is_cached_and_read_only():
+    index = net_mod._patch_index(7, 6, 3, 2, 2)
+    assert index is net_mod._patch_index(7, 6, 3, 2, 2)
+    assert index.shape == (3 * 3, 3 * 2)
+    assert index[1].tolist() == [2, 3, 8, 9, 14, 15]  # output (0, 1): pixel (0, 2)
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
 
 
 def test_conv_backward_releases_patch_matrix():
@@ -295,6 +415,56 @@ def test_conv_shape_mismatch():
         conv.forward(np.zeros((1, 5, 5, 1)))
     with pytest.raises(ShapeMismatchError):
         conv.forward(np.zeros((1, 2, 2, 2)))
+
+
+def test_maxpool_rejects_an_input_smaller_than_its_window():
+    for shape, k in (((1, 1, 1, 1), 2), ((2, 3, 5, 4), 4), ((1, 5, 2, 1), 3)):
+        with pytest.raises(ShapeMismatchError) as exc:
+            MaxPool2D(k, 1).forward(np.zeros(shape))
+        assert str(exc.value) == (f"pool input {shape} is smaller than its "
+                                  f"{k}x{k} window")
+    assert MaxPool2D(3, 5).forward(np.zeros((1, 3, 3, 2))).shape == (1, 1, 1, 2)
+
+
+def test_maxpool_rejects_an_input_that_is_not_4d():
+    for shape in ((3, 4), (2, 4, 4), (1, 2, 4, 4, 1)):
+        with pytest.raises(ShapeMismatchError) as exc:
+            MaxPool2D(2, 2).forward(np.zeros(shape))
+        assert str(exc.value) == (f"pool with a 2x2 window expects (N,H,W,C), "
+                                  f"got {shape}")
+
+
+def test_small_input_fails_at_the_pool_that_cannot_cover_it():
+    # 8x8 -> conv 6x6 -> pool 3x3 -> conv 1x1: the second pool has no window
+    net = default_net(input_size=20, seed=0)
+    with pytest.raises(ShapeMismatchError,
+                       match=r"pool input \(1, 1, 1, 16\) is smaller than its 2x2 window"):
+        forward(net, Image(np.zeros((8, 8), dtype=np.uint8)))
+
+
+def fed_layer(kind):
+    """A fresh layer of this kind and an input it accepts."""
+    rng = np.random.default_rng(73)
+    layer = {"Conv2D": lambda: Conv2D(3, 3, 2, 4, rng=rng),
+             "MaxPool2D": lambda: MaxPool2D(2, 2),
+             "ReLU": ReLU,
+             "Flatten": Flatten,
+             "Dense": lambda: Dense(6, 3, rng=rng)}[kind]()
+    return layer, rng.normal(0, 1, (2, 6) if kind == "Dense" else (2, 6, 5, 2))
+
+
+@pytest.mark.parametrize("kind", ["Conv2D", "MaxPool2D", "ReLU", "Flatten", "Dense"])
+def test_backward_needs_a_pending_forward(kind):
+    layer, x = fed_layer(kind)
+    message = rf"{kind}\.backward needs a forward first"
+    dout = np.ones(layer.forward(x).shape)
+    with pytest.raises(RuntimeError, match=message):
+        fed_layer(kind)[0].backward(dout)  # before any forward
+    assert layer.backward(dout).shape == x.shape
+    with pytest.raises(RuntimeError, match=message):
+        layer.backward(dout)  # the first backward spent its forward
+    layer.forward(x)
+    assert layer.backward(dout).shape == x.shape
 
 
 def test_forward_returns_embedding_and_scores():
@@ -905,6 +1075,36 @@ def test_train_with_augmentation_runs():
                          crop_size=16)
     _, trace = train(net, images, labels, config)
     assert len(trace) == 1
+
+
+REFERENCE_LAYERS = {"Conv2D": ReferenceGemmConv2D, "ReLU": ReferenceReLU,
+                    "MaxPool2D": ReferenceMaxPool2D}
+
+
+@pytest.mark.parametrize("crop_size", [None, 12], ids=["full", "crop12"])
+def test_training_is_bitwise_the_reference_kernels(monkeypatch, crop_size):
+    images, labels = scene_batch(size=16)
+    config = TrainConfig(epochs=2, batch_size=4, seed=3, crop_size=crop_size)
+    side = 16 if crop_size is None else crop_size
+    net, trace = train(default_net(input_size=side, seed=5), images, labels, config)
+    for name, cls in REFERENCE_LAYERS.items():
+        monkeypatch.setattr(net_mod, name, cls)
+    ref, expected = train(default_net(input_size=side, seed=5), images, labels, config)
+    assert {type(layer) for layer in ref.layers} >= set(REFERENCE_LAYERS.values())
+    assert repr(trace) == repr(expected)
+    for got, want in zip(net.parameter_arrays(), ref.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_criterion_4_value_is_bitwise_the_reference_kernels(monkeypatch):
+    images, labels = scene_batch(size=16)
+    err = grad_check(default_net(input_size=16, seed=3), images, labels,
+                     TrainConfig(), samples=60, seed=11)
+    for name, cls in REFERENCE_LAYERS.items():
+        monkeypatch.setattr(net_mod, name, cls)
+    expected = grad_check(default_net(input_size=16, seed=3), images, labels,
+                          TrainConfig(), samples=60, seed=11)
+    assert repr(err) == repr(expected)
 
 
 def test_predict_zeroed_final_layer_ties_to_class_zero():
