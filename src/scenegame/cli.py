@@ -430,6 +430,7 @@ def _play(model, args):
 
 
 def _cmd_segment(args):
+    mrf.check_prior_weight(args.prior_weight)
     mrf.check_max_sweeps(args.max_sweeps)
     mrf.check_label_count(args.components)
     img = _read_image(args.input)
@@ -440,6 +441,7 @@ def _cmd_segment(args):
 
 
 def _cmd_register(args):
+    mrf.check_prior_weight(args.prior_weight)
     mrf.check_max_sweeps(args.max_sweeps)
     label_set = DisplacementLabelSet.dense(args.radius)
     mrf.check_label_count(len(label_set))

@@ -74,8 +74,7 @@ class EnergyModel:
                              "h and w must be >= 1")
         if not np.all(np.isfinite(dc)):
             raise ValueError("data_costs must be finite")
-        if not 0 <= self.prior_weight < np.inf:
-            raise ValueError("prior_weight must be finite and >= 0")
+        check_prior_weight(self.prior_weight)
         h, w, label_count = dc.shape
         if self.prior_kind == "potts":
             pair = 1.0 - np.eye(label_count)
@@ -88,6 +87,8 @@ class EnergyModel:
                 vals = vals[:, None]
             if vals.shape[0] != label_count:
                 raise ValueError("label_values length must match label count")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("label_values must be finite")
             diff = vals[:, None, :] - vals[None, :, :]
             pair = (diff ** 2).sum(axis=2)
             object.__setattr__(self, "label_values", vals)
@@ -99,6 +100,8 @@ class EnergyModel:
             grid = np.ones(shape) if grid is None else np.asarray(grid, dtype=np.float64)
             if grid.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+            if not np.all(np.isfinite(grid)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, grid)
         object.__setattr__(self, "data_costs", dc)
         object.__setattr__(self, "pair_cost", pair)
@@ -167,19 +170,22 @@ def _site_table(model: EnergyModel):
     h, w = model.height, model.width
     diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
     sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
-    r, c = np.divmod(sites, w)
-    nbrs = np.tile(sites, (4, 1))
-    scales = np.zeros((4, sites.size, 1))
+    # Raster (h, w) grids per side, then one take puts them in table order.
+    nbrs = np.empty((4, h, w), dtype=sites.dtype)
+    nbrs[:] = np.arange(h * w).reshape(h, w)
+    nbrs[0, :, 1:] -= 1
+    nbrs[1, :, :-1] += 1
+    nbrs[2, 1:] -= w
+    nbrs[3, :-1] += w
     sx = model.prior_weight * model.edge_weights_x
     sy = model.prior_weight * model.edge_weights_y
-    # Per side: has-neighbor mask, flat step to the neighbor, edge grid and
-    # the edge's row/col offset from the site.
-    for k, (has, step, grid, er, ec) in enumerate(((c > 0, -1, sx, 0, -1),
-                                                   (c < w - 1, 1, sx, 0, 0),
-                                                   (r > 0, -w, sy, -1, 0),
-                                                   (r < h - 1, w, sy, 0, 0))):
-        nbrs[k, has] += step
-        scales[k, has, 0] = grid[r[has] + er, c[has] + ec]
+    scales = np.zeros((4, h, w))
+    scales[0, :, 1:] = sx
+    scales[1, :, :-1] = sx
+    scales[2, 1:] = sy
+    scales[3, :-1] = sy
+    nbrs = nbrs.reshape(4, -1).take(sites, axis=1)
+    scales = scales.reshape(4, -1).take(sites, axis=1)[:, :, None]
     in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
     sizes = np.bincount(diagonal)[in_order]
     starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
@@ -191,12 +197,13 @@ def _site_table(model: EnergyModel):
 def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
     """(n, L) cost of every label at each site given the flat labels of its
     neighbors: the data cost, then each neighbor's weighted pair cost in the
-    order left, right, up, down. Every solver and nash_check use this kernel,
-    so they agree bit for bit."""
+    order left, right, up, down. One gather stacks the four neighbors' pair
+    rows into a (4, n, L) block, scaled by one product. Every solver and
+    nash_check use this kernel, so they agree bit for bit."""
+    terms = model.pair_cost.take(flat[nbrs], axis=0)
+    terms *= scales
     costs = model.data_costs.reshape(-1, model.label_count).take(sites, axis=0)
-    for nb, scale in zip(nbrs, scales):
-        term = model.pair_cost.take(flat[nb], axis=0)
-        term *= scale
+    for term in terms:
         costs += term
     return costs
 
@@ -288,6 +295,12 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
             if changed == 0 or len(trace) == max_sweeps:
                 return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
         t += 1
+
+
+def check_prior_weight(prior_weight: float):
+    """The prior weight every model takes; the CLI checks it before any work."""
+    if not 0 <= prior_weight < np.inf:
+        raise ValueError("prior_weight must be finite and >= 0")
 
 
 def check_max_sweeps(max_sweeps: int):
@@ -500,9 +513,13 @@ def build_registration_game(fixed: Image, moving: Image,
 
     Data term per pixel and offset: squared intensity difference between the
     fixed image and the moving image sampled at the offset position (edge
-    clamped). Neighboring displacements are coupled quadratically in offset
-    space; horizontal edges are weighted by the smoothness field's xx
-    coefficient, vertical edges by yy (averaged over the edge endpoints).
+    clamped). The (h, w, L) table is built in one pass: the fixed plane
+    minus the (2r + 1) x (2r + 1) sliding windows of the moving plane
+    edge-padded by the radius r, squared in place. The window axes (dy + r,
+    dx + r) are the label set's row-major order. Neighboring displacements
+    are coupled quadratically in offset space; horizontal edges are weighted
+    by the smoothness field's xx coefficient, vertical edges by yy (averaged
+    over the edge endpoints).
 
     Every caller passes SmoothnessField.identity as field; the argument stays
     because bench/workloads.py:292-293 builds one and passes it fifth, by
@@ -517,15 +534,17 @@ def build_registration_game(fixed: Image, moving: Image,
             f"coefficients are not elliptic with margin {field.epsilon}"
         )
     h, w = fixed.height, fixed.width
-    fixed_plane = fixed.plane().astype(np.float64)
-    moving_plane = moving.plane().astype(np.float64)
-    rows, cols = np.indices((h, w))
-    costs = np.empty((h, w, len(labels)), dtype=np.float64)
-    for l, (dx, dy) in enumerate(labels.offsets):
-        sample_rows = np.clip(rows + dy, 0, h - 1)
-        sample_cols = np.clip(cols + dx, 0, w - 1)
-        diff = fixed_plane - moving_plane[sample_rows, sample_cols]
-        costs[:, :, l] = diff ** 2
+    span = 2 * labels.radius + 1
+    padded = np.pad(moving.plane().astype(np.float64), labels.radius, mode="edge")
+    # windows[r, c, dy + radius, dx + radius] is the moving plane at
+    # (r + dy, c + dx), edge clamped.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (span, span))
+    # order="C": the (h, w, 2r + 1, 2r + 1) result reshapes to (h, w, L)
+    # without a copy.
+    costs = np.subtract(fixed.plane().astype(np.float64)[:, :, None, None], windows,
+                        order="C")
+    costs *= costs
+    costs = costs.reshape(h, w, len(labels))
     a = field.coeffs
     wx = (a[:, :-1, 0, 0] + a[:, 1:, 0, 0]) / 2.0
     wy = (a[:-1, :, 1, 1] + a[1:, :, 1, 1]) / 2.0

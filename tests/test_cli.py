@@ -529,6 +529,22 @@ def test_cli_register_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
     assert not read and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["segment", "register"])
+@pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
+def test_cli_rejects_a_bad_prior_weight_before_reading_input(
+        tmp_path, capsys, monkeypatch, command, weight):
+    src, _ = write_scene(tmp_path)
+    out, trace = tmp_path / "out.pgm", tmp_path / "trace.csv"
+    read = []
+    monkeypatch.setattr("scenegame.cli.read_pnm", lambda *a: read.append(a))
+    inputs = (["--input", str(src), "--components", "2"] if command == "segment"
+              else ["--fixed", str(src), "--moving", str(src)])
+    assert main([command, *inputs, "--prior-weight", weight, "--out", str(out),
+                 "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == "ERROR: prior_weight must be finite and >= 0\n"
+    assert not read and not out.exists() and not trace.exists()
+
+
 def test_cli_features(tmp_path, capsys):
     src1, _ = write_scene(tmp_path, "a.pgm", class_id=0)
     src2, _ = write_scene(tmp_path, "b.pgm", class_id=4)

@@ -182,6 +182,22 @@ def test_model_validation():
                     prior_kind="cubic")
 
 
+def test_model_rejects_non_finite_edge_weights_and_label_values():
+    dc = np.zeros((3, 3, 2))
+    for bad in (np.inf, -np.inf, np.nan):
+        for name, shape in (("edge_weights_x", (3, 2)), ("edge_weights_y", (2, 3))):
+            for grid in (np.full(shape, bad), np.where(np.eye(*shape), bad, 1.0)):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    EnergyModel(data_costs=dc, prior_weight=1.0, **{name: grid})
+        with pytest.raises(ValueError, match="label_values must be finite"):
+            EnergyModel(data_costs=dc, prior_weight=1.0, prior_kind="quadratic",
+                        label_values=[0.0, bad])
+    # Negative edge weights stay legal.
+    model = EnergyModel(data_costs=dc, prior_weight=1.0,
+                        edge_weights_x=-np.ones((3, 2)), edge_weights_y=-np.ones((2, 3)))
+    assert model.edge_weights_x.tolist() == [[-1.0, -1.0]] * 3
+
+
 def test_model_rejects_an_empty_grid_naming_its_shape():
     for shape in ((0, 3, 2), (3, 0, 2), (0, 0, 1)):
         with pytest.raises(ValueError, match=re.escape(f"data_costs shape {shape}")):
@@ -290,6 +306,173 @@ def test_local_costs_match_per_site_reference():
                 for (r, c), row in zip(group, costs):
                     # same arithmetic in the same order: exact equality
                     assert row.tolist() == naive_site_costs(model, lab, r, c)
+
+
+# ---------------------------------------------------------------------------
+# Whole-array set-up and kernel against the per-label and per-side loops
+# ---------------------------------------------------------------------------
+
+def reference_registration_costs(fixed, moving, labels):
+    """The registration cost table as one clamped fancy-index pass per label."""
+    h, w = fixed.height, fixed.width
+    fixed_plane = fixed.plane().astype(np.float64)
+    moving_plane = moving.plane().astype(np.float64)
+    rows, cols = np.indices((h, w))
+    costs = np.empty((h, w, len(labels)), dtype=np.float64)
+    for l, (dx, dy) in enumerate(labels.offsets):
+        sample_rows = np.clip(rows + dy, 0, h - 1)
+        sample_cols = np.clip(cols + dx, 0, w - 1)
+        diff = fixed_plane - moving_plane[sample_rows, sample_cols]
+        costs[:, :, l] = diff ** 2
+    return costs
+
+
+def reference_site_table(model):
+    """_site_table with per-side boolean-mask scatters in table order."""
+    h, w = model.height, model.width
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
+    r, c = np.divmod(sites, w)
+    nbrs = np.tile(sites, (4, 1))
+    scales = np.zeros((4, sites.size, 1))
+    sx = model.prior_weight * model.edge_weights_x
+    sy = model.prior_weight * model.edge_weights_y
+    # Per side: has-neighbor mask, flat step to the neighbor, edge grid and
+    # the edge's row/col offset from the site.
+    for k, (has, step, grid, er, ec) in enumerate(((c > 0, -1, sx, 0, -1),
+                                                   (c < w - 1, 1, sx, 0, 0),
+                                                   (r > 0, -w, sy, -1, 0),
+                                                   (r < h - 1, w, sy, 0, 0))):
+        nbrs[k, has] += step
+        scales[k, has, 0] = grid[r[has] + er, c[has] + ec]
+    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
+    sizes = np.bincount(diagonal)[in_order]
+    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
+    ends[in_order] = np.cumsum(sizes)
+    starts[in_order] = ends[in_order] - sizes
+    return sites, nbrs, scales, diagonal, starts, ends
+
+
+def reference_site_costs(model, flat, sites, nbrs, scales):
+    """_site_costs with one gather, product and add per side."""
+    costs = model.data_costs.reshape(-1, model.label_count).take(sites, axis=0)
+    for nb, scale in zip(nbrs, scales):
+        term = model.pair_cost.take(flat[nb], axis=0)
+        term *= scale
+        costs += term
+    return costs
+
+
+def assert_same_array(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+GRIDS = ((1, 1), (1, 7), (6, 1), (5, 9), (9, 4), (3, 3))
+
+
+def test_registration_cost_table_is_bitwise_the_per_label_loop():
+    rng = np.random.default_rng(40)
+    for h, w in GRIDS:
+        fixed, moving = (Image(rng.integers(0, 256, (h, w)).astype(np.uint8))
+                         for _ in range(2))
+        for radius in range(7):  # up to radius >= both sides
+            label_set = DisplacementLabelSet.dense(radius)
+            model = build_registration_game(fixed, moving, label_set, 0.5,
+                                            SmoothnessField.identity(h, w))
+            assert_same_array(model.data_costs,
+                              reference_registration_costs(fixed, moving, label_set))
+
+
+def weighted_models(rng):
+    """Models on every test grid with L = 1, 3 and 49, random edge weights
+    with zeros, and a zero prior weight times negative edge weights (-0.0
+    scales)."""
+    for h, w in GRIDS:
+        for labels in (1, 3, 49):
+            for kind in ("potts", "quadratic"):
+                model = random_weighted_model(rng, (h, w), labels, kind)
+                for grid in (model.edge_weights_x, model.edge_weights_y):
+                    grid[rng.random(grid.shape) < 0.3] = 0.0
+                yield model
+            yield EnergyModel(data_costs=rng.uniform(0, 5, (h, w, labels)),
+                              prior_weight=0.0, prior_kind="potts",
+                              edge_weights_x=-rng.uniform(0, 2, (h, w - 1)),
+                              edge_weights_y=-rng.uniform(0, 2, (h - 1, w)))
+
+
+def test_site_table_is_bitwise_the_masked_scatter():
+    for model in weighted_models(np.random.default_rng(41)):
+        for actual, expected in zip(_site_table(model), reference_site_table(model),
+                                    strict=True):
+            assert_same_array(actual, expected)
+
+
+def test_site_costs_are_bitwise_the_per_side_loop():
+    rng = np.random.default_rng(42)
+    for model in weighted_models(rng):
+        table, nbrs, scales, diagonal, starts, ends = _site_table(model)
+        flat = rng.integers(0, model.label_count, table.size)
+        d = int(rng.integers(0, diagonal.max() + 1))
+        even = (table.size + 1) // 2
+        subset = np.flatnonzero(rng.random(table.size) < 0.5)
+        # The groups the callers pass: the whole table (nash_check), a
+        # diagonal's slice and a dirty subset (ICM), each colour (anneal).
+        for at in (slice(None), slice(starts[d], ends[d]), subset,
+                   slice(0, even), slice(even, None)):
+            args = (model, flat, table[at], nbrs[:, at], scales[:, at])
+            assert_same_array(_site_costs(*args), reference_site_costs(*args))
+
+
+def solve_everything(model, seed):
+    """ICM and anneal labels and trace CSVs from the cheapest-label start,
+    and nash_check on each result, on the start and on one-pixel changes."""
+    h, w, labels = model.data_costs.shape
+    init = field_of(np.argmin(model.data_costs, axis=2), labels)
+    icm, icm_trace = solve_icm(model, init)
+    anneal, anneal_trace = solve_anneal(model, init, 60, seed)
+    rng = np.random.default_rng(seed)
+    checks = []
+    for field_ in (icm, anneal, init):
+        lab = field_.labels.copy()
+        checks.append(nash_check(model, field_of(lab, labels)))
+        for _ in range(3):
+            lab[rng.integers(h), rng.integers(w)] = rng.integers(labels)
+            checks.append(nash_check(model, field_of(lab, labels)))
+    return (icm.labels.tobytes(), trace_to_csv(icm_trace),
+            anneal.labels.tobytes(), trace_to_csv(anneal_trace), checks)
+
+
+def test_solves_and_witnesses_match_the_loop_set_up_and_kernel(monkeypatch):
+    # A 32x32 registration model (radius 3, prior 20) as the register
+    # workload builds it, and a 64x64 segmentation model as segment does.
+    n = 32
+    rng = np.random.default_rng(43)
+    rows, cols = np.indices((n, n))
+    base = rng.integers(0, 256, (n, n)).astype(np.uint8)
+    shifted = base[np.clip(rows + 1, 0, n - 1), np.clip(cols - 2, 0, n - 1)]
+    moving = Image(np.clip(np.rint(shifted + rng.normal(0.0, 8.0, (n, n))), 0, 255)
+                   .astype(np.uint8))
+    label_set = DisplacementLabelSet.dense(3)
+    registration = build_registration_game(Image(base), moving, label_set, 20.0,
+                                           SmoothnessField.identity(n, n))
+    scene = gen_scene(0, 64, 2, 2026)
+    params, _ = gmm_fit(scene.plane().astype(np.float64).ravel() / 255.0, 3)
+    segmentation = build_segmentation_game(scene, params, 1.0, "potts")
+    results = [solve_everything(model, 7) for model in (registration, segmentation)]
+    assert any(not ok for ok, _ in results[0][-1])  # some checks find witnesses
+
+    monkeypatch.setattr(mrf, "_site_table", reference_site_table)
+    monkeypatch.setattr(mrf, "_site_costs", reference_site_costs)
+    loop_registration = EnergyModel(
+        data_costs=reference_registration_costs(Image(base), moving, label_set),
+        prior_weight=20.0, prior_kind="quadratic",
+        label_values=np.array(label_set.offsets, dtype=np.float64))
+    loop_segmentation = EnergyModel(data_costs=segmentation.data_costs,
+                                    prior_weight=1.0, prior_kind="potts")
+    for model, expected in zip((loop_registration, loop_segmentation), results):
+        assert solve_everything(model, 7) == expected
 
 
 # ---------------------------------------------------------------------------
