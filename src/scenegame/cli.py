@@ -18,8 +18,10 @@ import numpy as np
 from . import features as features_mod
 from . import gmm as gmm_mod
 from . import mrf, net as net_mod, preprocess
+# gen_scene stays bound here though no command calls it: bench/spans.py
+# patches its tracing wrapper onto this module's name too.
 from .image import (NOISE_SIGMA, DisplacementLabelSet, Image, LabelField,
-                    check_noise_level, gen_scene, read_pnm, write_pnm)
+                    check_noise_level, gen_scene, gen_scenes, read_pnm, write_pnm)
 
 REPORT_HEADER = "game_level,input_size,feature_complexity,noise_level,accuracy,robustness_error"
 
@@ -226,13 +228,15 @@ def _image_seed(master: int, trial: int, index: int) -> int:
 
 def _cell_dataset(seed: int, images_per_class: int, size: int, noise: int,
                   trial: int = 0):
-    """Seeded, equalized synthetic set with images_per_class scenes per class."""
+    """Seeded, equalized synthetic set with images_per_class scenes per class,
+    drawn and equalized a class at a time; each image is gen_scene's and
+    equalize's."""
+    seeds = [_image_seed(seed, trial, i) for i in range(images_per_class)]
     images, labels = [], []
     for class_id in range(net_mod.CLASS_COUNT):
-        for i in range(images_per_class):
-            img = gen_scene(class_id, size, noise, _image_seed(seed, trial, i))
-            images.append(preprocess.equalize(img))
-            labels.append(class_id)
+        planes = preprocess.equalize_planes(gen_scenes(class_id, size, noise, seeds))
+        images.extend(Image(plane) for plane in planes)
+        labels.extend([class_id] * images_per_class)
     return images, labels
 
 

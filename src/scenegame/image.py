@@ -271,15 +271,26 @@ def check_noise_level(noise_level: int):
         raise ValueError(f"noise_level must be in 1..3, got {noise_level}")
 
 
-def gen_scene(class_id: int, size: int, noise_level: int, seed: int) -> Image:
-    """Deterministic synthetic scene: class template plus seeded Gaussian noise.
+def gen_scenes(class_id: int, size: int, noise_level: int, seeds) -> np.ndarray:
+    """(N, size, size) uint8 stack of synthetic scenes of one class, one per
+    seed: the class template plus seeded Gaussian noise.
 
-    Pure function of its arguments; sigma grows with noise_level (1..3).
+    Pure function of its arguments; sigma grows with noise_level (1..3). Each
+    image draws its noise from its own generator seeded with (seed, class_id,
+    size, noise_level), so a scene does not depend on the others in the stack.
     """
     template = scene_template(class_id, size)
     check_noise_level(noise_level)
-    rng = np.random.default_rng([int(seed) % 2 ** 63, class_id, size, noise_level])
-    noisy = template.astype(np.float64) + rng.normal(
-        0.0, NOISE_SIGMA[noise_level], template.shape
-    )
-    return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+    sigma = NOISE_SIGMA[noise_level]
+    noisy = np.empty((len(seeds), size, size))
+    for plane, seed in zip(noisy, seeds):
+        rng = np.random.default_rng([int(seed) % 2 ** 63, class_id, size, noise_level])
+        plane[...] = rng.normal(0.0, sigma, template.shape)
+    noisy += template
+    np.rint(noisy, out=noisy)
+    return np.clip(noisy, 0, 255, out=noisy).astype(np.uint8)
+
+
+def gen_scene(class_id: int, size: int, noise_level: int, seed: int) -> Image:
+    """One scene of gen_scenes as an Image."""
+    return Image(gen_scenes(class_id, size, noise_level, [seed])[0])

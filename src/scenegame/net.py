@@ -55,6 +55,17 @@ def _mergeable(sizes, strides):
                for (_, outer), (size, inner) in zip(kept, kept[1:]))
 
 
+def _column_sum(a):
+    """a.sum(axis=0) of a 2-D float array, bit for bit but for NaN payloads.
+    On a C-ordered array of two or more columns, sum adds the rows one after
+    another, and einsum adds them in the same order with less overhead per
+    row. With one column or another layout sum adds pairwise, so those go
+    to sum."""
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.einsum("ij->j", a)
+    return a.sum(axis=0)
+
+
 @functools.lru_cache(maxsize=32)
 def _patch_index(h, w, kh, kw, stride):
     """Flat pixel index of every patch entry of one h x w image, shape
@@ -84,7 +95,8 @@ class Conv2D:
     BLAS cannot take, so numpy multiplies it in its own loop, and a gathered
     copy would change the products' bits.
 
-    Backward computes the column gradient with the same GEMM. It then
+    Backward sums the bias gradient over the output pixels with
+    _column_sum and computes the column gradient with the same GEMM. It then
     copies each kernel offset's column block out as one contiguous
     (n, oh, ow, cin) block, moving each pixel's cin values as one item, and
     adds it onto its pixels.
@@ -139,7 +151,7 @@ class Conv2D:
         s, cin, offsets = self.stride, self.cin, self.kh * self.kw
         dout2 = dout.reshape(-1, self.cout)
         self.d_weights = (cols.T @ dout2).reshape(self.weights.shape)
-        self.d_bias = dout2.sum(axis=0)
+        self.d_bias = _column_sum(dout2)
         if not input_grad:
             return None
         dcols = dout2 @ self.weights.reshape(-1, self.cout).T

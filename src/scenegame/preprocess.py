@@ -11,24 +11,30 @@ from .image import Image
 HAAR_GAIN_GRID = (1.0, 1.25, 1.5, 2.0)
 
 
-def equalize(img: Image) -> Image:
-    """Histogram-equalize a grayscale image.
+def equalize_planes(planes: np.ndarray) -> np.ndarray:
+    """Histogram-equalize each (h, w) uint8 plane of an (N, h, w) stack.
 
     out(v) = floor((cdf(v) - cdf_min) / (1 - cdf_min) * 255) with cdf_min the
-    cdf of the lowest occupied bin. Constant images come back unchanged
-    (the formula degenerates to 0/0 there).
+    cdf of the lowest occupied bin, from each plane's own histogram. Constant
+    planes come back unchanged (the formula degenerates to 0/0 there). One
+    bincount counts every plane, each in its own 256 bins.
     """
-    plane = img.plane()
-    counts = np.bincount(plane.ravel(), minlength=256)
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    cum_min = int(cum[np.nonzero(counts)[0][0]])
-    if cum_min == total:  # single occupied bin: constant image
-        return Image(plane)
+    n = planes.shape[0]
+    pixels = planes.reshape(n, -1) + np.arange(0, 256 * n, 256)[:, None]
+    counts = np.bincount(pixels.ravel(), minlength=256 * n).reshape(n, 256)
+    cum = np.cumsum(counts, axis=1)
+    total = cum[:, -1:]
+    cum_min = np.take_along_axis(cum, (counts != 0).argmax(axis=1)[:, None], axis=1)
     # Integer form of the mapping; exact floor, no float rounding.
-    lut = (cum - cum_min) * 255 // (total - cum_min)
+    lut = (cum - cum_min) * 255 // np.maximum(total - cum_min, 1)
     lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return Image(lut[plane])
+    lut[(cum_min == total)[:, 0]] = np.arange(256)  # single occupied bin: identity
+    return lut.ravel().take(pixels).reshape(planes.shape)
+
+
+def equalize(img: Image) -> Image:
+    """Histogram-equalize a grayscale image: equalize_planes of its one plane."""
+    return Image(equalize_planes(img.plane()[None])[0])
 
 
 def histogram_entropy(img: Image) -> float:

@@ -17,6 +17,7 @@ from scenegame.cli import (
     KeyframePolicy,
     REPORT_HEADER,
     _cell_dataset,
+    _image_seed,
     build_parser,
     gmm_to_text,
     keyframe_indices,
@@ -643,6 +644,32 @@ def test_cli_train_eval(tmp_path, capsys):
                  "--images-per-class", "2", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("accuracy = ")
+
+
+def reference_cell_dataset(seed, images_per_class, size, noise, trial=0):
+    """_cell_dataset as it was before the class-batched draw, verbatim: one
+    gen_scene and one equalize per image (test_image and test_preprocess
+    hold those to their own verbatim old forms)."""
+    images, labels = [], []
+    for class_id in range(net.CLASS_COUNT):
+        for i in range(images_per_class):
+            img = gen_scene(class_id, size, noise, _image_seed(seed, trial, i))
+            images.append(preprocess.equalize(img))
+            labels.append(class_id)
+    return images, labels
+
+
+@pytest.mark.parametrize("args", [(2026, 200, 20, 1, 0), (4747, 7, 8, 3, 1),
+                                  (5, 1, 32, 2, 0), (9, 13, 17, 2, 1)])
+def test_cell_dataset_is_the_per_image_loop(args):
+    images, labels = _cell_dataset(*args)
+    expected_images, expected_labels = reference_cell_dataset(*args)
+    assert labels == expected_labels
+    assert len(images) == len(expected_images)
+    for got, want in zip(images, expected_images):
+        assert isinstance(got, Image)
+        assert got.pixels.shape == want.pixels.shape
+        assert got.pixels.tobytes() == want.pixels.tobytes()
 
 
 def test_cli_train_flags_set_the_matching_train_config_fields(tmp_path):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from scenegame.image import (
+    NOISE_SIGMA,
     DisplacementLabelSet,
     Image,
     LabelField,
     PnmHeaderError,
     PnmMaxvalError,
     PnmPayloadError,
+    check_noise_level,
     gen_scene,
+    gen_scenes,
     read_pnm,
     scene_template,
     write_pnm,
@@ -141,6 +144,31 @@ def test_gen_scene_errors():
         gen_scene(0, 7, 1, 0)
     with pytest.raises(ValueError):
         gen_scene(0, 20, 4, 0)
+
+
+def reference_gen_scene(class_id, size, noise_level, seed):
+    """gen_scene as it was before the class-batched draw, verbatim."""
+    template = scene_template(class_id, size)
+    check_noise_level(noise_level)
+    rng = np.random.default_rng([int(seed) % 2 ** 63, class_id, size, noise_level])
+    noisy = template.astype(np.float64) + rng.normal(
+        0.0, NOISE_SIGMA[noise_level], template.shape
+    )
+    return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+
+
+def test_batched_scenes_are_the_per_image_scenes():
+    seeds = [0, 1, 99, 2 ** 62 + 7, 2 ** 63 + 5, 123_456_789_012]
+    for class_id in range(5):
+        for size in (8, 9, 13, 20, 32):
+            for noise in (1, 2, 3):
+                stack = gen_scenes(class_id, size, noise, seeds)
+                assert stack.shape == (len(seeds), size, size)
+                assert stack.dtype == np.uint8
+                for plane, seed in zip(stack, seeds):
+                    expected = reference_gen_scene(class_id, size, noise, seed)
+                    assert plane.tobytes() == expected.pixels.tobytes()
+                    assert gen_scene(class_id, size, noise, seed) == expected
 
 
 def test_gen_scene_noise_grows_with_level():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1125,6 +1126,62 @@ def test_nash_witness_on_thin_and_non_square_grids():
             in_table = [divmod(int(site), shape[1]) for site in _site_table(model)[0]]
             table_order_differs += next(s for s in in_table if s in movers) != expected[1][0]
     assert table_order_differs > 0
+
+
+def whole_table_nash(model, labels):
+    """nash_check as it was when it scored the whole site table in one
+    _site_costs call, verbatim: the reference for the check by colour."""
+    _check_dims(model, labels)
+    flat = labels.labels.ravel()
+    sites, nbrs, scales = model.site_table[:3]
+    costs = _site_costs(model, flat, sites, nbrs, scales)
+    better = costs < costs[np.arange(sites.size), flat[sites]][:, None]
+    movers = np.flatnonzero(better.any(axis=1))
+    if movers.size == 0:
+        return True, None
+    first = movers[np.argmin(sites[movers])]
+    r, c = divmod(int(sites[first]), model.width)
+    return False, ((r, c), int(np.argmax(better[first])))
+
+
+def test_nash_by_colour_is_the_whole_table_check():
+    # Random labels, equilibria, and equilibria with a few sites knocked off,
+    # on every test grid (1x1, 1x7 and 6x1 among them) with L = 1, 3 and 49.
+    rng = np.random.default_rng(57)
+    odd_witnesses = 0
+    for model in weighted_models(rng):
+        labels, shape = model.label_count, (model.height, model.width)
+        equilibrium = solve_icm(model, field_of(rng.integers(0, labels, shape), labels))[0]
+        knocked = equilibrium.labels.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            knocked[tuple(int(rng.integers(0, size)) for size in shape)] = rng.integers(0, labels)
+        for lab in (rng.integers(0, labels, shape), equilibrium.labels, knocked):
+            expected = whole_table_nash(model, field_of(lab, labels))
+            assert nash_check(model, field_of(lab, labels)) == expected
+            if not expected[0]:
+                odd_witnesses += sum(expected[1][0]) % 2
+    assert odd_witnesses > 0  # witnesses come from both colours
+
+
+def test_nash_by_colour_lowers_the_peak_at_register_scale():
+    rng = np.random.default_rng(58)
+    fixed = Image(rng.integers(0, 256, (96, 96)).astype(np.uint8))
+    moving = Image(np.roll(fixed.pixels, (1, 2), axis=(0, 1)))
+    model = build_registration_game(fixed, moving, DisplacementLabelSet.dense(3),
+                                    20.0, SmoothnessField.identity(96, 96))
+    labels = field_of(rng.integers(0, 49, (96, 96)), 49)
+    model.site_table  # built once, outside the measured calls
+    peaks, results = [], []
+    for check in (whole_table_nash, nash_check):
+        tracemalloc.start()
+        try:
+            results.append(check(model, labels))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    # The whole table stacks a 14.5 MB (4, n, L) block; one colour, half that.
+    assert peaks[1] < 0.6 * peaks[0]
 
 
 def test_nash_global_minimizer_passes():

@@ -236,6 +236,32 @@ def test_conv_kernels_are_bitwise_the_reference_gemm():
         assert conv.d_bias.tobytes() == ref.d_bias.tobytes()
 
 
+def test_column_sum_is_bitwise_sum_over_rows():
+    """Conv2D's bias gradient helper against a.sum(axis=0): C-ordered,
+    F-ordered and row-strided inputs, random values and a mix of signed
+    zeros, infinities, subnormals, NaN and values near 1e308. NaN results
+    may differ in payload only."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2e-308, -1e-310, 1e308, -1e308, 1.7e308, 1.0, -2.5])
+    rng = np.random.default_rng(73)
+    # (2 * rows, cols) block -> (rows, cols) input
+    layouts = (lambda b: np.ascontiguousarray(b[:b.shape[0] // 2]),
+               lambda b: np.asfortranarray(b[:b.shape[0] // 2]),
+               lambda b: b[::2])
+    for rows in (1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1225, 8100, 8101):
+        fills = (rng.normal(0, 1, (2 * rows, 17)), rng.choice(special, (2 * rows, 17)),
+                 rng.normal(0, 1e307, (2 * rows, 17)))
+        for cols, fill, layout in itertools.product(range(1, 18), fills, layouts):
+            a = layout(fill[:, :cols])
+            assert a.shape == (rows, cols)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, expected = net_mod._column_sum(a), a.sum(axis=0)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(got), nan), (rows, cols)
+            assert got[~nan].tobytes() == expected[~nan].tobytes(), (rows, cols)
+
+
 def test_relu_is_bitwise_the_reference_on_signed_zeros_and_infinities():
     special = np.array([-0.0, 0.0, -1.5, -1e-300, 2.0, 1e-300, np.inf, -np.inf])
     rng = np.random.default_rng(72)

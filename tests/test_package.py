@@ -6,7 +6,7 @@ import pytest
 
 import scenegame
 import scenegame.cli
-from scenegame import net
+from scenegame import image, net
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -30,6 +30,11 @@ def test_traced_names_resolve():
     for cls, method, _ in spans.METHODS:
         assert callable(getattr(getattr(net, cls, None), method, None)), (
             cls, method)
+    # The tracer also patches cli's own bindings of these image names; a name
+    # cli no longer binds breaks a traced run, though cli may not call it.
+    for attribute in spans.CLI_IMPORTED:
+        assert getattr(scenegame.cli, attribute, None) is getattr(
+            image, attribute), attribute
 
 
 @pytest.mark.parametrize("workload", ["segment", "register", "anneal"])
@@ -43,6 +48,15 @@ def test_benchmark_workload_checks_pass_on_one_input(tmp_path, workload):
     assert scenegame.cli.main(inp.argv) == 0
     figures = wl.check(scenegame, inp)
     assert figures["equilibrium"] == 1.0
+
+
+def test_benchmark_experiment_check_passes_on_its_config(tmp_path):
+    """The experiment workload at the benchmark's own criterion-9 config
+    (1000 scenes, 12 epochs): its report and sidecar pass the check."""
+    wl = load_bench("workloads").WORKLOADS["experiment"]
+    inp = wl.make_inputs(scenegame, 2026, tmp_path)[0]
+    assert scenegame.cli.main(inp.argv) == 0
+    assert wl.check(scenegame, inp) == {"accuracy": 1.0}
 
 
 def test_traced_train_counts_the_rows_mining_returned(tmp_path, monkeypatch):

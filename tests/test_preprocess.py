@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from scenegame.image import Image
+from scenegame.image import Image, gen_scene
 from scenegame.preprocess import (
     dft_enhance,
     equalize,
+    equalize_planes,
     haar_enhance,
     haar_forward,
     haar_inverse,
@@ -23,6 +24,43 @@ def gray(rows):
 def test_equalize_constant_returns_input():
     img = gray(np.full((4, 4), 128))
     assert equalize(img) == img
+
+
+def reference_equalize(img):
+    """equalize as it was before the stacked equalizer, verbatim."""
+    plane = img.plane()
+    counts = np.bincount(plane.ravel(), minlength=256)
+    cum = np.cumsum(counts)
+    total = int(cum[-1])
+    cum_min = int(cum[np.nonzero(counts)[0][0]])
+    if cum_min == total:  # single occupied bin: constant image
+        return Image(plane)
+    # Integer form of the mapping; exact floor, no float rounding.
+    lut = (cum - cum_min) * 255 // (total - cum_min)
+    lut = np.clip(lut, 0, 255).astype(np.uint8)
+    return Image(lut[plane])
+
+
+def test_stacked_equalize_is_the_per_image_equalize():
+    """Constant, two-level, full-range, random and scene planes, stacked
+    together so each plane's histogram must stay its own."""
+    rng = np.random.default_rng(14)
+    for h, w in ((1, 1), (1, 9), (6, 1), (8, 8), (20, 20), (16, 32)):
+        planes = [np.full((h, w), v) for v in (0, 77, 255)]
+        planes += [rng.choice(pair, (h, w)) for pair in ((0, 255), (3, 4), (100, 250))]
+        planes.append(np.arange(h * w).reshape(h, w) % 256)  # full range from 16x16 up
+        planes += [rng.integers(lo, hi, (h, w), endpoint=True)
+                   for lo, hi in ((0, 255), (40, 60), (200, 255))]
+        if h == w >= 8:
+            planes += [gen_scene(c, h, n, 7).pixels for c in range(5) for n in (1, 3)]
+        stack = np.stack(planes).astype(np.uint8)
+        for order in (stack, stack[::-1]):
+            out = equalize_planes(order)
+            assert out.shape == order.shape and out.dtype == np.uint8
+            for got, plane in zip(out, order):
+                expected = reference_equalize(Image(plane))
+                assert got.tobytes() == expected.pixels.tobytes()
+                assert equalize(Image(plane)) == expected
 
 
 def test_equalize_two_extremes():
