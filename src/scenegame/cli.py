@@ -40,26 +40,17 @@ class CliError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KeyframePolicy:
-    """Sampling rate for scene discrimination: one keyframe per interval."""
-
-    fps: float = 20.0
-    interval_s: float = 3.0
-
-    def __post_init__(self):
-        if self.fps <= 0 or self.interval_s <= 0:  # NaN passes, and fails below
-            raise ValueError("fps and interval_s must be > 0")
-        if not math.isfinite(self.fps * self.interval_s):
-            raise ValueError("fps, interval_s and their product must be finite")
-
-
-def keyframe_indices(policy: KeyframePolicy, total_frames: int) -> list:
-    """Frame indices 0, stride, 2*stride, ... below total_frames, with
-    stride = round(fps * interval) (at least 1)."""
+def keyframe_indices(fps: float, interval_s: float, total_frames: int) -> list:
+    """One keyframe per interval for scene discrimination: frame indices 0,
+    stride, 2*stride, ... below total_frames, with stride =
+    round(fps * interval_s) (at least 1)."""
+    if fps <= 0 or interval_s <= 0:  # NaN passes, and fails below
+        raise ValueError("fps and interval_s must be > 0")
+    if not math.isfinite(fps * interval_s):
+        raise ValueError("fps, interval_s and their product must be finite")
     if total_frames < 0:
         raise ValueError("total_frames must be >= 0")
-    stride = max(1, int(math.floor(policy.fps * policy.interval_s + 0.5)))
+    stride = max(1, int(math.floor(fps * interval_s + 0.5)))
     return list(range(0, total_frames, stride))
 
 
@@ -155,6 +146,11 @@ class ExperimentConfig:
             raise CliError(f"sizes: {exc}") from exc
         if any(n not in NOISE_SIGMA for n in self.noise_levels) or not self.noise_levels:
             raise CliError("noise_levels must be from 1..3")
+        # a repeated value would train and report its cells twice
+        for key, values in (("sizes", self.sizes), ("noise_levels", self.noise_levels)):
+            repeated = [v for v in values if values.count(v) > 1]
+            if repeated:
+                raise CliError(f"{key} repeats {repeated[0]}; give each value once")
         if self.images_per_class < 1 or self.trials < 1:
             raise CliError("images_per_class and trials must be >= 1")
         if not 0.0 < self.holdout < 1.0:
@@ -433,10 +429,16 @@ def _play(model, args):
     return 0
 
 
-def _cmd_segment(args):
+def _check_game(args, label_count: int):
+    """Reject the game settings of segment and register, before any input
+    is read."""
     mrf.check_prior_weight(args.prior_weight)
     mrf.check_max_sweeps(args.max_sweeps)
-    mrf.check_label_count(args.components)
+    mrf.check_label_count(label_count)
+
+
+def _cmd_segment(args):
+    _check_game(args, args.components)
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
@@ -445,10 +447,8 @@ def _cmd_segment(args):
 
 
 def _cmd_register(args):
-    mrf.check_prior_weight(args.prior_weight)
-    mrf.check_max_sweeps(args.max_sweeps)
     label_set = DisplacementLabelSet.dense(args.radius)
-    mrf.check_label_count(len(label_set))
+    _check_game(args, len(label_set))
     fixed = _read_image(args.fixed)
     moving = _read_image(args.moving)
     smooth = mrf.SmoothnessField.identity(fixed.height, fixed.width)
@@ -473,21 +473,26 @@ def _cmd_features(args):
     return 0
 
 
-def _check_crop(crop, size):
-    """Reject a --crop that no --size scene can give, before any work."""
-    if crop is not None and not 1 <= crop <= size:
-        raise CliError(f"--crop {crop} must be between 1 and --size {size}")
+def _check_scenes(args):
+    """Reject the scene settings of train and eval, before any work."""
+    if args.crop is not None and not 1 <= args.crop <= args.size:
+        raise CliError(f"--crop {args.crop} must be between 1 and --size {args.size}")
+    check_noise_level(args.noise)
+    if args.images_per_class < 1:
+        raise CliError("--images-per-class must be >= 1")
 
 
 def _cmd_train(args):
     # Validate the arguments, and build the network, before any scene is drawn.
-    config = _train_config(args, seed=args.seed, crop_size=args.crop)
-    _check_crop(args.crop, args.size)
-    check_noise_level(args.noise)
+    config = _train_config(args, seed=args.seed)
+    _check_scenes(args)
     network = net_mod.default_net(
         input_size=args.size if args.crop is None else args.crop, seed=args.seed)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
+    if args.crop is not None:  # the five crops of each scene, in scene order
+        images = [crop for img in images for crop in net_mod.augment(img, args.crop)]
+        labels = [lbl for lbl in labels for _ in range(5)]
     _, trace = net_mod.train(network, images, labels, config)
     net_mod.save_net(network, args.out)
     if args.trace:
@@ -517,10 +522,7 @@ def _crop_hint(network, size: int) -> str:
 
 
 def _cmd_eval(args):
-    _check_crop(args.crop, args.size)
-    check_noise_level(args.noise)
-    if args.images_per_class < 1:
-        raise CliError("--images-per-class must be >= 1")
+    _check_scenes(args)
     network = net_mod.load_net(args.model)
     side = args.size if args.crop is None else args.crop
     # One blank input finds a model eval cannot score, before any draw.
@@ -564,8 +566,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_keyframes(args):
-    policy = KeyframePolicy(fps=args.fps, interval_s=args.interval)
-    indices = keyframe_indices(policy, args.total)
+    indices = keyframe_indices(args.fps, args.interval, args.total)
     print(",".join(str(i) for i in indices))
     return 0
 
@@ -588,6 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--out", default=out_default)
 
+    def game_flags(p, prior_weight, out_default, seed_help=None):  # see _check_game
+        p.add_argument("--prior-weight", type=float, default=prior_weight)
+        p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
+        p.add_argument("--max-sweeps", type=int, default=60)
+        p.add_argument("--trace", default=None)
+        seed_and_out(p, out_default, seed_help)
+
+    def scene_flags(p, images_per_class, crop_help):  # see _check_scenes
+        p.add_argument("--size", type=int, default=20)
+        p.add_argument("--noise", type=int, default=1)
+        p.add_argument("--images-per-class", type=int, default=images_per_class)
+        p.add_argument("--crop", type=int, default=None, help=crop_help)
+
     p = sub.add_parser("preprocess", help="enhance one grayscale image")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True,
@@ -608,23 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="mixture + labeling game segmentation")
     p.add_argument("--input", required=True)
     p.add_argument("--components", type=int, required=True)
-    p.add_argument("--prior-weight", type=float, default=1.0)
     p.add_argument("--prior", choices=["potts", "quadratic"], default="potts")
-    p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
-    p.add_argument("--max-sweeps", type=int, default=60)
-    p.add_argument("--trace", default=None)
-    seed_and_out(p, out_default="labels.pgm")
+    game_flags(p, 1.0, "labels.pgm")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("register", help="discrete displacement registration")
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--prior-weight", type=float, default=0.5)
-    p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
-    p.add_argument("--max-sweeps", type=int, default=60)
-    p.add_argument("--trace", default=None)
-    seed_and_out(p, "displacement.pgm", "seeds --solver anneal only")
+    game_flags(p, 0.5, "displacement.pgm", "seeds --solver anneal only")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("features", help="block feature extraction to CSV")
@@ -635,24 +641,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train", help="train the classifier on synthetic scenes")
-    p.add_argument("--size", type=int, default=20)
-    p.add_argument("--noise", type=int, default=1)
-    for key in ("images_per_class", *TRAIN_KEYS):  # dest == key, for _train_config
+    scene_flags(p, defaults.images_per_class,
+                "train on the five C x C crops of each scene")
+    for key in TRAIN_KEYS:  # dest == key, for _train_config
         value = getattr(defaults, key)
         p.add_argument(f"--{key.replace('_', '-')}", type=type(value), default=value)
-    p.add_argument("--crop", type=int, default=None,
-                   help="train on the five C x C crops of each scene")
     p.add_argument("--trace", default=None)
     seed_and_out(p, out_default="model.bin")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on synthetic scenes")
     p.add_argument("--model", required=True)
-    p.add_argument("--size", type=int, default=20)
-    p.add_argument("--noise", type=int, default=1)
-    p.add_argument("--images-per-class", type=int, default=10)
-    p.add_argument("--crop", type=int, default=None,
-                   help="score the centre C x C crop of each scene")
+    scene_flags(p, 10, "score the centre C x C crop of each scene")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 

@@ -501,13 +501,10 @@ class TrainConfig:
     triplet_weight: float = 1.0
     ce_weight: float = 1.0
     seed: int = 0
-    crop_size: int = None  # when set, train on the five crops of each image
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.crop_size is not None and self.crop_size < 1:
-            raise ValueError("crop_size must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         if not 0 < self.margin < math.inf:
@@ -542,10 +539,6 @@ def train(net: Network, images, labels, config: TrainConfig):
     missing = set(range(class_count)) - set(labels)
     if missing:
         raise ValueError(f"dataset is missing classes {sorted(missing)}")
-    if config.crop_size is not None:
-        crops = [augment(img, config.crop_size) for img in images]
-        labels = [lbl for lbl, five in zip(labels, crops) for _ in five]
-        images = [crop for five in crops for crop in five]
 
     x_all = _image_batch(images)
     y_all = np.asarray(labels, dtype=np.int64)

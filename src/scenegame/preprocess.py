@@ -19,8 +19,8 @@ def equalize_planes(planes: np.ndarray) -> np.ndarray:
     planes come back unchanged (the formula degenerates to 0/0 there). One
     bincount counts every plane, each in its own 256 bins.
     """
-    n = planes.shape[0]
-    pixels = planes.reshape(n, -1) + np.arange(0, 256 * n, 256)[:, None]
+    n, h, w = planes.shape
+    pixels = planes.reshape(n, h * w) + np.arange(0, 256 * n, 256)[:, None]
     counts = np.bincount(pixels.ravel(), minlength=256 * n).reshape(n, 256)
     cum = np.cumsum(counts, axis=1)
     total = cum[:, -1:]

@@ -1,3 +1,4 @@
+import argparse
 import logging
 import math
 import re
@@ -14,7 +15,6 @@ from scenegame.cli import (
     ACTION_TABLE,
     CliError,
     ExperimentConfig,
-    KeyframePolicy,
     REPORT_HEADER,
     _cell_dataset,
     _image_seed,
@@ -29,7 +29,7 @@ from scenegame.cli import (
 from scenegame import features, mrf, net, preprocess
 from scenegame.gmm import GmmParams
 from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
-                             read_pnm, write_pnm)
+                             gen_scenes, read_pnm, write_pnm)
 
 
 # ---------------------------------------------------------------------------
@@ -37,29 +37,28 @@ from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
 # ---------------------------------------------------------------------------
 
 def test_keyframes_twenty_fps_three_seconds():
-    policy = KeyframePolicy(fps=20, interval_s=3)
-    assert keyframe_indices(policy, 200) == [0, 60, 120, 180]
+    assert keyframe_indices(20, 3, 200) == [0, 60, 120, 180]
 
 
 def test_keyframes_empty_stream():
-    assert keyframe_indices(KeyframePolicy(), 0) == []
+    assert keyframe_indices(20.0, 3.0, 0) == []
 
 
 def test_keyframes_unit_stride():
-    assert keyframe_indices(KeyframePolicy(fps=1, interval_s=1), 3) == [0, 1, 2]
+    assert keyframe_indices(1, 1, 3) == [0, 1, 2]
 
 
 def test_keyframe_policy_validation():
     with pytest.raises(ValueError):
-        KeyframePolicy(fps=0)
+        keyframe_indices(0, 3.0, 10)
     with pytest.raises(ValueError):
-        KeyframePolicy(interval_s=-1)
+        keyframe_indices(20.0, -1, 10)
     with pytest.raises(ValueError):
-        keyframe_indices(KeyframePolicy(), -1)
+        keyframe_indices(20.0, 3.0, -1)
     for fps, interval_s in ((math.nan, 3.0), (math.inf, 3.0), (20.0, math.nan),
                             (1e200, 1e200)):
         with pytest.raises(ValueError, match="fps, interval_s and their product"):
-            KeyframePolicy(fps=fps, interval_s=interval_s)
+            keyframe_indices(fps, interval_s, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +681,14 @@ def test_cli_train_flags_set_the_matching_train_config_fields(tmp_path):
                  "--margin", "0.3", "--triplet-weight", "0.7", "--ce-weight", "1.3",
                  "--crop", "14", "--seed", "5", "--out", str(model)]) == 0
     images, labels = _cell_dataset(5, 4, 16, 1)  # the scenes train draws
+    # the five 14 x 14 crops of each scene, in scene order
+    images = [crop for img in images for crop in net.augment(img, 14)]
+    labels = [lbl for lbl in labels for _ in range(5)]
 
     def checkpoint(triplet_weight, ce_weight):
         config = net.TrainConfig(epochs=3, learning_rate=0.03, batch_size=7,
                                  margin=0.3, triplet_weight=triplet_weight,
-                                 ce_weight=ce_weight, seed=5, crop_size=14)
+                                 ce_weight=ce_weight, seed=5)
         network = net.default_net(input_size=14, seed=5)
         net.train(network, images, labels, config)
         path = tmp_path / f"direct-{triplet_weight}.bin"
@@ -781,7 +783,7 @@ def test_cli_eval_gives_no_crop_hint_when_no_side_fits(
     model = tmp_path / "model.bin"
     net.save_net(net.Network(layers), model)
     drawn = []
-    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    monkeypatch.setattr("scenegame.cli.gen_scenes", lambda *a: drawn.append(a))
     assert main(["eval", "--model", str(model), "--size", "12",
                  "--images-per-class", "1"]) == 2
     assert capsys.readouterr().err == (
@@ -804,7 +806,7 @@ def test_cli_eval_rejects_a_checkpoint_that_cannot_score_the_classes(
     model.write_bytes(net.CHECKPOINT_MAGIC + struct.pack("<I", len(layers))
                       + b"".join(layers))
     drawn = []
-    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    monkeypatch.setattr("scenegame.cli.gen_scenes", lambda *a: drawn.append(a))
     assert main(["eval", "--model", str(model), "--size", "12",
                  "--images-per-class", "1"]) == 2
     assert capsys.readouterr().err == f"ERROR: {message}\n"
@@ -845,12 +847,15 @@ def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
     "train --crop 0", "train --size 9", "eval --size 16 --crop 20",
     "eval --crop 0", "eval --images-per-class 0", "eval --images-per-class -3",
     "eval --size 30 --images-per-class 40", "train --noise 0", "eval --noise 4",
+    "train --size 12 --images-per-class 0",
 ])
 def test_cli_rejects_bad_training_keys_before_any_work(
         tmp_path, capsys, monkeypatch, bad):
     cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
     if bad.startswith("train"):
-        argv = [*bad.split(), "--images-per-class", "1", "--out", str(out)]
+        # one scene per class, unless the case sets --images-per-class itself
+        per_class = [] if "--images-per-class" in bad else ["--images-per-class", "1"]
+        argv = [*bad.split(), *per_class, "--out", str(out)]
     elif bad.startswith("eval"):
         # A loadable model, so that only the flags under test can stop eval.
         model = tmp_path / "model.bin"
@@ -860,7 +865,7 @@ def test_cli_rejects_bad_training_keys_before_any_work(
         cfg.write_text(f"images_per_class = 2\n{bad}\n")
         argv = ["experiment", "--config", str(cfg), "--out", str(out)]
     drawn = []
-    monkeypatch.setattr("scenegame.cli.gen_scene", lambda *a: drawn.append(a))
+    monkeypatch.setattr("scenegame.cli.gen_scenes", lambda *a: drawn.append(a))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR: ") and err.count("\n") == 1
@@ -897,8 +902,8 @@ def test_cli_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, bad):
                        f"feature_select = on\n{bad}\n")
         argv = ["experiment", "--config", str(cfg)]
     drawn = []
-    monkeypatch.setattr("scenegame.cli.gen_scene",
-                        lambda *a: drawn.append(a) or gen_scene(*a))
+    monkeypatch.setattr("scenegame.cli.gen_scenes",
+                        lambda *a: drawn.append(a) or gen_scenes(*a))
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("ERROR: ") and captured.err.count("\n") == 1
@@ -919,6 +924,21 @@ def test_cli_experiment_repeated_key_exits_2_and_writes_no_report(
     assert not ran and not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("sizes = 12,14,12", "sizes repeats 12; give each value once"),
+    ("noise_levels = 1,1", "noise_levels repeats 1; give each value once"),
+])
+def test_cli_experiment_repeated_value_exits_2_before_any_draw(
+        tmp_path, capsys, monkeypatch, line, message):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "r.csv"
+    cfg.write_text(f"images_per_class = 2\nepochs = 1\n{line}\n")
+    drawn = []
+    monkeypatch.setattr("scenegame.cli.gen_scenes", lambda *a: drawn.append(a))
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert not drawn and not out.exists()
+
+
 def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("sizes = 20\nwat = 1\n")
@@ -926,6 +946,49 @@ def test_cli_experiment_unknown_key_exits_nonzero(tmp_path, capsys):
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("ERROR: ")
+
+
+def test_every_subcommand_reads_every_flag_it_declares(tmp_path, capsys):
+    """README: each subcommand takes only the flags it reads. One run of each
+    reads every flag its parser declares; segment and register anneal, since
+    register reads --seed under --solver anneal only."""
+    scene, _ = write_scene(tmp_path, size=12)
+    other, _ = write_scene(tmp_path, "other.pgm", class_id=2, size=12)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("sizes = 12\nimages_per_class = 2\nepochs = 1\n")
+    model, out = str(tmp_path / "model.bin"), str(tmp_path / "out")
+    runs = [
+        ["preprocess", "--input", str(scene), "--method", "equalize", "--out", out],
+        ["gmm-fit", "--input", str(scene), "--components", "2", "--out", out],
+        ["segment", "--input", str(scene), "--components", "2",
+         "--solver", "anneal", "--out", out],
+        ["register", "--fixed", str(scene), "--moving", str(other), "--radius", "1",
+         "--solver", "anneal", "--out", out],
+        ["features", str(scene), str(other), "--out", out],
+        ["train", "--size", "12", "--images-per-class", "2", "--epochs", "1",
+         "--out", model],
+        ["eval", "--model", model, "--size", "12", "--images-per-class", "1"],
+        ["experiment", "--config", str(cfg), "--out", out],
+        ["keyframes", "--total", "5"],
+        ["action", "2"],
+    ]
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert [argv[0] for argv in runs] == list(commands)
+    reads = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    for argv in runs:
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        declared = set(vars(args)) - {"func", "command"}
+        reads.clear()
+        assert args.func(args) == 0, argv
+        assert declared - reads == set(), argv[0]
 
 
 @pytest.mark.parametrize("argv", [

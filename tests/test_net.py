@@ -9,6 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scenegame import net as net_mod
+from scenegame.cli import _cell_dataset, main
 from scenegame.image import Image, gen_scene
 from scenegame.net import (
     Conv2D,
@@ -1094,13 +1095,45 @@ def test_train_validates_dataset():
         train(net, images[:3], labels[:3], TrainConfig())
 
 
+def reference_crops(images, labels, crop_size):
+    """The five-crop expansion that net.train made under TrainConfig.crop_size
+    before train --crop took it over, verbatim."""
+    crops = [augment(img, crop_size) for img in images]
+    labels = [lbl for lbl, five in zip(labels, crops) for _ in five]
+    images = [crop for five in crops for crop in five]
+    return images, labels
+
+
 def test_train_with_augmentation_runs():
-    images, labels = scene_batch(size=20, per_class=1)
+    images, labels = reference_crops(*scene_batch(size=20, per_class=1), 16)
     net = default_net(input_size=16, seed=0)
-    config = TrainConfig(epochs=1, learning_rate=0.01, batch_size=10, seed=0,
-                         crop_size=16)
+    config = TrainConfig(epochs=1, learning_rate=0.01, batch_size=10, seed=0)
     _, trace = train(net, images, labels, config)
     assert len(trace) == 1
+
+
+@pytest.mark.parametrize("crop", [12, 14])
+def test_cli_crops_train_as_the_old_crop_path(tmp_path, monkeypatch, crop):
+    """net.train on the crops that train --crop expands gives the parameter
+    bytes and loss trace of net.train on the reference expansion."""
+    traces = []
+
+    def recording_train(*args):
+        network, trace = train(*args)
+        traces.append(trace)
+        return network, trace
+
+    monkeypatch.setattr(net_mod, "train", recording_train)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--size", "16", "--images-per-class", "3", "--epochs", "2",
+                 "--batch-size", "7", "--crop", str(crop), "--seed", "4",
+                 "--out", str(model)]) == 0
+    images, labels = reference_crops(*_cell_dataset(4, 3, 16, 1), crop)
+    ref, expected = train(default_net(input_size=crop, seed=4), images, labels,
+                          TrainConfig(epochs=2, batch_size=7, seed=4))
+    assert repr(traces) == repr([expected])
+    for got, want in zip(load_net(model).parameter_arrays(), ref.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
 
 
 REFERENCE_LAYERS = {"Conv2D": ReferenceGemmConv2D, "ReLU": ReferenceReLU,
@@ -1110,7 +1143,9 @@ REFERENCE_LAYERS = {"Conv2D": ReferenceGemmConv2D, "ReLU": ReferenceReLU,
 @pytest.mark.parametrize("crop_size", [None, 12], ids=["full", "crop12"])
 def test_training_is_bitwise_the_reference_kernels(monkeypatch, crop_size):
     images, labels = scene_batch(size=16)
-    config = TrainConfig(epochs=2, batch_size=4, seed=3, crop_size=crop_size)
+    if crop_size is not None:
+        images, labels = reference_crops(images, labels, crop_size)
+    config = TrainConfig(epochs=2, batch_size=4, seed=3)
     side = 16 if crop_size is None else crop_size
     net, trace = train(default_net(input_size=side, seed=5), images, labels, config)
     for name, cls in REFERENCE_LAYERS.items():

@@ -63,6 +63,12 @@ def test_stacked_equalize_is_the_per_image_equalize():
                 assert equalize(Image(plane)) == expected
 
 
+@pytest.mark.parametrize("h, w", [(1, 1), (4, 5), (20, 20)])
+def test_equalize_empty_stack_is_empty(h, w):
+    out = equalize_planes(np.zeros((0, h, w), dtype=np.uint8))
+    assert out.shape == (0, h, w) and out.dtype == np.uint8
+
+
 def test_equalize_two_extremes():
     # cdf(0) = 0.5 = cdf_min -> 0; cdf(255) = 1 -> 255
     assert equalize(gray([[0, 255]])).pixels.tolist() == [[0, 255]]
