@@ -141,7 +141,7 @@ class ExperimentConfig:
             raise CliError("sizes must be nonempty")
         try:  # each size must fit the default network
             for size in self.sizes:
-                net_mod.feature_side(size)
+                net_mod.default_net(size)
         except ValueError as exc:
             raise CliError(f"sizes: {exc}") from exc
         if any(n not in NOISE_SIGMA for n in self.noise_levels) or not self.noise_levels:
@@ -399,6 +399,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_gmm_fit(args):
+    gmm_mod.check_fit(args.components, args.epsilon, args.max_iters)
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, trace = gmm_mod.fit(data, args.components, epsilon=args.epsilon,
@@ -439,6 +440,7 @@ def _check_game(args, label_count: int):
 
 def _cmd_segment(args):
     _check_game(args, args.components)
+    gmm_mod.check_fit(args.components)
     img = _read_image(args.input)
     data = img.plane().astype(np.float64).ravel() / 255.0
     params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
@@ -473,21 +475,21 @@ def _cmd_features(args):
     return 0
 
 
-def _check_scenes(args):
-    """Reject the scene settings of train and eval, before any work."""
+def _check_scenes(args) -> int:
+    """Reject the scene settings of train and eval, before any work, and
+    return the side of the model's inputs: --crop, or --size without it."""
     if args.crop is not None and not 1 <= args.crop <= args.size:
         raise CliError(f"--crop {args.crop} must be between 1 and --size {args.size}")
     check_noise_level(args.noise)
     if args.images_per_class < 1:
         raise CliError("--images-per-class must be >= 1")
+    return args.size if args.crop is None else args.crop
 
 
 def _cmd_train(args):
     # Validate the arguments, and build the network, before any scene is drawn.
     config = _train_config(args, seed=args.seed)
-    _check_scenes(args)
-    network = net_mod.default_net(
-        input_size=args.size if args.crop is None else args.crop, seed=args.seed)
+    network = net_mod.default_net(input_size=_check_scenes(args), seed=args.seed)
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
     if args.crop is not None:  # the five crops of each scene, in scene order
@@ -501,38 +503,31 @@ def _cmd_train(args):
     return 0
 
 
-def _blank_scores(network, side: int):
-    """Class scores of one blank side x side input."""
-    blank = Image(np.zeros((side, side), dtype=np.uint8))
-    return net_mod.forward(network, blank)[1]
-
-
 def _crop_hint(network, size: int) -> str:
-    """A hint naming the largest side C < size whose blank input the model
-    scores with one score per class ('; it accepts CxC inputs: use --crop
-    C'), or '' when no side does."""
+    """A hint naming the largest side C < size that the model's layer shapes
+    take to one score per class ('; it accepts CxC inputs: use --crop C'), or
+    '' when no side does."""
     for side in range(size - 1, 0, -1):
         try:
-            scores = _blank_scores(network, side)
+            shape = network.out_shape((1, side, side, 1))
         except net_mod.ShapeMismatchError:
             continue
-        if scores.size == net_mod.CLASS_COUNT:
+        if math.prod(shape[1:]) == net_mod.CLASS_COUNT:
             return f"; it accepts {side}x{side} inputs: use --crop {side}"
     return ""
 
 
 def _cmd_eval(args):
-    _check_scenes(args)
+    side = _check_scenes(args)
     network = net_mod.load_net(args.model)
-    side = args.size if args.crop is None else args.crop
-    # One blank input finds a model eval cannot score, before any draw.
+    # The layer shapes find a model eval cannot score, before any draw.
     try:
-        scores = _blank_scores(network, side)
+        scores = math.prod(network.out_shape((1, side, side, 1))[1:])
     except net_mod.ShapeMismatchError as exc:
         raise CliError(f"model does not accept {side}x{side} inputs ({exc})"
                        + _crop_hint(network, args.size)) from exc
-    if scores.size != net_mod.CLASS_COUNT:
-        raise CliError(f"model gives {scores.size} scores per input; eval needs "
+    if scores != net_mod.CLASS_COUNT:
+        raise CliError(f"model gives {scores} scores per input; eval needs "
                        f"one per class ({net_mod.CLASS_COUNT})")
     # Trial 1: scenes that train, which draws trial 0, never sees.
     images, labels = _cell_dataset(args.seed, args.images_per_class,

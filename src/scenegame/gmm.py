@@ -177,6 +177,17 @@ def _init_params(data, component_count, seed):
                      variances=np.full(component_count, pooled))
 
 
+def check_fit(component_count: int, epsilon: float = 1e-8, max_iters: int = 200):
+    """fit's settings, with fit's defaults; the CLI checks them before any
+    input is read."""
+    if component_count < 1:
+        raise ValueError("component_count must be >= 1")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def fit(data, component_count: int, epsilon: float = 1e-8,
         max_iters: int = 200, seed: int = 0):
     """Run EM until the absolute change of the summed log-likelihood drops
@@ -188,12 +199,7 @@ def fit(data, component_count: int, epsilon: float = 1e-8,
     statistics (an 8-bit image has at most 256 of them).
     """
     data = np.asarray(data, dtype=np.float64).ravel()
-    if component_count < 1:
-        raise ValueError("component_count must be >= 1")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_fit(component_count, epsilon, max_iters)
     if data.size < component_count:
         raise ValueError(
             f"need at least {component_count} samples, got {data.size}"

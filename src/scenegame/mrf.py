@@ -113,6 +113,16 @@ class EnergyModel:
         so the model's arrays must not change after that."""
         return _site_table(self)
 
+    @cached_property
+    def colours(self):
+        """The site table's two checkerboard colours, even then odd, each as
+        the (sites, nbrs, scales) slices of its rows: the table's first
+        (h * w + 1) // 2 rows are the even colour."""
+        table, nbrs, scales = self.site_table[:3]
+        even = (table.size + 1) // 2
+        return tuple((table[half], nbrs[:, half], scales[:, half])
+                     for half in (slice(0, even), slice(even, None)))
+
     @property
     def height(self):
         return self.data_costs.shape[0]
@@ -339,11 +349,9 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()
-    table, nbrs, scales = model.site_table[:3]
-    even = (h * w + 1) // 2  # the table's even-colour rows come first
     # Each row's raster rank within its colour picks its uniform.
-    colours = [(table[half], nbrs[:, half], scales[:, half], np.argsort(np.argsort(table[half])))
-               for half in (slice(0, even), slice(even, None))]
+    colours = [(sites, nbrs, scales, np.argsort(np.argsort(sites)))
+               for sites, nbrs, scales in model.colours]
     trace = []
     for sweep in range(max_sweeps):
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
@@ -394,10 +402,7 @@ def nash_check(model: EnergyModel, labels: LabelField):
     """
     _check_dims(model, labels)
     flat = labels.labels.ravel()
-    table, nbrs, scales = model.site_table[:3]
-    even = (table.size + 1) // 2  # the table's even-colour rows come first
-    found = [_first_mover(model, flat, table[half], nbrs[:, half], scales[:, half])
-             for half in (slice(0, even), slice(even, None))]
+    found = [_first_mover(model, flat, *colour) for colour in model.colours]
     found = [witness for witness in found if witness is not None]
     if not found:
         return True, None

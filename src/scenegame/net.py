@@ -67,12 +67,10 @@ def _column_sum(a):
 
 
 @functools.lru_cache(maxsize=32)
-def _patch_index(h, w, kh, kw, stride):
-    """Flat pixel index of every patch entry of one h x w image, shape
-    (oh * ow, kh * kw): patch row (i, j) reads pixel (s*i + di, s*j + dj)
-    in column (di, dj). Read-only, since calls share it."""
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+def _patch_index(w, oh, ow, kh, kw, stride):
+    """Flat pixel index of every patch entry of an oh x ow output on an image
+    w pixels wide, shape (oh * ow, kh * kw): patch row (i, j) reads pixel
+    (s*i + di, s*j + dj) in column (di, dj). Read-only, since calls share it."""
     corners = (np.arange(0, stride * oh, stride)[:, None] * w
                + np.arange(0, stride * ow, stride))
     offsets = np.arange(kh)[:, None] * w + np.arange(kw)
@@ -113,17 +111,21 @@ class Conv2D:
         self.bias = np.zeros(cout)
         self._cols = None
 
-    def forward(self, x):
-        if x.ndim != 4 or x.shape[3] != self.cin:
-            raise ShapeMismatchError(
-                f"conv expects (N,H,W,{self.cin}), got {x.shape}"
-            )
-        n, h, w, _ = x.shape
-        s = self.stride
-        oh = (h - self.kh) // s + 1
-        ow = (w - self.kw) // s + 1
+    def out_shape(self, shape):
+        """(n, oh, ow, cout) for an (n, h, w, cin) input shape; raises
+        ShapeMismatchError for any other shape or one smaller than the kernel."""
+        if len(shape) != 4 or shape[3] != self.cin:
+            raise ShapeMismatchError(f"conv expects (N,H,W,{self.cin}), got {shape}")
+        n, h, w, _ = shape
+        oh = (h - self.kh) // self.stride + 1
+        ow = (w - self.kw) // self.stride + 1
         if oh < 1 or ow < 1:
             raise ShapeMismatchError(f"input {h}x{w} smaller than the kernel")
+        return n, oh, ow, self.cout
+
+    def forward(self, x):
+        n, oh, ow, _ = self.out_shape(x.shape)
+        s = self.stride
         sn, sh, sw, sc = x.strides
         rows, columns = (n, oh, ow), (self.kh, self.kw, self.cin)
         shape = (n * oh * ow, self.kh * self.kw * self.cin)
@@ -134,8 +136,8 @@ class Conv2D:
                                  (sn, s * sh, s * sw, sh, sw, sc), writeable=False)
             cols = windows.reshape(shape)
         else:
-            index = _patch_index(h, w, self.kh, self.kw, s)
-            cols = x.reshape(n, h * w, self.cin).take(index, axis=1).reshape(shape)
+            index = _patch_index(x.shape[2], oh, ow, self.kh, self.kw, s)
+            cols = x.reshape(n, -1, self.cin).take(index, axis=1).reshape(shape)
         out = cols @ self.weights.reshape(-1, self.cout)
         per_image = out.reshape(n, oh * ow * self.cout)
         per_image += np.tile(self.bias, oh * ow)
@@ -184,17 +186,22 @@ class MaxPool2D:
         self.stride = stride
         self._winner = None
 
-    def forward(self, x):
+    def out_shape(self, shape):
+        """(n, oh, ow, c) for an (n, h, w, c) input shape; raises
+        ShapeMismatchError for any other shape or one smaller than the window."""
         k, s = self.window, self.stride
-        if x.ndim != 4:
+        if len(shape) != 4:
             raise ShapeMismatchError(
-                f"pool with a {k}x{k} window expects (N,H,W,C), got {x.shape}")
-        n, h, w, c = x.shape
+                f"pool with a {k}x{k} window expects (N,H,W,C), got {shape}")
+        n, h, w, c = shape
         if h < k or w < k:
             raise ShapeMismatchError(
-                f"pool input {x.shape} is smaller than its {k}x{k} window")
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
+                f"pool input {shape} is smaller than its {k}x{k} window")
+        return n, (h - k) // s + 1, (w - k) // s + 1, c
+
+    def forward(self, x):
+        k, s = self.window, self.stride
+        n, oh, ow, c = self.out_shape(x.shape)
         stack = np.empty((k * k, n, oh, ow, c), dtype=x.dtype)
         for o in range(k * k):
             di, dj = divmod(o, k)
@@ -237,6 +244,9 @@ class ReLU:
     def __init__(self):
         self._mask = None
 
+    def out_shape(self, shape):
+        return shape
+
     def forward(self, x):
         self._mask = x > 0
         out = self._mask.astype(x.dtype)
@@ -253,6 +263,9 @@ class ReLU:
 class Flatten:
     def __init__(self):
         self._shape = None
+
+    def out_shape(self, shape):
+        return shape[0], math.prod(shape[1:])
 
     def forward(self, x):
         self._shape = x.shape
@@ -273,9 +286,15 @@ class Dense:
         self.bias = np.zeros(dout)
         self._x = None
 
+    def out_shape(self, shape):
+        """(n, dout) for an (n, din) input shape; raises ShapeMismatchError
+        for any other shape."""
+        if len(shape) != 2 or shape[1] != self.din:
+            raise ShapeMismatchError(f"dense expects (N,{self.din}), got {shape}")
+        return shape[0], self.dout
+
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.din:
-            raise ShapeMismatchError(f"dense expects (N,{self.din}), got {x.shape}")
+        self.out_shape(x.shape)
         self._x = x
         return x @ self.weights + self.bias
 
@@ -295,6 +314,14 @@ class Network:
 
     def __init__(self, layers):
         self.layers = list(layers)
+
+    def out_shape(self, shape):
+        """The output shape of an input shape, each layer's rule in turn; raises
+        the first layer's ShapeMismatchError that rejects its input, with no
+        array built."""
+        for layer in self.layers:
+            shape = layer.out_shape(shape)
+        return shape
 
     def forward(self, x):
         for layer in self.layers[:-1]:
@@ -339,36 +366,21 @@ class Network:
         return sum(a.size for a in self.parameter_arrays())
 
 
-def feature_side(input_size: int) -> int:
-    """Side of default_net's last pooled feature map for a square input;
-    ValueError for an input too small for the stack."""
-    side = input_size - 2
-    side = (side - 2) // 2 + 1
-    side = side - 2
-    side = (side - 2) // 2 + 1
-    if side < 1:
-        raise ValueError(f"input size {input_size} is too small for the stack")
-    return side
-
-
 def default_net(input_size: int = 20, seed: int = 0) -> Network:
     """conv(3x3x1x8)-relu-maxpool2 : conv(3x3x8x16)-relu-maxpool2 :
-    flatten-fc(32)-relu-fc(5). The smallest stack exercising every layer kind.
+    flatten-fc(32)-relu-fc(5). The smallest stack exercising every layer kind;
+    the first dense layer takes the flattened feature shape of an input_size
+    square, and ValueError names an input too small for the stack.
     """
-    flat = feature_side(input_size) ** 2 * 16
     rng = np.random.default_rng(int(seed) % 2 ** 63)
-    return Network([
-        Conv2D(3, 3, 1, 8, rng=rng),
-        ReLU(),
-        MaxPool2D(2, 2),
-        Conv2D(3, 3, 8, 16, rng=rng),
-        ReLU(),
-        MaxPool2D(2, 2),
-        Flatten(),
-        Dense(flat, EMBEDDING_DIM, rng=rng),
-        ReLU(),
-        Dense(EMBEDDING_DIM, CLASS_COUNT, rng=rng),
-    ])
+    features = [Conv2D(3, 3, 1, 8, rng=rng), ReLU(), MaxPool2D(2, 2),
+                Conv2D(3, 3, 8, 16, rng=rng), ReLU(), MaxPool2D(2, 2), Flatten()]
+    try:
+        _, flat = Network(features).out_shape((1, input_size, input_size, 1))
+    except ShapeMismatchError as exc:
+        raise ValueError(f"input size {input_size} is too small for the stack") from exc
+    return Network(features + [Dense(flat, EMBEDDING_DIM, rng=rng), ReLU(),
+                               Dense(EMBEDDING_DIM, CLASS_COUNT, rng=rng)])
 
 
 def _image_batch(images):

@@ -299,8 +299,8 @@ def fail_network_at_size(monkeypatch, size):
 def test_experiment_failure_flushes_partial_rows(monkeypatch):
     # the 20x20 cell ran first and must still appear, followed by the
     # failure marker of the 24x24 cell
-    fail_network_at_size(monkeypatch, 24)
     config = small_config(sizes=(20, 24), images_per_class=1, epochs=1)
+    fail_network_at_size(monkeypatch, 24)
     report = run_experiment(config)
     assert report.failure is not None
     assert len(report.rows) == 1
@@ -308,8 +308,8 @@ def test_experiment_failure_flushes_partial_rows(monkeypatch):
 
 
 def test_experiment_failure_logs_traceback_at_debug(caplog, monkeypatch):
-    fail_network_at_size(monkeypatch, 24)
     config = small_config(sizes=(20, 24), images_per_class=1, epochs=1)
+    fail_network_at_size(monkeypatch, 24)
     with caplog.at_level(logging.DEBUG, logger="scenegame.cli"):
         report = run_experiment(config)
     records = [r for r in caplog.records if r.name == "scenegame.cli"]
@@ -516,6 +516,24 @@ def test_cli_gmm_fit_rejects_negative_max_iters(tmp_path, capsys):
     assert not out.exists()
     assert main([*argv, "--max-iters", "0"]) == 0  # the initial parameters
     assert "iterations = 0" in out.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["segment", "--components", "0"], "component_count must be >= 1"),
+    (["gmm-fit", "--components", "0"], "component_count must be >= 1"),
+    (["gmm-fit", "--components", "2", "--max-iters", "-1"],
+     "max_iters must be >= 0, got -1"),
+    (["gmm-fit", "--components", "2", "--epsilon", "nan"],
+     "epsilon must be finite and >= 0, got nan"),
+], ids=["segment-components-0", "gmm-fit-components-0", "gmm-fit-max-iters--1",
+        "gmm-fit-epsilon-nan"])
+def test_cli_checks_the_em_settings_before_reading_the_input(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(tmp_path / "missing.pgm"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_register_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
@@ -772,6 +790,22 @@ def test_cli_eval_names_a_crop_the_cropped_model_accepts(tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--size", "16", "--crop", "13",
                  "--images-per-class", "2"]) == 0
     assert capsys.readouterr().out.startswith("accuracy = ")
+
+
+def test_cli_eval_finds_the_crop_hint_from_layer_shapes(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "model.bin"
+    net.save_net(net.default_net(20), model)
+
+    def forward(self, x):
+        raise AssertionError("eval ran the network")
+
+    monkeypatch.setattr(net.Network, "forward", forward)
+    assert main(["eval", "--model", str(model), "--size", "400",
+                 "--images-per-class", "1"]) == 2
+    # 400 -> conv 398 -> pool 199 -> conv 197 -> pool 98: 98 * 98 * 16 values
+    assert capsys.readouterr().err == (
+        "ERROR: model does not accept 400x400 inputs (dense expects (N,144), "
+        "got (1, 153664)); it accepts 21x21 inputs: use --crop 21\n")
 
 
 @pytest.mark.parametrize("layers, reason", [

@@ -23,7 +23,6 @@ from scenegame.net import (
     augment,
     combined_loss,
     default_net,
-    feature_side,
     forward,
     grad_check,
     load_net,
@@ -283,8 +282,9 @@ def test_relu_is_bitwise_the_reference_on_signed_zeros_and_infinities():
 
 
 def test_patch_index_is_cached_and_read_only():
-    index = net_mod._patch_index(7, 6, 3, 2, 2)
-    assert index is net_mod._patch_index(7, 6, 3, 2, 2)
+    # a 3x2 kernel at stride 2 on a 7x6 image: a 3x3 output
+    index = net_mod._patch_index(6, 3, 3, 3, 2, 2)
+    assert index is net_mod._patch_index(6, 3, 3, 3, 2, 2)
     assert index.shape == (3 * 3, 3 * 2)
     assert index[1].tolist() == [2, 3, 8, 9, 14, 15]  # output (0, 1): pixel (0, 2)
     with pytest.raises(ValueError):
@@ -467,6 +467,59 @@ def test_small_input_fails_at_the_pool_that_cannot_cover_it():
     with pytest.raises(ShapeMismatchError,
                        match=r"pool input \(1, 1, 1, 16\) is smaller than its 2x2 window"):
         forward(net, Image(np.zeros((8, 8), dtype=np.uint8)))
+
+
+def accepted_shapes():
+    """(layer, input shape) pairs of every layer kind that forward takes: the
+    conv_cases() shapes, each POOL_GEOMETRIES window on an input it covers
+    exactly and on one with rows and columns it leaves over, and the shapes
+    of the ReLU, fed_layer and dense tests."""
+    cases = [(Conv2D(kh, kw, cin, cout, stride=stride), (n, h, w, cin))
+             for n, h, w, kh, kw, cin, cout, stride in conv_cases()]
+    for k, s in POOL_GEOMETRIES:
+        cases += [(MaxPool2D(k, s), (2, k + s, k, 3)),
+                  (MaxPool2D(k, s), (1, k + 2 * s + 1, k + s + 1, 1))]
+    cases.append((MaxPool2D(3, 5), (1, 3, 3, 2)))
+    for shape in ((8,), (2, 8), (3, 4, 5, 8), (1, 1, 1, 1)):
+        cases += [(ReLU(), shape), (Flatten(), shape)]
+    cases += [(Flatten(), (2, 6, 5, 2)), (Dense(6, 3), (2, 6)), (Dense(6, 4), (5, 6)),
+              (Dense(64, 16), (1, 64))]
+    return cases
+
+
+def rejected_shapes():
+    """(layer, input shape) pairs that forward rejects, from the conv, pool
+    and eval tests; ReLU and Flatten take every shape."""
+    return [(Conv2D(3, 3, 2, 4), (1, 5, 5, 1)), (Conv2D(3, 3, 2, 4), (1, 2, 2, 2)),
+            (Conv2D(3, 3, 2, 4), (1, 12, 12, 1)),
+            (MaxPool2D(2, 1), (1, 1, 1, 1)), (MaxPool2D(4, 1), (2, 3, 5, 4)),
+            (MaxPool2D(3, 1), (1, 5, 2, 1)), (MaxPool2D(2, 2), (3, 4)),
+            (MaxPool2D(2, 2), (2, 4, 4)), (MaxPool2D(2, 2), (1, 2, 4, 4, 1)),
+            (Dense(16, 5), (1, 64)), (Dense(7, 5), (1, 12, 12, 1)), (Dense(6, 3), (6,))]
+
+
+def test_out_shape_is_the_forward_shape():
+    rng = np.random.default_rng(74)
+    for layer, shape in accepted_shapes():
+        out = layer.out_shape(shape)
+        assert out == layer.forward(rng.normal(0, 1, shape)).shape, (layer, shape)
+        assert all(type(v) is int for v in out)
+    net = default_net(input_size=16, seed=2)
+    x = rng.normal(0, 1, (3, 16, 16, 1))
+    assert net.out_shape(x.shape) == net.forward(x)[1].shape == (3, net_mod.CLASS_COUNT)
+
+
+def test_out_shape_rejects_what_forward_rejects_with_its_message():
+    for layer, shape in rejected_shapes():
+        with pytest.raises(ShapeMismatchError) as by_rule:
+            layer.out_shape(shape)
+        with pytest.raises(ShapeMismatchError) as by_forward:
+            layer.forward(np.zeros(shape))
+        assert str(by_rule.value) == str(by_forward.value), (layer, shape)
+    net = default_net(input_size=20, seed=0)
+    with pytest.raises(ShapeMismatchError,
+                       match=r"pool input \(1, 1, 1, 16\) is smaller than its 2x2 window"):
+        net.out_shape((1, 8, 8, 1))
 
 
 def fed_layer(kind):
@@ -1076,14 +1129,14 @@ def test_train_matches_per_step_reference_with_single_class_batches():
         assert got.tobytes() == want.tobytes()
 
 
-def test_feature_side_sets_the_smallest_input():
-    assert feature_side(10) == 1
-    with pytest.raises(ValueError, match="too small"):
-        feature_side(9)
+def test_default_net_sets_the_smallest_input():
+    """Two 3x3 convs, each pooled 2x2, leave a 1x1 map of 16 channels on a
+    10x10 input and no map on 9x9; the first dense layer takes the map."""
+    assert default_net(input_size=10).out_shape((1, 10, 10, 1)) == (1, net_mod.CLASS_COUNT)
     with pytest.raises(ValueError, match="too small"):
         default_net(input_size=9)
-    for size in (10, 16, 20, 33):
-        assert default_net(input_size=size).layers[-3].din == feature_side(size) ** 2 * 16
+    for size, side in ((10, 1), (16, 2), (20, 3), (33, 6)):
+        assert default_net(input_size=size).layers[-3].din == side ** 2 * 16
 
 
 def test_train_validates_dataset():
