@@ -609,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gmm-fit", help="fit an intensity mixture to an image")
     p.add_argument("--input", required=True)
     p.add_argument("--components", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--epsilon", type=float, default=gmm_mod.EPSILON)
+    p.add_argument("--max-iters", type=int, default=gmm_mod.MAX_ITERS)
     seed_and_out(p)
     p.set_defaults(func=_cmd_gmm_fit)
 

@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 VARIANCE_FLOOR = 1e-6
+# fit's stopping rule: |change of the summed log-likelihood| < EPSILON, at
+# most MAX_ITERS EM iterations. check_fit and gmm-fit's flags read them too.
+EPSILON = 1e-8
+MAX_ITERS = 200
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -73,28 +77,6 @@ def _sample_weights(counts, size):
     return counts
 
 
-def _sum_components(table):
-    """Per-value sum over the K rows of a (K, n) table, added in the order
-    (n, K).sum(axis=1) adds them: one by one below 8 components; from 8 on
-    numpy's unrolled pairwise routine, which a contiguous (n, K) copy gets."""
-    if table.shape[0] >= 8:
-        return np.ascontiguousarray(table.T).sum(axis=1)
-    total = table[0].copy()
-    for row in table[1:]:
-        total += row
-    return total
-
-
-def _sum_values(table):
-    """Per-component sum over the n values of a (K, n) table, added in the
-    order (n, K).sum(axis=0) adds them: value after value from 2 components
-    on, pairwise for one contiguous column. table.sum(axis=1) would sum every
-    row pairwise and change the bits."""
-    if table.shape[0] == 1:
-        return table.sum(axis=1)
-    return np.add.accumulate(table, axis=1)[:, -1]
-
-
 def _posterior(values, mixture, counts):
     """Component-major (K, n) responsibilities and the summed log-likelihood
     under mixture = (weights, means, variances), both from one log joint
@@ -104,7 +86,7 @@ def _posterior(values, mixture, counts):
     logp += np.log(np.maximum(weights[:, None], 1e-300))
     peak = logp.max(axis=0)
     resp = np.exp(logp - peak)
-    totals = _sum_components(resp)
+    totals = resp.sum(axis=0)
     return resp / totals, float((peak + np.log(totals)) @ counts)
 
 
@@ -152,13 +134,13 @@ def _m_step(values, resp, counts):
     with resp component-major (K, n): the (weights, means, variances) arrays.
     An empty component still raises EmptyComponentError."""
     resp = resp * counts
-    totals = _sum_values(resp)
+    totals = resp.sum(axis=1)
     if (totals < 1e-12).any():
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
     weights = totals / counts.sum()
-    means = _sum_values(resp * values) / totals
-    variances = _sum_values(resp * (values - means[:, None]) ** 2) / totals
+    means = (resp * values).sum(axis=1) / totals
+    variances = (resp * (values - means[:, None]) ** 2).sum(axis=1) / totals
     return weights, means, np.maximum(variances, VARIANCE_FLOOR)
 
 
@@ -177,7 +159,8 @@ def _init_params(data, component_count, seed):
                      variances=np.full(component_count, pooled))
 
 
-def check_fit(component_count: int, epsilon: float = 1e-8, max_iters: int = 200):
+def check_fit(component_count: int, epsilon: float = EPSILON,
+              max_iters: int = MAX_ITERS):
     """fit's settings, with fit's defaults; the CLI checks them before any
     input is read."""
     if component_count < 1:
@@ -188,8 +171,8 @@ def check_fit(component_count: int, epsilon: float = 1e-8, max_iters: int = 200)
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
-def fit(data, component_count: int, epsilon: float = 1e-8,
-        max_iters: int = 200, seed: int = 0):
+def fit(data, component_count: int, epsilon: float = EPSILON,
+        max_iters: int = MAX_ITERS, seed: int = 0):
     """Run EM until the absolute change of the summed log-likelihood drops
     below epsilon (finite, >= 0) or max_iters is hit. Returns (GmmParams,
     EmTrace); the trace log-likelihoods are nondecreasing within 1e-9.

@@ -339,7 +339,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     exp(-local_energy / T). A sweep resamples the even checkerboard colour
     ((row + col) even), then the odd one; sites of one colour share no edge,
     so resampling a colour at once equals resampling its sites one by one in
-    raster order. Each colour draws one uniform per site, in raster order.
+    any order. Each colour draws one uniform per site, in site-table order.
     After the cooling sweeps, raster best-response passes run to a fixed point
     so the output is also unilateral-deviation-proof. Bit-reproducible for a
     fixed seed. Returns (labels, [SweepRecord...]).
@@ -349,21 +349,18 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()
-    # Each row's raster rank within its colour picks its uniform.
-    colours = [(sites, nbrs, scales, np.argsort(np.argsort(sites)))
-               for sites, nbrs, scales in model.colours]
     trace = []
     for sweep in range(max_sweeps):
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
-        for sites, nbrs, scales, rank in colours:
+        for sites, nbrs, scales in model.colours:
             # Label-major: L contiguous rows of n sites, so each reduction
             # runs across rows rather than along a last axis L wide.
             cumulative = _gibbs_weights(
                 _site_costs(model, flat, sites, nbrs, scales).T.copy(), temp)
             for l in range(1, label_count):  # cumsum's adds, row by row
                 cumulative[l] += cumulative[l - 1]
-            u = rng.random(sites.size)[rank] * cumulative[-1]
+            u = rng.random(sites.size) * cumulative[-1]
             # First label whose cumulative weight exceeds u, else the last.
             pick = np.minimum((cumulative <= u).sum(axis=0), label_count - 1)
             changed += int(np.count_nonzero(pick != flat[sites]))

@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .image import Image
 
@@ -44,15 +43,6 @@ def _pending(layer, value):
         raise RuntimeError(f"{type(layer).__name__}.backward needs a forward "
                            f"first: no forward pass is pending")
     return value
-
-
-def _mergeable(sizes, strides):
-    """Whether numpy can merge these axes (sizes, byte strides) into one
-    without a copy: after dropping size-1 axes, each stride is the next
-    axis' size times its stride."""
-    kept = [(size, stride) for size, stride in zip(sizes, strides) if size != 1]
-    return all(outer == size * inner
-               for (_, outer), (size, inner) in zip(kept, kept[1:]))
 
 
 def _column_sum(a):
@@ -86,12 +76,7 @@ class Conv2D:
     pixel, columns in (kh, kw, cin) order so that the weights reshape to
     (kh * kw * cin, cout) unchanged. Forward gathers the matrix with one
     np.take of whole pixels (cin values each) through a cached patch index,
-    and adds the bias along each image's flat (oh * ow * cout) row. Where
-    the windows tile x so that numpy reshapes them without a copy (say,
-    windows as wide as a one-image input, or a 1x1 kernel at stride 1), the
-    matrix is that strided view of x instead: its rows may overlap, which
-    BLAS cannot take, so numpy multiplies it in its own loop, and a gathered
-    copy would change the products' bits.
+    and adds the bias along each image's flat (oh * ow * cout) row.
 
     Backward sums the bias gradient over the output pixels with
     _column_sum and computes the column gradient with the same GEMM. It then
@@ -125,19 +110,9 @@ class Conv2D:
 
     def forward(self, x):
         n, oh, ow, _ = self.out_shape(x.shape)
-        s = self.stride
-        sn, sh, sw, sc = x.strides
-        rows, columns = (n, oh, ow), (self.kh, self.kw, self.cin)
-        shape = (n * oh * ow, self.kh * self.kw * self.cin)
-        if (_mergeable(rows, (sn, s * sh, s * sw))
-                and _mergeable(columns, (sh, sw, sc))):
-            # the windows tile x: the patch matrix is a strided view of it
-            windows = as_strided(x, rows + columns,
-                                 (sn, s * sh, s * sw, sh, sw, sc), writeable=False)
-            cols = windows.reshape(shape)
-        else:
-            index = _patch_index(x.shape[2], oh, ow, self.kh, self.kw, s)
-            cols = x.reshape(n, -1, self.cin).take(index, axis=1).reshape(shape)
+        index = _patch_index(x.shape[2], oh, ow, self.kh, self.kw, self.stride)
+        cols = x.reshape(n, -1, self.cin).take(index, axis=1).reshape(
+            n * oh * ow, self.kh * self.kw * self.cin)
         out = cols @ self.weights.reshape(-1, self.cout)
         per_image = out.reshape(n, oh * ow * self.cout)
         per_image += np.tile(self.bias, oh * ow)
@@ -341,7 +316,7 @@ class Network:
         d = d_scores
         for i in range(top, first, -1):
             d = self.layers[i].backward(d)
-            if i == top and d_embedding is not None:
+            if i == top:
                 d = d + d_embedding
         self.layers[first].backward(d, input_grad=False)
 

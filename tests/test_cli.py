@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import logging
 import math
 import re
@@ -26,7 +27,7 @@ from scenegame.cli import (
     parse_config,
     run_experiment,
 )
-from scenegame import features, mrf, net, preprocess
+from scenegame import features, gmm, mrf, net, preprocess
 from scenegame.gmm import GmmParams
 from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
                              gen_scenes, read_pnm, write_pnm)
@@ -516,6 +517,19 @@ def test_cli_gmm_fit_rejects_negative_max_iters(tmp_path, capsys):
     assert not out.exists()
     assert main([*argv, "--max-iters", "0"]) == 0  # the initial parameters
     assert "iterations = 0" in out.read_text()
+
+
+def test_em_defaults_are_declared_once():
+    """gmm-fit's flags, fit and check_fit all take gmm.EPSILON and
+    gmm.MAX_ITERS as their defaults."""
+    args = build_parser().parse_args(["gmm-fit", "--input", "in.pgm",
+                                      "--components", "2", "--out", "out.txt"])
+    assert (args.epsilon, args.max_iters) == (gmm.EPSILON, gmm.MAX_ITERS)
+    for function in (gmm.fit, gmm.check_fit):
+        parameters = inspect.signature(function).parameters
+        assert parameters["epsilon"].default == gmm.EPSILON
+        assert parameters["max_iters"].default == gmm.MAX_ITERS
+    assert (gmm.EPSILON, gmm.MAX_ITERS) == (1e-8, 200)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -880,12 +880,13 @@ def test_anneal_reaches_global_minimum_mostly():
 
 
 def sequential_gibbs(model, init, max_sweeps, seed):
-    """Per-site reference for the hot phase: raster order over even sites
-    ((row + col) even), then odd ones, one uniform per site."""
+    """Per-site reference for the hot phase: even sites ((row + col) even),
+    then odd ones, each colour in site-table order (by diagonal row + col,
+    then row), one uniform per site."""
     lab = init.labels.copy()
     h, w = lab.shape
-    order = [(r, c) for parity in (0, 1)
-             for r in range(h) for c in range(w) if (r + c) % 2 == parity]
+    order = sorted(((r, c) for r in range(h) for c in range(w)),
+                   key=lambda rc: ((rc[0] + rc[1]) % 2, rc[0] + rc[1], rc[0]))
     rng = np.random.default_rng(seed)
     records = []
     for sweep in range(max_sweeps):
@@ -912,7 +913,7 @@ def test_anneal_hot_phase_matches_sequential_gibbs():
     # Sites of one checkerboard colour share no edge, so resampling a whole
     # colour at once must reproduce the sequential sampler draw for draw.
     # The colours are the site table's first (h * w + 1) // 2 rows and the
-    # rest, each drawing its uniforms in raster order; the fixed shapes add
+    # rest, each drawing its uniforms in table order; the fixed shapes add
     # 1x1 (no odd colour), thin grids and odd pixel counts (one even site
     # more than odd).
     rng = np.random.default_rng(25)
@@ -971,18 +972,17 @@ def reference_anneal(model, init, max_sweeps, seed):
     flat = init.labels.ravel().copy()
     table, nbrs, scales = model.site_table[:3]
     even = (h * w + 1) // 2  # the table's even-colour rows come first
-    # Each row's raster rank within its colour picks its uniform.
-    colours = [(table[half], nbrs[:, half], scales[:, half], np.argsort(np.argsort(table[half])))
+    colours = [(table[half], nbrs[:, half], scales[:, half])
                for half in (slice(0, even), slice(even, None))]
     trace = []
     for sweep in range(max_sweeps):
         temp = mrf.ANNEAL_T0 * mrf.ANNEAL_DECAY ** (sweep // mrf.ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
-        for sites, nbrs, scales, rank in colours:
+        for sites, nbrs, scales in colours:
             cumulative = np.cumsum(
                 reference_gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
                 axis=1)
-            u = rng.random(sites.size)[rank] * cumulative[:, -1]
+            u = rng.random(sites.size) * cumulative[:, -1]
             # First label whose cumulative weight exceeds u, else the last.
             pick = np.minimum((cumulative <= u[:, None]).sum(axis=1), label_count - 1)
             changed += int(np.count_nonzero(pick != flat[sites]))
