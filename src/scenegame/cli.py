@@ -8,6 +8,7 @@ Reports are CSV with a fixed, versioned column set.
 """
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -669,9 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built by a process's first main call and reused
+    by every later one: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

@@ -11,7 +11,7 @@ exhaustive oracle for verification at desk scale.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,11 +116,14 @@ class EnergyModel:
     @cached_property
     def colours(self):
         """The site table's two checkerboard colours, even then odd, each as
-        the (sites, nbrs, scales) slices of its rows: the table's first
-        (h * w + 1) // 2 rows are the even colour."""
+        (sites, nbrs, scales) of its rows: the table's first (h * w + 1) // 2
+        rows are the even colour. The nbrs and scales blocks are C-contiguous
+        copies, not strided column views of the table, so the kernel's
+        flat[nbrs] gather and its scale product read memory in order."""
         table, nbrs, scales = self.site_table[:3]
         even = (table.size + 1) // 2
-        return tuple((table[half], nbrs[:, half], scales[:, half])
+        return tuple((table[half], np.ascontiguousarray(nbrs[:, half]),
+                      np.ascontiguousarray(scales[:, half]))
                      for half in (slice(0, even), slice(even, None)))
 
     @property
@@ -163,6 +166,32 @@ def _energy(model: EnergyModel, lab: np.ndarray) -> float:
     return total + model.prior_weight * float(horiz.sum() + vert.sum())
 
 
+@lru_cache(maxsize=4)
+def _grid_table(h: int, w: int):
+    """The half of _site_table that depends only on the grid shape: (sites,
+    nbrs, diagonal, starts, ends), shared read-only by every model of an
+    h x w grid. They take 48 bytes per site (768 KiB at 128x128, 48 MiB at
+    1024x1024), hence the small bound."""
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
+    # A raster (h, w) grid per side, then one take puts them in table order.
+    nbrs = np.empty((4, h, w), dtype=sites.dtype)
+    nbrs[:] = np.arange(h * w).reshape(h, w)
+    nbrs[0, :, 1:] -= 1
+    nbrs[1, :, :-1] += 1
+    nbrs[2, 1:] -= w
+    nbrs[3, :-1] += w
+    nbrs = nbrs.reshape(4, -1).take(sites, axis=1)
+    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
+    sizes = np.bincount(diagonal)[in_order]
+    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
+    ends[in_order] = np.cumsum(sizes)
+    starts[in_order] = ends[in_order] - sizes
+    for array in (sites, nbrs, diagonal, starts, ends):
+        array.flags.writeable = False
+    return sites, nbrs, diagonal, starts, ends
+
+
 def _site_table(model: EnergyModel):
     """Every flat site ordered by (diagonal parity, anti-diagonal r + c, row),
     the one site order of every solver and nash_check. Returns (sites, nbrs,
@@ -176,17 +205,12 @@ def _site_table(model: EnergyModel):
     - diagonal d fills table rows starts[d]:ends[d], and diagonals d, d + 2,
       ..., d + 2k are one contiguous slice. The first (h * w + 1) // 2 rows
       are the even checkerboard colour ((r + c) even), the rest the odd one.
+
+    Only scales depends on the model; the other five arrays come read-only
+    from _grid_table, built once per grid shape.
     """
     h, w = model.height, model.width
-    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
-    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
-    # Raster (h, w) grids per side, then one take puts them in table order.
-    nbrs = np.empty((4, h, w), dtype=sites.dtype)
-    nbrs[:] = np.arange(h * w).reshape(h, w)
-    nbrs[0, :, 1:] -= 1
-    nbrs[1, :, :-1] += 1
-    nbrs[2, 1:] -= w
-    nbrs[3, :-1] += w
+    sites, nbrs, diagonal, starts, ends = _grid_table(h, w)
     sx = model.prior_weight * model.edge_weights_x
     sy = model.prior_weight * model.edge_weights_y
     scales = np.zeros((4, h, w))
@@ -194,13 +218,7 @@ def _site_table(model: EnergyModel):
     scales[1, :, :-1] = sx
     scales[2, 1:] = sy
     scales[3, :-1] = sy
-    nbrs = nbrs.reshape(4, -1).take(sites, axis=1)
     scales = scales.reshape(4, -1).take(sites, axis=1)[:, :, None]
-    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
-    sizes = np.bincount(diagonal)[in_order]
-    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
-    ends[in_order] = np.cumsum(sizes)
-    starts[in_order] = ends[in_order] - sizes
     return sites, nbrs, scales, diagonal, starts, ends
 
 
@@ -220,8 +238,12 @@ def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
 
 def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     """Unnormalized exp(-cost / T) of label-major (L, n) costs, each site's
-    column shifted by its minimum."""
-    return np.exp(-(costs - costs.min(axis=0)) / temperature)
+    column shifted by its minimum. min - cost is exactly -(cost - min), so
+    one subtraction makes the only new array; the division and exp run in
+    place on it."""
+    weights = costs.min(axis=0) - costs
+    weights /= temperature
+    return np.exp(weights, out=weights)
 
 
 def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
@@ -361,8 +383,10 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
             for l in range(1, label_count):  # cumsum's adds, row by row
                 cumulative[l] += cumulative[l - 1]
             u = rng.random(sites.size) * cumulative[-1]
-            # First label whose cumulative weight exceeds u, else the last.
-            pick = np.minimum((cumulative <= u).sum(axis=0), label_count - 1)
+            # First label whose cumulative weight exceeds u, else the last:
+            # the rows are nondecreasing, so counting the first L - 1 rows
+            # at or below u caps the pick at L - 1.
+            pick = (cumulative[:-1] <= u).sum(axis=0)
             changed += int(np.count_nonzero(pick != flat[sites]))
             flat[sites] = pick
         trace.append(SweepRecord(sweep=sweep + 1, energy=_energy(model, flat.reshape(h, w)),

@@ -2,10 +2,13 @@ import argparse
 import inspect
 import logging
 import math
+import os
 import re
 import shlex
 import statistics
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from scenegame.cli import (
     parse_config,
     run_experiment,
 )
-from scenegame import features, gmm, mrf, net, preprocess
+from scenegame import cli, features, gmm, mrf, net, preprocess
 from scenegame.gmm import GmmParams
 from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
                              gen_scenes, read_pnm, write_pnm)
@@ -1050,6 +1053,61 @@ def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process_and_calls_stay_independent(
+        tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process. Five calls in one process
+    (segment annealing with a trace, register, an argv argparse rejects,
+    gmm-fit, then segment on every default) each give the exit code, stdout,
+    stderr and files that the same call gives alone in a fresh interpreter."""
+    scene, _ = write_scene(tmp_path, size=16)
+    other, _ = write_scene(tmp_path, "other.pgm", class_id=2, size=16)
+    calls = [
+        ["segment", "--input", str(scene), "--components", "3", "--solver", "anneal",
+         "--max-sweeps", "4", "--seed", "5", "--prior-weight", "2",
+         "--trace", "trace.csv", "--out", "annealed.pgm"],
+        ["register", "--fixed", str(scene), "--moving", str(other), "--radius", "1",
+         "--max-sweeps", "2", "--out", "displacement.pgm"],
+        ["segment", "--input", str(scene), "--components", "3", "--solver", "gibbs"],
+        ["gmm-fit", "--input", str(scene), "--components", "2", "--seed", "1"],
+        ["segment", "--input", str(scene), "--components", "3"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(together)
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    assert builds == [1]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0]
+    assert "invalid choice: 'gibbs'" in results[2][2]
+    assert results[3][1].strip()  # gmm-fit prints its parameters
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, result in zip(calls, results):
+        run = subprocess.run([sys.executable, "-m", "scenegame.cli", *argv], cwd=alone,
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == result, argv[0]
+    written = sorted(path.name for path in together.iterdir())
+    assert written == ["annealed.pgm", "displacement.pgm", "labels.pgm", "trace.csv"]
+    assert sorted(path.name for path in alone.iterdir()) == written
+    for name in written:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flags", [

@@ -1030,6 +1030,37 @@ def test_anneal_matches_the_site_major_step_at_benchmark_scale():
             assert trace_to_csv(trace) == trace_to_csv(ref_trace)
 
 
+def unsplit_site_table(model):
+    """_site_table built in one piece per model, as before its shape-only
+    arrays moved to the per-shape _grid_table: a verbatim copy of that
+    construction, the oracle for the split."""
+    h, w = model.height, model.width
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
+    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
+    # Raster (h, w) grids per side, then one take puts them in table order.
+    nbrs = np.empty((4, h, w), dtype=sites.dtype)
+    nbrs[:] = np.arange(h * w).reshape(h, w)
+    nbrs[0, :, 1:] -= 1
+    nbrs[1, :, :-1] += 1
+    nbrs[2, 1:] -= w
+    nbrs[3, :-1] += w
+    sx = model.prior_weight * model.edge_weights_x
+    sy = model.prior_weight * model.edge_weights_y
+    scales = np.zeros((4, h, w))
+    scales[0, :, 1:] = sx
+    scales[1, :, :-1] = sx
+    scales[2, 1:] = sy
+    scales[3, :-1] = sy
+    nbrs = nbrs.reshape(4, -1).take(sites, axis=1)
+    scales = scales.reshape(4, -1).take(sites, axis=1)[:, :, None]
+    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
+    sizes = np.bincount(diagonal)[in_order]
+    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
+    ends[in_order] = np.cumsum(sizes)
+    starts[in_order] = ends[in_order] - sizes
+    return sites, nbrs, scales, diagonal, starts, ends
+
+
 def test_site_table_is_built_once_per_model(monkeypatch):
     builds = []
 
@@ -1059,6 +1090,41 @@ def test_site_table_is_built_once_per_model(monkeypatch):
     assert repr(solve_icm(fresh, starts[1])) == repr(second)
     assert repr(first) != repr(second)
     assert len(builds) == 3
+
+    # The shape-only arrays (sites, nbrs, diagonal, starts, ends) are built
+    # once per grid shape and shared read-only; a second prior weight or
+    # edge-weight grid gets its own scales. Every table equals the unsplit
+    # construction, and each colour's blocks are contiguous copies of the
+    # table's halves.
+    for h, w in ((1, 1), (1, 6), (7, 1), (5, 8)):
+        model = random_weighted_model(rng, (h, w), 3, "potts")
+        heavier = EnergyModel(data_costs=model.data_costs,
+                              prior_weight=model.prior_weight + 1.0,
+                              edge_weights_x=model.edge_weights_x,
+                              edge_weights_y=model.edge_weights_y)
+        reweighted = EnergyModel(data_costs=model.data_costs,
+                                 prior_weight=model.prior_weight,
+                                 edge_weights_x=2.0 * model.edge_weights_x,
+                                 edge_weights_y=2.0 * model.edge_weights_y)
+        shared = model.site_table
+        for other in (model, heavier, reweighted):
+            table = other.site_table
+            for actual, expected in zip(table, unsplit_site_table(other), strict=True):
+                assert_same_array(actual, expected)
+            for i in (0, 1, 3, 4, 5):
+                assert table[i] is shared[i]
+                assert not table[i].flags.writeable
+            even = (h * w + 1) // 2
+            for colour, half in zip(other.colours, (slice(0, even), slice(even, None)),
+                                    strict=True):
+                halves = (table[0][half], table[1][:, half], table[2][:, half])
+                for block, expected in zip(colour, halves, strict=True):
+                    assert block.flags.c_contiguous
+                    assert_same_array(block, expected)
+        for other in (heavier, reweighted):
+            assert other.site_table[2] is not shared[2]
+            if h * w > 1:  # a 1x1 grid has no edge, so every scale is 0
+                assert not np.array_equal(other.site_table[2], shared[2])
 
 
 # ---------------------------------------------------------------------------
@@ -1528,3 +1594,4 @@ def test_trace_csv_layout():
     assert lines[0] == "sweep,energy,changed,temperature"
     assert len(lines) == len(trace) + 1
     assert lines[1].startswith("1,")
+
