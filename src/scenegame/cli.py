@@ -386,6 +386,7 @@ def _write_text(text: str, path):
 def _cmd_preprocess(args):
     if args.method in ("lowpass", "highpass"):
         cutoff = 0.5 if args.cutoff is None else args.cutoff
+        preprocess.check_cutoff(cutoff)
     elif args.cutoff is not None:
         raise CliError(f"--cutoff applies to lowpass and highpass only, not {args.method}")
     img = _read_image(args.input)
@@ -401,8 +402,7 @@ def _cmd_preprocess(args):
 
 def _cmd_gmm_fit(args):
     gmm_mod.check_fit(args.components, args.epsilon, args.max_iters)
-    img = _read_image(args.input)
-    data = img.plane().astype(np.float64).ravel() / 255.0
+    data = gmm_mod.unit_plane(_read_image(args.input))
     params, trace = gmm_mod.fit(data, args.components, epsilon=args.epsilon,
                                 max_iters=args.max_iters, seed=args.seed)
     _write_text(gmm_to_text(params, trace), args.out)
@@ -443,8 +443,7 @@ def _cmd_segment(args):
     _check_game(args, args.components)
     gmm_mod.check_fit(args.components)
     img = _read_image(args.input)
-    data = img.plane().astype(np.float64).ravel() / 255.0
-    params, _ = gmm_mod.fit(data, args.components, seed=args.seed)
+    params, _ = gmm_mod.fit(gmm_mod.unit_plane(img), args.components, seed=args.seed)
     return _play(mrf.build_segmentation_game(img, params, args.prior_weight,
                                              args.prior), args)
 
@@ -460,9 +459,11 @@ def _cmd_register(args):
 
 
 def _cmd_features(args):
-    if args.select is not None and args.out is None:
-        raise CliError("--select prints the selected columns on stdout and "
-                       "needs --out for the CSV")
+    if args.select is not None:
+        if args.out is None:
+            raise CliError("--select prints the selected columns on stdout and "
+                           "needs --out for the CSV")
+        features_mod.check_select(args.select, len(args.inputs))
     # One call per input: the inputs may differ in size, and one batch may not.
     rows = np.vstack([features_mod.extract_features([_read_image(path)])
                       for path in args.inputs])

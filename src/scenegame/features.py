@@ -136,6 +136,15 @@ def cluster_and_select(samples, threshold: float) -> tuple:
     return tuple(tuple(c) for c in clusters), tuple(sorted(selected))
 
 
+def check_select(threshold: float, sample_count: int):
+    """select_features' threshold and sample count; the CLI checks them, with
+    one sample per input, before any input is read."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    if sample_count < 3:
+        raise ValueError("need a samples-by-features matrix with at least 3 samples")
+
+
 def select_features(samples, threshold: float) -> tuple:
     """Original column indices of the representatives cluster_and_select picks
     among the non-constant columns of a samples-by-features matrix.
@@ -144,11 +153,8 @@ def select_features(samples, threshold: float) -> tuple:
     first. With fewer than two columns left, each is its own representative.
     The threshold must be finite.
     """
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 3:
-        raise ValueError("need a samples-by-features matrix with at least 3 samples")
+    check_select(threshold, samples.shape[0] if samples.ndim == 2 else 0)
     varying = np.flatnonzero(np.ptp(samples, axis=0) > 0)
     if varying.size < 2:
         return tuple(int(i) for i in varying)

@@ -210,15 +210,20 @@ def fit(data, component_count: int, epsilon: float = EPSILON,
     return GmmParams(*mixture), trace
 
 
+def unit_plane(img) -> np.ndarray:
+    """The image's (h, w) gray levels on the mixture's [0, 1] intensity scale,
+    level / 255: the CLI fits mixtures on it, and data_costs scores it."""
+    return img.plane().astype(np.float64) / 255.0
+
+
 def data_costs(img, params: GmmParams) -> np.ndarray:
     """Per-pixel, per-label cost table: -log N(y_p / 255; mean_l, var_l).
 
-    Intensities are normalized to [0, 1] to match mixture parameters fitted on
-    normalized data. The per-pixel argmin is the maximum-likelihood component.
+    Intensities are on unit_plane's [0, 1] scale, that of mixture parameters
+    fitted on it. The per-pixel argmin is the maximum-likelihood component.
     """
-    plane = img.plane().astype(np.float64) / 255.0
     costs = -_log_normal(
-        plane[:, :, None], params.means[None, None, :],
+        unit_plane(img)[:, :, None], params.means[None, None, :],
         params.variances[None, None, :],
     )
     return costs

@@ -91,7 +91,6 @@ class EnergyModel:
                 raise ValueError("label_values must be finite")
             diff = vals[:, None, :] - vals[None, :, :]
             pair = (diff ** 2).sum(axis=2)
-            object.__setattr__(self, "label_values", vals)
         else:
             raise ValueError(f"unknown prior kind {self.prior_kind!r}")
         for name, shape in (("edge_weights_x", (h, w - 1)),
@@ -108,23 +107,11 @@ class EnergyModel:
 
     @cached_property
     def site_table(self):
-        """The model's one _site_table, built on first use: every solve and
-        nash_check on this model reads it. Like pair_cost it is derived once,
-        so the model's arrays must not change after that."""
+        """The model's two colour blocks from _site_table, built on first use:
+        every solve and nash_check on this model reads them. Like pair_cost
+        they are derived once, so the model's arrays must not change after
+        that."""
         return _site_table(self)
-
-    @cached_property
-    def colours(self):
-        """The site table's two checkerboard colours, even then odd, each as
-        (sites, nbrs, scales) of its rows: the table's first (h * w + 1) // 2
-        rows are the even colour. The nbrs and scales blocks are C-contiguous
-        copies, not strided column views of the table, so the kernel's
-        flat[nbrs] gather and its scale product read memory in order."""
-        table, nbrs, scales = self.site_table[:3]
-        even = (table.size + 1) // 2
-        return tuple((table[half], np.ascontiguousarray(nbrs[:, half]),
-                      np.ascontiguousarray(scales[:, half]))
-                     for half in (slice(0, even), slice(even, None)))
 
     @property
     def height(self):
@@ -168,49 +155,47 @@ def _energy(model: EnergyModel, lab: np.ndarray) -> float:
 
 @lru_cache(maxsize=4)
 def _grid_table(h: int, w: int):
-    """The half of _site_table that depends only on the grid shape: (sites,
-    nbrs, diagonal, starts, ends), shared read-only by every model of an
-    h x w grid. They take 48 bytes per site (768 KiB at 128x128, 48 MiB at
-    1024x1024), hence the small bound."""
+    """The shape-only part of the site table, shared read-only by every model
+    of an h x w grid: (colours, starts, ends).
+
+    colours holds (sites, nbrs) of the even checkerboard colour ((r + c)
+    even), then of the odd one: Besag's two coding sets. A colour lists its
+    flat sites by anti-diagonal r + c, then row, and nbrs (4, n) holds each
+    site's left, right, up and down neighbor as a flat index; a side with no
+    neighbor points at the site itself. Diagonal d fills rows
+    starts[d]:ends[d] of colour d % 2, so diagonals d, d + 2, ..., d + 2k are
+    one contiguous slice of it. The arrays take 40 bytes per site (640 KiB
+    at 128x128, 40 MiB at 1024x1024), hence the small bound.
+    """
     diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
-    sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
-    # A raster (h, w) grid per side, then one take puts them in table order.
-    nbrs = np.empty((4, h, w), dtype=sites.dtype)
+    order = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
+    # A raster (h, w) grid per side; each colour takes its own columns.
+    nbrs = np.empty((4, h, w), dtype=order.dtype)
     nbrs[:] = np.arange(h * w).reshape(h, w)
     nbrs[0, :, 1:] -= 1
     nbrs[1, :, :-1] += 1
     nbrs[2, 1:] -= w
     nbrs[3, :-1] += w
-    nbrs = nbrs.reshape(4, -1).take(sites, axis=1)
-    in_order = np.concatenate((np.arange(0, h + w - 1, 2), np.arange(1, h + w - 1, 2)))
-    sizes = np.bincount(diagonal)[in_order]
-    starts, ends = np.empty((2, h + w - 1), dtype=np.intp)
-    ends[in_order] = np.cumsum(sizes)
-    starts[in_order] = ends[in_order] - sizes
-    for array in (sites, nbrs, diagonal, starts, ends):
+    colours = tuple((sites, nbrs.reshape(4, -1).take(sites, axis=1))
+                    for sites in np.split(order, [(h * w + 1) // 2]))
+    sizes = np.bincount(diagonal)
+    ends = np.empty_like(sizes)
+    for parity in (0, 1):
+        np.cumsum(sizes[parity::2], out=ends[parity::2])
+    starts = ends - sizes
+    for array in (*colours[0], *colours[1], starts, ends):
         array.flags.writeable = False
-    return sites, nbrs, diagonal, starts, ends
+    return colours, starts, ends
 
 
 def _site_table(model: EnergyModel):
-    """Every flat site ordered by (diagonal parity, anti-diagonal r + c, row),
-    the one site order of every solver and nash_check. Returns (sites, nbrs,
-    scales, diagonal, starts, ends):
-
-    - nbrs (4, n) holds each site's left, right, up and down neighbor as a
-      flat index and scales (4, n, 1) that edge's prior_weight * edge weight;
-      a side with no neighbor points at the site itself with scale 0, so its
-      term adds an exact 0.0;
-    - diagonal is r + c of each flat site, in flat order;
-    - diagonal d fills table rows starts[d]:ends[d], and diagonals d, d + 2,
-      ..., d + 2k are one contiguous slice. The first (h * w + 1) // 2 rows
-      are the even checkerboard colour ((r + c) even), the rest the odd one.
-
-    Only scales depends on the model; the other five arrays come read-only
-    from _grid_table, built once per grid shape.
+    """The one site table of every solver and nash_check: the two colour
+    blocks of _grid_table, even then odd, each as (sites, nbrs, scales).
+    sites and nbrs are the shared read-only arrays of the grid shape; only
+    scales (4, n, 1) is the model's own: each side's prior_weight * edge
+    weight, 0 where the side has no neighbor, so that term adds an exact 0.0.
     """
     h, w = model.height, model.width
-    sites, nbrs, diagonal, starts, ends = _grid_table(h, w)
     sx = model.prior_weight * model.edge_weights_x
     sy = model.prior_weight * model.edge_weights_y
     scales = np.zeros((4, h, w))
@@ -218,8 +203,8 @@ def _site_table(model: EnergyModel):
     scales[1, :, :-1] = sx
     scales[2, 1:] = sy
     scales[3, :-1] = sy
-    scales = scales.reshape(4, -1).take(sites, axis=1)[:, :, None]
-    return sites, nbrs, scales, diagonal, starts, ends
+    return tuple((sites, nbrs, scales.reshape(4, -1).take(sites, axis=1)[:, :, None])
+                 for sites, nbrs in _grid_table(h, w)[0])
 
 
 def _site_costs(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
@@ -246,10 +231,11 @@ def _gibbs_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     return np.exp(weights, out=weights)
 
 
-def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
+def _descend(model: EnergyModel, flat: np.ndarray, first_sweep: int = 1,
              max_sweeps: int = None):
-    """Raster best-response sweeps until one changes nothing or max_sweeps
-    have run. Returns (labels, [SweepRecord...]) numbered from first_sweep.
+    """Raster best-response sweeps on the flat label array, moved in place,
+    until one changes nothing or max_sweeps have run. Returns the
+    [SweepRecord...] numbered from first_sweep.
 
     Each site sees the labels its earlier neighbors took in the same sweep. A
     pixel moves only on a strict local improvement, so every change strictly
@@ -265,8 +251,9 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     t - 2j, and all sweeps in flight go to the kernel in one call. Sweep j
     reads its own labels on d - 1, set at step t - 1, and sweep j - 1's final
     labels on d + 1, also set at step t - 1; the active diagonals share a
-    parity, so none is next to another. Each site thus sees the labels it
-    sees in sequential sweeps. Sweep j ends at step D - 1 + 2j (D diagonals);
+    parity, so none is next to another, and they are one slice of the site
+    table's colour block t % 2. Each site thus sees the labels it sees in
+    sequential sweeps. Sweep j ends at step D - 1 + 2j (D diagonals);
     its trace energy is taken on the labels as of its end, a copy kept apart
     from the moves of the sweeps behind it.
 
@@ -279,10 +266,10 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
     labels and trace unchanged. A sweep that moves nothing leaves no mark
     for the sweeps behind it, so they move nothing either.
     """
-    h, w, label_count = model.data_costs.shape
+    h, w = model.height, model.width
     diagonals = h + w - 1
-    table, nbrs, scales, diagonal, starts, ends = model.site_table
-    flat = labels.labels.ravel().copy()
+    _, starts, ends = _grid_table(h, w)
+    diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()  # r + c of each flat site
     settled = flat.copy()  # the labels as of the last sweep that ended
     dirty = np.ones(flat.size, dtype=bool)
     pending = []  # (sites, new labels, sweep) of moves not yet in settled
@@ -294,6 +281,7 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
         oldest = max(0, (t - diagonals + 2) // 2)
         newest = t // 2 if max_sweeps is None else min(t // 2, max_sweeps - 1)
         if oldest <= newest:
+            table, nbrs, scales = model.site_table[t % 2]
             lo, hi = starts[t - 2 * newest], ends[t - 2 * oldest]
             at = dirty[table[lo:hi]].nonzero()[0] + lo
             if at.size:
@@ -309,6 +297,7 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
                     # Each neighbor is scored at its next visit; a border
                     # side marks the mover itself.
                     dirty[near[:, move]] = True
+                    # A mover on diagonal d belongs to sweep (t - d) // 2.
                     pending.append((movers, best[move], (t - diagonal[movers]) // 2))
         ended = t - diagonals + 1
         if ended >= 0 and ended % 2 == 0:
@@ -325,7 +314,7 @@ def _descend(model: EnergyModel, labels: LabelField, first_sweep: int = 1,
                                      energy=_energy(model, settled.reshape(h, w)),
                                      changed=changed, temperature=0.0))
             if changed == 0 or len(trace) == max_sweeps:
-                return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
+                return trace
         t += 1
 
 
@@ -350,7 +339,10 @@ def solve_icm(model: EnergyModel, init: LabelField, max_sweeps: int = 60):
     """
     _check_dims(model, init)
     check_max_sweeps(max_sweeps)
-    return _descend(model, init, max_sweeps=max_sweeps)
+    flat = init.labels.ravel().copy()
+    trace = _descend(model, flat, max_sweeps=max_sweeps)
+    return LabelField(labels=flat.reshape(init.labels.shape),
+                      label_count=model.label_count), trace
 
 
 def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
@@ -375,7 +367,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     for sweep in range(max_sweeps):
         temp = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
-        for sites, nbrs, scales in model.colours:
+        for sites, nbrs, scales in model.site_table:
             # Label-major: L contiguous rows of n sites, so each reduction
             # runs across rows rather than along a last axis L wide.
             cumulative = _gibbs_weights(
@@ -394,10 +386,8 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
 
     # Zero-temperature tail: descend to a fixed point so the advertised
     # no-unilateral-improvement postcondition holds.
-    out, tail = _descend(model, LabelField(labels=flat.reshape(h, w),
-                                           label_count=label_count),
-                         first_sweep=max_sweeps + 1)
-    return out, trace + tail
+    trace += _descend(model, flat, first_sweep=max_sweeps + 1)
+    return LabelField(labels=flat.reshape(h, w), label_count=label_count), trace
 
 
 def _first_mover(model: EnergyModel, flat: np.ndarray, sites, nbrs, scales):
@@ -416,14 +406,14 @@ def nash_check(model: EnergyModel, labels: LabelField):
     """True iff no single pixel can strictly lower the total energy alone.
 
     Otherwise returns the first raster-order witness ((row, col), better_label)
-    with the lowest such label. Scores the model's site table with the
-    sweeps' site-cost kernel, so a terminated solve always passes, one
-    checkerboard colour at a time as annealing does, which halves the
-    kernel's (4, n, L) block.
+    with the lowest such label. Scores the site table's two colour blocks
+    with the sweeps' site-cost kernel, so a terminated solve always passes,
+    one block after the other as annealing does, which halves the kernel's
+    (4, n, L) block.
     """
     _check_dims(model, labels)
     flat = labels.labels.ravel()
-    found = [_first_mover(model, flat, *colour) for colour in model.colours]
+    found = [_first_mover(model, flat, *colour) for colour in model.site_table]
     found = [witness for witness in found if witness is not None]
     if not found:
         return True, None

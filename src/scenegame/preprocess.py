@@ -44,6 +44,12 @@ def histogram_entropy(img: Image) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def check_cutoff(cutoff: float):
+    """dft_enhance's cutoff; the CLI checks it before any input is read."""
+    if not 0.0 < cutoff <= 1.0:
+        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
+
+
 def dft_enhance(img: Image, mode: str, cutoff: float) -> Image:
     """Ideal circular-mask frequency filtering of a grayscale image.
 
@@ -54,8 +60,7 @@ def dft_enhance(img: Image, mode: str, cutoff: float) -> Image:
     """
     if mode not in ("lowpass", "highpass"):
         raise ValueError(f"mode must be 'lowpass' or 'highpass', got {mode!r}")
-    if not 0.0 < cutoff <= 1.0:
-        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
+    check_cutoff(cutoff)
     plane = img.plane().astype(np.float64)
     h, w = plane.shape
     fy = np.fft.fftfreq(h)  # cycles/sample in [-0.5, 0.5)

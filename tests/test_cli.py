@@ -553,6 +553,25 @@ def test_cli_checks_the_em_settings_before_reading_the_input(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["preprocess", "--method", "lowpass", "--cutoff", "2", "--input", "MISSING"],
+     "cutoff must be in (0, 1], got 2.0"),
+    (["preprocess", "--method", "highpass", "--cutoff", "0", "--input", "MISSING"],
+     "cutoff must be in (0, 1], got 0.0"),
+    (["features", "MISSING", "MISSING", "MISSING", "--select", "nan"],
+     "threshold must be finite, got nan"),
+    (["features", "MISSING", "MISSING", "--select", "0.9"],
+     "need a samples-by-features matrix with at least 3 samples"),
+], ids=["lowpass-cutoff-2", "highpass-cutoff-0", "select-nan", "select-two-inputs"])
+def test_cli_checks_cutoff_and_select_before_reading_any_input(
+        tmp_path, capsys, argv, message):
+    missing, out = str(tmp_path / "missing.pgm"), tmp_path / "out"
+    argv = [missing if arg == "MISSING" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_register_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):
     src, _ = write_scene(tmp_path)
     out = tmp_path / "disp.pgm"

@@ -497,3 +497,17 @@ def test_data_costs_match_log_density():
                 expected = -math.log(normal_pdf(x, params.means[k],
                                                 params.variances[k]))
                 assert costs[r, c, k] == pytest.approx(expected, abs=1e-9)
+
+
+def test_unit_plane_is_the_level_over_255_scale_of_fit_and_data_costs():
+    # Every gray level once, as a 16x16 image: unit_plane gives level / 255
+    # bit for bit, and data_costs scores exactly those values.
+    img = Image(np.arange(256, dtype=np.uint8).reshape(16, 16))
+    plane = gmm.unit_plane(img)
+    expected = img.pixels.astype(np.float64) / 255.0
+    assert plane.dtype == np.float64 and plane.tobytes() == expected.tobytes()
+    assert plane.ravel().tobytes() == (img.plane().astype(np.float64).ravel() / 255.0).tobytes()
+    params = make_params([0.6, 0.4], [0.3, 0.7], [0.05, 0.1])
+    expected_costs = -gmm._log_normal(expected[:, :, None], params.means[None, None, :],
+                                      params.variances[None, None, :])
+    assert data_costs(img, params).tobytes() == expected_costs.tobytes()

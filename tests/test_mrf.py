@@ -354,6 +354,34 @@ def reference_site_table(model):
     return sites, nbrs, scales, diagonal, starts, ends
 
 
+def colour_blocks(table):
+    """A whole-grid (sites, nbrs, scales, diagonal, starts, ends) table in
+    (parity, diagonal, row) order as the two colour blocks and the diagonal
+    bounds within each block: the even colour is its first (h * w + 1) // 2
+    rows, the odd colour the rest."""
+    sites, nbrs, scales, _, starts, ends = table
+    even = (sites.size + 1) // 2
+    blocks = tuple((sites[half], np.ascontiguousarray(nbrs[:, half]),
+                    np.ascontiguousarray(scales[:, half]))
+                   for half in (slice(0, even), slice(even, None)))
+    offset = np.arange(starts.size) % 2 * even  # odd diagonals start past the even block
+    return blocks, starts - offset, ends - offset
+
+
+def whole_table(model):
+    """The model's two colour blocks joined into one (sites, nbrs, scales)
+    table, even colour first."""
+    (sites, nbrs, scales), (odd_sites, odd_nbrs, odd_scales) = model.site_table
+    return (np.concatenate((sites, odd_sites)), np.concatenate((nbrs, odd_nbrs), axis=1),
+            np.concatenate((scales, odd_scales), axis=1))
+
+
+def assert_same_blocks(actual, expected):
+    for block, expected_block in zip(actual, expected, strict=True):
+        for array, expected_array in zip(block, expected_block, strict=True):
+            assert_same_array(array, expected_array)
+
+
 def reference_site_costs(model, flat, sites, nbrs, scales):
     """_site_costs with one gather, product and add per side."""
     costs = model.data_costs.reshape(-1, model.label_count).take(sites, axis=0)
@@ -404,25 +432,34 @@ def weighted_models(rng):
 
 
 def test_site_table_is_bitwise_the_masked_scatter():
+    # Both colour blocks and the diagonal bounds are the halves of the
+    # masked scatter and of the whole-grid construction, bit for bit.
     for model in weighted_models(np.random.default_rng(41)):
-        for actual, expected in zip(_site_table(model), reference_site_table(model),
-                                    strict=True):
-            assert_same_array(actual, expected)
+        _, starts, ends = mrf._grid_table(model.height, model.width)
+        for reference in (reference_site_table, unsplit_site_table):
+            blocks, expected_starts, expected_ends = colour_blocks(reference(model))
+            assert_same_blocks(_site_table(model), blocks)
+            assert_same_array(starts, expected_starts)
+            assert_same_array(ends, expected_ends)
 
 
 def test_site_costs_are_bitwise_the_per_side_loop():
     rng = np.random.default_rng(42)
     for model in weighted_models(rng):
-        table, nbrs, scales, diagonal, starts, ends = _site_table(model)
-        flat = rng.integers(0, model.label_count, table.size)
-        d = int(rng.integers(0, diagonal.max() + 1))
-        even = (table.size + 1) // 2
+        h, w = model.height, model.width
+        _, starts, ends = mrf._grid_table(h, w)
+        flat = rng.integers(0, model.label_count, h * w)
+        d = int(rng.integers(0, h + w - 1))
+        table, nbrs, scales = model.site_table[d % 2]
         subset = np.flatnonzero(rng.random(table.size) < 0.5)
-        # The groups the callers pass: the whole table (nash_check), a
-        # diagonal's slice and a dirty subset (ICM), each colour (anneal).
-        for at in (slice(None), slice(starts[d], ends[d]), subset,
-                   slice(0, even), slice(even, None)):
-            args = (model, flat, table[at], nbrs[:, at], scales[:, at])
+        # The groups the callers pass: each colour (anneal, nash_check), a
+        # diagonal's slice of its colour and a dirty subset (ICM), and the
+        # whole grid at once.
+        groups = [*model.site_table, whole_table(model)]
+        for at in (slice(starts[d], ends[d]), subset):
+            groups.append((table[at], nbrs[:, at], scales[:, at]))
+        for group in groups:
+            args = (model, flat, *group)
             assert_same_array(_site_costs(*args), reference_site_costs(*args))
 
 
@@ -464,7 +501,8 @@ def test_solves_and_witnesses_match_the_loop_set_up_and_kernel(monkeypatch):
     results = [solve_everything(model, 7) for model in (registration, segmentation)]
     assert any(not ok for ok, _ in results[0][-1])  # some checks find witnesses
 
-    monkeypatch.setattr(mrf, "_site_table", reference_site_table)
+    monkeypatch.setattr(mrf, "_site_table",
+                        lambda model: colour_blocks(reference_site_table(model))[0])
     monkeypatch.setattr(mrf, "_site_costs", reference_site_costs)
     loop_registration = EnergyModel(
         data_costs=reference_registration_costs(Image(base), moving, label_set),
@@ -603,19 +641,20 @@ def count_kernel_calls(monkeypatch):
 
 def assert_pipelined_matches(model, init, calls, first_sweep=1, max_sweeps=None,
                              raster=True):
-    """Pipelined _descend against the per-diagonal schedule and, if raster,
-    the per-site reference: the same label bytes and trace repr, and at most
-    one kernel call per step of the pipeline."""
+    """Pipelined _descend, moving a flat copy of init's labels in place,
+    against the per-diagonal schedule and, if raster, the per-site reference:
+    the same label bytes and trace repr, and at most one kernel call per step
+    of the pipeline."""
     calls.clear()
-    out, trace = mrf._descend(model, init, first_sweep, max_sweeps)
+    flat = init.labels.ravel().copy()
+    trace = mrf._descend(model, flat, first_sweep, max_sweeps)
     steps = model.height + model.width - 1 + 2 * (len(trace) - 1)
     assert len(calls) <= steps
     references = [per_diagonal_descend(model, init, first_sweep, max_sweeps)]
     if raster:
         references.append(reference_descend(model, init, first_sweep, max_sweeps))
     for expected, expected_trace in references:
-        assert out.labels.tobytes() == expected.labels.tobytes()
-        assert out.label_count == expected.label_count
+        assert_same_array(flat.reshape(init.labels.shape), expected.labels)
         assert repr(trace) == repr(expected_trace)
     return trace
 
@@ -710,26 +749,33 @@ def test_site_table_slices_match_per_diagonal_neighbors():
     rng = np.random.default_rng(30)
     for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (9, 4), (5, 7)):
         model = random_weighted_model(rng, (h, w), 3, "potts")
-        sites, nbrs, scales, diagonal, starts, ends = _site_table(model)
-        assert np.array_equal(diagonal, np.add.outer(np.arange(h), np.arange(w)).ravel())
-        assert np.array_equal(np.sort(sites), np.arange(h * w))
-        for d in range(h + w - 1):
+        _, starts, ends = mrf._grid_table(h, w)
+        diagonals = h + w - 1
+
+        def rows_of(d):  # diagonal d's flat sites in row order
             r = np.arange(max(0, d - w + 1), min(h, d + 1))
-            expected = r * w + d - r
-            expected_nbrs, expected_scales = reference_neighbors(model, expected)
+            return r * w + d - r
+
+        for d in range(diagonals):
+            sites, nbrs, scales = model.site_table[d % 2]
+            expected_nbrs, expected_scales = reference_neighbors(model, rows_of(d))
             lo, hi = starts[d], ends[d]
-            assert np.array_equal(sites[lo:hi], expected)
+            assert np.array_equal(sites[lo:hi], rows_of(d))
             assert np.array_equal(nbrs[:, lo:hi], expected_nbrs)
             assert np.array_equal(scales[:, lo:hi], expected_scales)
-            # Diagonals of one parity are adjacent in the table, so the
-            # diagonals a step scores form one slice.
-            if d + 2 < h + w - 1:
-                assert ends[d] == starts[d + 2]
-        # The first (h * w + 1) // 2 rows are the even checkerboard colour,
-        # the rest the odd one: annealing's two halves.
-        even = (h * w + 1) // 2
-        assert np.all(diagonal[sites[:even]] % 2 == 0)
-        assert np.all(diagonal[sites[even:]] % 2 == 1)
+            # Every run of diagonals d, d + 2, ..., a step of the pipeline
+            # scores is one slice of their colour, in diagonal then row order.
+            for last in range(d, diagonals, 2):
+                assert np.array_equal(
+                    sites[starts[d]:ends[last]],
+                    np.concatenate([rows_of(k) for k in range(d, last + 1, 2)]))
+        # Colour k holds exactly the sites with (r + c) % 2 == k: the even
+        # colour (h * w + 1) // 2 of them, the odd one the rest.
+        for parity, (sites, _, _) in enumerate(model.site_table):
+            assert sites.size == ((h * w + 1) // 2, h * w // 2)[parity]
+            assert np.array_equal(
+                sites, np.concatenate([rows_of(d) for d in range(parity, diagonals, 2)]
+                                      or [np.empty(0, dtype=sites.dtype)]))
 
 
 def test_pipelined_icm_matches_sequential_sweeps_on_registration(monkeypatch):
@@ -970,15 +1016,11 @@ def reference_anneal(model, init, max_sweeps, seed):
     h, w, label_count = model.data_costs.shape
     rng = np.random.default_rng(int(seed) % 2 ** 63)
     flat = init.labels.ravel().copy()
-    table, nbrs, scales = model.site_table[:3]
-    even = (h * w + 1) // 2  # the table's even-colour rows come first
-    colours = [(table[half], nbrs[:, half], scales[:, half])
-               for half in (slice(0, even), slice(even, None))]
     trace = []
     for sweep in range(max_sweeps):
         temp = mrf.ANNEAL_T0 * mrf.ANNEAL_DECAY ** (sweep // mrf.ANNEAL_SWEEPS_PER_TEMP)
         changed = 0
-        for sites, nbrs, scales in colours:
+        for sites, nbrs, scales in model.site_table:
             cumulative = np.cumsum(
                 reference_gibbs_weights(_site_costs(model, flat, sites, nbrs, scales), temp),
                 axis=1)
@@ -990,10 +1032,8 @@ def reference_anneal(model, init, max_sweeps, seed):
         trace.append(SweepRecord(sweep=sweep + 1,
                                  energy=reference_energy(model, flat.reshape(h, w)),
                                  changed=changed, temperature=temp))
-    out, tail = mrf._descend(model, LabelField(labels=flat.reshape(h, w),
-                                               label_count=label_count),
-                             first_sweep=max_sweeps + 1)
-    return out, trace + tail
+    tail = mrf._descend(model, flat, first_sweep=max_sweeps + 1)
+    return field_of(flat.reshape(h, w), label_count), trace + tail
 
 
 def test_label_major_weights_and_row_sums_are_bitwise_the_site_major_ones():
@@ -1031,9 +1071,10 @@ def test_anneal_matches_the_site_major_step_at_benchmark_scale():
 
 
 def unsplit_site_table(model):
-    """_site_table built in one piece per model, as before its shape-only
-    arrays moved to the per-shape _grid_table: a verbatim copy of that
-    construction, the oracle for the split."""
+    """The whole-grid site table (sites, nbrs, scales, diagonal, starts, ends)
+    in (parity, diagonal, row) order, built in one piece per model: a
+    verbatim copy of that construction from before the table was split into
+    a per-shape part and two colour blocks, the oracle for both splits."""
     h, w = model.height, model.width
     diagonal = np.add.outer(np.arange(h), np.arange(w)).ravel()
     sites = np.argsort(diagonal % 2 * (h + w) + diagonal, kind="stable")
@@ -1091,11 +1132,11 @@ def test_site_table_is_built_once_per_model(monkeypatch):
     assert repr(first) != repr(second)
     assert len(builds) == 3
 
-    # The shape-only arrays (sites, nbrs, diagonal, starts, ends) are built
-    # once per grid shape and shared read-only; a second prior weight or
-    # edge-weight grid gets its own scales. Every table equals the unsplit
-    # construction, and each colour's blocks are contiguous copies of the
-    # table's halves.
+    # sites, nbrs, starts and ends are built once per grid shape and shared
+    # read-only; a model's own arrays are only its two scale blocks (32 bytes
+    # per site), and a second prior weight or edge-weight grid gets its own.
+    # Both blocks are C-contiguous and equal the halves of the whole-grid
+    # construction.
     for h, w in ((1, 1), (1, 6), (7, 1), (5, 8)):
         model = random_weighted_model(rng, (h, w), 3, "potts")
         heavier = EnergyModel(data_costs=model.data_costs,
@@ -1106,25 +1147,59 @@ def test_site_table_is_built_once_per_model(monkeypatch):
                                  prior_weight=model.prior_weight,
                                  edge_weights_x=2.0 * model.edge_weights_x,
                                  edge_weights_y=2.0 * model.edge_weights_y)
-        shared = model.site_table
+        grid, starts, ends = mrf._grid_table(h, w)
+        assert not starts.flags.writeable and not ends.flags.writeable
         for other in (model, heavier, reweighted):
-            table = other.site_table
-            for actual, expected in zip(table, unsplit_site_table(other), strict=True):
-                assert_same_array(actual, expected)
-            for i in (0, 1, 3, 4, 5):
-                assert table[i] is shared[i]
-                assert not table[i].flags.writeable
-            even = (h * w + 1) // 2
-            for colour, half in zip(other.colours, (slice(0, even), slice(even, None)),
-                                    strict=True):
-                halves = (table[0][half], table[1][:, half], table[2][:, half])
-                for block, expected in zip(colour, halves, strict=True):
-                    assert block.flags.c_contiguous
-                    assert_same_array(block, expected)
+            blocks = other.site_table
+            assert_same_blocks(blocks, colour_blocks(unsplit_site_table(other))[0])
+            for (sites, nbrs, scales), shape_only in zip(blocks, grid, strict=True):
+                assert sites is shape_only[0] and nbrs is shape_only[1]
+                assert not sites.flags.writeable and not nbrs.flags.writeable
+                assert all(array.flags.c_contiguous for array in (sites, nbrs, scales))
+            assert sum(scales.nbytes for _, _, scales in blocks) == 32 * h * w
+            again = mrf._grid_table(h, w)
+            assert again[1] is starts and again[2] is ends
         for other in (heavier, reweighted):
-            assert other.site_table[2] is not shared[2]
+            for block, own in zip(model.site_table, other.site_table, strict=True):
+                assert not np.shares_memory(block[2], own[2])
             if h * w > 1:  # a 1x1 grid has no edge, so every scale is 0
-                assert not np.array_equal(other.site_table[2], shared[2])
+                assert not np.array_equal(whole_table(other)[2], whole_table(model)[2])
+
+
+def test_solvers_and_nash_check_read_the_same_colour_blocks(monkeypatch):
+    # Annealing's Gibbs sweeps and nash_check pass each colour block's own
+    # sites array to the kernel, even colour first; ICM, alone or as
+    # annealing's tail, passes subsets of one block's sites per call.
+    sites_seen = []
+
+    def recording(model, flat, sites, nbrs, scales):
+        sites_seen.append(sites)
+        return _site_costs(model, flat, sites, nbrs, scales)
+
+    monkeypatch.setattr(mrf, "_site_costs", recording)
+    rng = np.random.default_rng(34)
+    h, w = 6, 7
+    model = random_weighted_model(rng, (h, w), 3, "quadratic")
+    blocks = model.site_table
+    init = field_of(rng.integers(0, 3, (h, w)), 3)
+
+    def assert_icm_calls(calls):
+        assert calls
+        for sites in calls:
+            parity = int(sites[0] // w + sites[0] % w) % 2
+            assert np.isin(sites, blocks[parity][0]).all()
+
+    out, _ = solve_anneal(model, init, max_sweeps=3, seed=2)
+    assert [id(sites) for sites in sites_seen[:6]] == [id(blocks[0][0]), id(blocks[1][0])] * 3
+    assert_icm_calls(sites_seen[6:])
+    for labels in (init, out):
+        sites_seen.clear()
+        nash_check(model, labels)
+        assert [id(sites) for sites in sites_seen] == [id(blocks[0][0]), id(blocks[1][0])]
+    sites_seen.clear()
+    solve_icm(model, init)
+    assert_icm_calls(sites_seen)
+    assert model.site_table is blocks
 
 
 # ---------------------------------------------------------------------------
@@ -1189,17 +1264,18 @@ def test_nash_witness_on_thin_and_non_square_grids():
         assert nash_check(model, field_of(lab, labels)) == expected
         if not expected[0]:
             movers = {(r, c) for r, c in np.ndindex(shape) if better_labels(model, lab, r, c)}
-            in_table = [divmod(int(site), shape[1]) for site in _site_table(model)[0]]
+            in_table = [divmod(int(site), shape[1]) for site in whole_table(model)[0]]
             table_order_differs += next(s for s in in_table if s in movers) != expected[1][0]
     assert table_order_differs > 0
 
 
-def whole_table_nash(model, labels):
+def whole_table_nash(model, labels, table=None):
     """nash_check as it was when it scored the whole site table in one
-    _site_costs call, verbatim: the reference for the check by colour."""
+    _site_costs call, verbatim: the reference for the check by colour. The
+    table defaults to whole_table(model)."""
     _check_dims(model, labels)
     flat = labels.labels.ravel()
-    sites, nbrs, scales = model.site_table[:3]
+    sites, nbrs, scales = whole_table(model) if table is None else table
     costs = _site_costs(model, flat, sites, nbrs, scales)
     better = costs < costs[np.arange(sites.size), flat[sites]][:, None]
     movers = np.flatnonzero(better.any(axis=1))
@@ -1236,9 +1312,9 @@ def test_nash_by_colour_lowers_the_peak_at_register_scale():
     model = build_registration_game(fixed, moving, DisplacementLabelSet.dense(3),
                                     20.0, SmoothnessField.identity(96, 96))
     labels = field_of(rng.integers(0, 49, (96, 96)), 49)
-    model.site_table  # built once, outside the measured calls
+    table = whole_table(model)  # built outside the measured calls
     peaks, results = [], []
-    for check in (whole_table_nash, nash_check):
+    for check in (lambda m, lab: whole_table_nash(m, lab, table), nash_check):
         tracemalloc.start()
         try:
             results.append(check(model, labels))
