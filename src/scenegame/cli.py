@@ -22,7 +22,8 @@ from . import mrf, net as net_mod, preprocess
 # gen_scene stays bound here though no command calls it: bench/spans.py
 # patches its tracing wrapper onto this module's name too.
 from .image import (NOISE_SIGMA, DisplacementLabelSet, Image, LabelField,
-                    check_noise_level, gen_scene, gen_scenes, read_pnm, write_pnm)
+                    check_noise_level, gen_scene, gen_scenes, read_pnm, seeded_rng,
+                    write_pnm)
 
 REPORT_HEADER = "game_level,input_size,feature_complexity,noise_level,accuracy,robustness_error"
 
@@ -156,8 +157,6 @@ class ExperimentConfig:
             raise CliError("images_per_class and trials must be >= 1")
         if not 0.0 < self.holdout < 1.0:
             raise CliError("holdout must be in (0, 1)")
-        if self.seed < 0:
-            raise CliError("seed must be >= 0")
         if not math.isfinite(self.theta):
             raise CliError("theta must be finite")
         _train_config(self)  # the trainer's own checks, before any work
@@ -220,7 +219,7 @@ def _game_level(size: int, sizes: tuple) -> int:
 
 
 def _image_seed(master: int, trial: int, index: int) -> int:
-    return (master * 1_000_003 + trial * 100_003 + index) % 2 ** 63
+    return master * 1_000_003 + trial * 100_003 + index
 
 
 def _cell_dataset(seed: int, images_per_class: int, size: int, noise: int,
@@ -299,8 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 for trial in range(config.trials):
                     images, labels = _cell_dataset(
                         config.seed, config.images_per_class, size, noise, trial)
-                    rng = np.random.default_rng(
-                        [config.seed, size, noise, trial, 7])
+                    rng = seeded_rng(config.seed, size, noise, trial, 7)
                     (train_x, train_y), (test_x, test_y) = _split(
                         images, labels, config.holdout, rng)
                     if not test_x:  # single image per class: score on train
@@ -404,7 +402,7 @@ def _cmd_gmm_fit(args):
     gmm_mod.check_fit(args.components, args.epsilon, args.max_iters)
     data = gmm_mod.unit_plane(_read_image(args.input))
     params, trace = gmm_mod.fit(data, args.components, epsilon=args.epsilon,
-                                max_iters=args.max_iters, seed=args.seed)
+                                max_iters=args.max_iters)
     _write_text(gmm_to_text(params, trace), args.out)
     return 0
 
@@ -443,7 +441,7 @@ def _cmd_segment(args):
     _check_game(args, args.components)
     gmm_mod.check_fit(args.components)
     img = _read_image(args.input)
-    params, _ = gmm_mod.fit(gmm_mod.unit_plane(img), args.components, seed=args.seed)
+    params, _ = gmm_mod.fit(gmm_mod.unit_plane(img), args.components)
     return _play(mrf.build_segmentation_game(img, params, args.prior_weight,
                                              args.prior), args)
 
@@ -586,12 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--out", default=out_default)
 
-    def game_flags(p, prior_weight, out_default, seed_help=None):  # see _check_game
+    def game_flags(p, prior_weight, out_default):  # see _check_game
         p.add_argument("--prior-weight", type=float, default=prior_weight)
         p.add_argument("--solver", choices=["icm", "anneal"], default="icm")
         p.add_argument("--max-sweeps", type=int, default=60)
         p.add_argument("--trace", default=None)
-        seed_and_out(p, out_default, seed_help)
+        seed_and_out(p, out_default, "seeds --solver anneal only")
 
     def scene_flags(p, images_per_class, crop_help):  # see _check_scenes
         p.add_argument("--size", type=int, default=20)
@@ -613,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=gmm_mod.EPSILON)
     p.add_argument("--max-iters", type=int, default=gmm_mod.MAX_ITERS)
-    seed_and_out(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gmm_fit)
 
     p = sub.add_parser("segment", help="mixture + labeling game segmentation")
@@ -627,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--radius", type=int, default=2)
-    game_flags(p, 0.5, "displacement.pgm", "seeds --solver anneal only")
+    game_flags(p, 0.5, "displacement.pgm")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("features", help="block feature extraction to CSV")

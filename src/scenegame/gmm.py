@@ -144,15 +144,13 @@ def _m_step(values, resp, counts):
     return weights, means, np.maximum(variances, VARIANCE_FLOOR)
 
 
-def _init_params(data, component_count, seed):
-    # Quantile-spread means: deterministic and scale-aware. The seed only
-    # breaks exact ties between duplicate quantiles (heavy repeated data).
+def _init_params(data, component_count):
+    """EM's start: equal weights, the pooled variance, and the data's
+    (m + 0.5) / K quantiles as means, as they are. Tied quantiles (heavily
+    repeated data) stay tied: components that start equal get equal
+    responsibilities, so EM keeps them equal on every iteration."""
     qs = (np.arange(component_count) + 0.5) / component_count
     means = np.quantile(data, qs)
-    if np.unique(means).size < component_count:
-        rng = np.random.default_rng(int(seed) % 2 ** 63)
-        scale = max(float(np.std(data)), 1e-3)
-        means = means + rng.standard_normal(component_count) * 1e-6 * scale
     pooled = max(float(np.var(data)), VARIANCE_FLOOR)
     weights = np.full(component_count, 1.0 / component_count)
     return GmmParams(weights=weights, means=means,
@@ -172,14 +170,16 @@ def check_fit(component_count: int, epsilon: float = EPSILON,
 
 
 def fit(data, component_count: int, epsilon: float = EPSILON,
-        max_iters: int = MAX_ITERS, seed: int = 0):
+        max_iters: int = MAX_ITERS):
     """Run EM until the absolute change of the summed log-likelihood drops
     below epsilon (finite, >= 0) or max_iters is hit. Returns (GmmParams,
     EmTrace); the trace log-likelihoods are nondecreasing within 1e-9.
 
-    The parameters start from the samples; the iterations then run on the
-    distinct values and their counts, which carry the same sufficient
-    statistics (an 8-bit image has at most 256 of them).
+    A deterministic function of its arguments: no seed. The parameters start
+    from the samples (_init_params; tied start quantiles give components that
+    stay equal); the iterations then run on the distinct values and their
+    counts, which carry the same sufficient statistics (an 8-bit image has at
+    most 256 of them).
     """
     data = np.asarray(data, dtype=np.float64).ravel()
     check_fit(component_count, epsilon, max_iters)
@@ -193,7 +193,7 @@ def fit(data, component_count: int, epsilon: float = EPSILON,
         spread = np.array([np.ptp(data), np.var(data)])
     if not np.isfinite(spread).all():
         raise ValueError("data range and variance must be finite in float64")
-    mixture = _arrays(_init_params(data, component_count, seed))
+    mixture = _arrays(_init_params(data, component_count))
     values, counts = np.unique(data, return_counts=True)
     # Checked once here; the loop's M-steps run unchecked on these arrays.
     counts = _sample_weights(counts, values.size)

@@ -271,20 +271,28 @@ def check_noise_level(noise_level: int):
         raise ValueError(f"noise_level must be in 1..3, got {noise_level}")
 
 
+def seeded_rng(seed: int, *keys: int) -> np.random.Generator:
+    """numpy's default generator on [seed mod 2**63, *keys]: the one seed
+    rule of every draw. Any integer is a seed; seeds equal mod 2**63 draw the
+    same (-1 as 2**63 - 1). With no keys the stream is that of
+    default_rng(seed mod 2**63); keys separate call sites sharing a seed."""
+    return np.random.default_rng([int(seed) % 2 ** 63, *keys])
+
+
 def gen_scenes(class_id: int, size: int, noise_level: int, seeds) -> np.ndarray:
     """(N, size, size) uint8 stack of synthetic scenes of one class, one per
     seed: the class template plus seeded Gaussian noise.
 
     Pure function of its arguments; sigma grows with noise_level (1..3). Each
-    image draws its noise from its own generator seeded with (seed, class_id,
-    size, noise_level), so a scene does not depend on the others in the stack.
+    image draws its noise from seeded_rng(seed, class_id, size, noise_level),
+    so a scene does not depend on the others in the stack.
     """
     template = scene_template(class_id, size)
     check_noise_level(noise_level)
     sigma = NOISE_SIGMA[noise_level]
     noisy = np.empty((len(seeds), size, size))
     for plane, seed in zip(noisy, seeds):
-        rng = np.random.default_rng([int(seed) % 2 ** 63, class_id, size, noise_level])
+        rng = seeded_rng(seed, class_id, size, noise_level)
         plane[...] = rng.normal(0.0, sigma, template.shape)
     noisy += template
     np.rint(noisy, out=noisy)

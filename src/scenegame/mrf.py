@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gmm as gmm_mod
-from .image import DisplacementLabelSet, Image, LabelField
+from .image import DisplacementLabelSet, Image, LabelField, seeded_rng
 
 EXHAUSTIVE_LIMIT = 10 ** 6
 # Geometric cooling: T = ANNEAL_T0 * ANNEAL_DECAY ** (sweep // ANNEAL_SWEEPS_PER_TEMP).
@@ -53,8 +53,9 @@ class EnergyModel:
 
     prior_kind 'potts' charges 1 for any disagreement; 'quadratic' charges the
     squared distance between label values (label indices by default, or
-    explicit label_values such as displacement offsets). Optional edge weight
-    grids modulate individual edges; an omitted grid is filled with ones.
+    explicit label_values such as displacement offsets; the Potts prior
+    rejects them). Optional edge weight grids modulate individual edges; an
+    omitted grid is filled with ones.
     """
 
     data_costs: np.ndarray           # (h, w, L) float
@@ -77,6 +78,8 @@ class EnergyModel:
         check_prior_weight(self.prior_weight)
         h, w, label_count = dc.shape
         if self.prior_kind == "potts":
+            if self.label_values is not None:
+                raise ValueError("label_values apply to the quadratic prior only")
             pair = 1.0 - np.eye(label_count)
         elif self.prior_kind == "quadratic":
             vals = self.label_values
@@ -361,7 +364,7 @@ def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,
     _check_dims(model, init)
     check_max_sweeps(max_sweeps)
     h, w, label_count = model.data_costs.shape
-    rng = np.random.default_rng(int(seed) % 2 ** 63)
+    rng = seeded_rng(seed)
     flat = init.labels.ravel().copy()
     trace = []
     for sweep in range(max_sweeps):

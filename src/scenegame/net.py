@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image
+from .image import Image, seeded_rng
 
 logger = logging.getLogger(__name__)
 
@@ -347,7 +347,7 @@ def default_net(input_size: int = 20, seed: int = 0) -> Network:
     the first dense layer takes the flattened feature shape of an input_size
     square, and ValueError names an input too small for the stack.
     """
-    rng = np.random.default_rng(int(seed) % 2 ** 63)
+    rng = seeded_rng(seed)
     features = [Conv2D(3, 3, 1, 8, rng=rng), ReLU(), MaxPool2D(2, 2),
                 Conv2D(3, 3, 8, 16, rng=rng), ReLU(), MaxPool2D(2, 2), Flatten()]
     try:
@@ -529,7 +529,7 @@ def train(net: Network, images, labels, config: TrainConfig):
 
     x_all = _image_batch(images)
     y_all = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(int(config.seed) % 2 ** 63)
+    rng = seeded_rng(config.seed)
     trace = []
     for _ in range(config.epochs):
         order = rng.permutation(len(images))
@@ -586,7 +586,7 @@ def grad_check(net: Network, images, labels, config: TrainConfig,
 
     sizes = [p.size for p in params]
     total = sum(sizes)
-    rng = np.random.default_rng(int(seed) % 2 ** 63)
+    rng = seeded_rng(seed)
     picks = rng.choice(total, size=min(samples, total), replace=False)
     offsets = np.cumsum([0] + sizes)
     max_rel = 0.0

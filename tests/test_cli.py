@@ -895,6 +895,25 @@ def test_cli_experiment_with_config(tmp_path, capsys):
     assert text.startswith(REPORT_HEADER)
 
 
+def test_cli_experiment_seed_minus_one_is_seed_2_63_minus_one(tmp_path):
+    # Every draw reduces its seed mod 2**63, the experiment's split too: the
+    # report and the feature sidecar are the bytes of --seed 2**63 - 1.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "sizes = 20\nnoise_levels = 1\nimages_per_class = 4\n"
+        "trials = 1\nepochs = 1\nbatch_size = 5\nfeature_select = on\n"
+    )
+    written = []
+    for seed in ("-1", str(2 ** 63 - 1)):
+        out = tmp_path / f"report{seed}.csv"
+        assert main(["experiment", "--config", str(cfg), "--seed", seed,
+                     "--out", str(out)]) == 0
+        written.append((out.read_bytes(),
+                        (tmp_path / f"report{seed}.csv.features.csv").read_bytes()))
+    assert written[0] == written[1]
+    assert b"FAILED" not in written[0][0]
+
+
 def test_cli_experiment_feature_select_needs_out(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -1066,6 +1085,7 @@ def test_every_subcommand_reads_every_flag_it_declares(tmp_path, capsys):
     ["preprocess", "--input", "in.pgm", "--method", "equalize", "--seed", "1"],
     ["keyframes", "--total", "5", "--out", "x.txt"],
     ["action", "2", "--seed", "1"],
+    ["gmm-fit", "--input", "in.pgm", "--components", "2", "--seed", "1"],
 ])
 def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1089,7 +1109,7 @@ def test_main_builds_one_parser_per_process_and_calls_stay_independent(
         ["register", "--fixed", str(scene), "--moving", str(other), "--radius", "1",
          "--max-sweeps", "2", "--out", "displacement.pgm"],
         ["segment", "--input", str(scene), "--components", "3", "--solver", "gibbs"],
-        ["gmm-fit", "--input", str(scene), "--components", "2", "--seed", "1"],
+        ["gmm-fit", "--input", str(scene), "--components", "2"],
         ["segment", "--input", str(scene), "--components", "3"],
     ]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this

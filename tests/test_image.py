@@ -16,6 +16,7 @@ from scenegame.image import (
     gen_scenes,
     read_pnm,
     scene_template,
+    seeded_rng,
     write_pnm,
 )
 
@@ -155,6 +156,19 @@ def reference_gen_scene(class_id, size, noise_level, seed):
         0.0, NOISE_SIGMA[noise_level], template.shape
     )
     return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2 ** 63 + 5])
+@pytest.mark.parametrize("keys", [(), (3, 20, 2), (20, 1, 0, 7)])
+def test_seeded_rng_is_default_rng_of_the_seed_mod_2_63_and_the_keys(seed, keys):
+    expected = np.random.default_rng([seed % 2 ** 63, *keys]).random(8)
+    assert seeded_rng(seed, *keys).random(8).tobytes() == expected.tobytes()
+    if not keys:  # an int seed and its one-element list give one stream
+        plain = np.random.default_rng(seed % 2 ** 63).random(8)
+        assert seeded_rng(seed).random(8).tobytes() == plain.tobytes()
+    # Seeds that agree mod 2**63 share a stream.
+    again = seeded_rng(seed + 2 ** 63, *keys).random(8)
+    assert again.tobytes() == expected.tobytes()
 
 
 def test_batched_scenes_are_the_per_image_scenes():

@@ -181,6 +181,10 @@ def test_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(data_costs=np.zeros((1, 1, 2)), prior_weight=0.0,
                     prior_kind="cubic")
+    # The Potts pair cost is 1 - I whatever the values, so it rejects them.
+    with pytest.raises(ValueError, match="label_values apply to the quadratic prior only"):
+        EnergyModel(data_costs=np.zeros((1, 1, 2)), prior_weight=1.0,
+                    prior_kind="potts", label_values=[0.0, 5.0])
 
 
 def test_model_rejects_non_finite_edge_weights_and_label_values():
@@ -910,6 +914,19 @@ def test_anneal_deterministic_per_seed():
     assert trace_to_csv(trace1) == trace_to_csv(trace2)
 
 
+def test_anneal_reduces_its_seed_mod_2_63():
+    # -1 and 2**63 - 1 are one seed; another seed draws other uniforms.
+    rng = np.random.default_rng(9)
+    model = EnergyModel(data_costs=rng.uniform(0, 2, (8, 8, 3)), prior_weight=1.0)
+    init = field_of(rng.integers(0, 3, (8, 8)), 3)
+    runs = [solve_anneal(model, init, max_sweeps=6, seed=seed)
+            for seed in (-1, 2 ** 63 - 1, 0)]
+    (out1, trace1), (out2, trace2), (_, other) = runs
+    assert out1 == out2
+    assert trace_to_csv(trace1) == trace_to_csv(trace2)
+    assert trace_to_csv(other) != trace_to_csv(trace1)
+
+
 def test_anneal_reaches_global_minimum_mostly():
     # smaller companion of the acceptance run
     rng = np.random.default_rng(10)
@@ -1503,7 +1520,7 @@ def two_region_image(rng, size=24, salt_fraction=0.0):
 def test_segmentation_beta_zero_is_ml_classification():
     rng = np.random.default_rng(18)
     img, _ = two_region_image(rng)
-    params, _ = gmm_fit(img.plane().ravel() / 255.0, 2, seed=0)
+    params, _ = gmm_fit(img.plane().ravel() / 255.0, 2)
     model = build_segmentation_game(img, params, 0.0)
     assert np.all(np.isfinite(model.data_costs))
     labels, _ = solve_icm(
@@ -1515,7 +1532,7 @@ def test_segmentation_beta_zero_is_ml_classification():
 def test_segmentation_prior_does_not_hurt_under_salt_noise():
     rng = np.random.default_rng(19)
     img, truth = two_region_image(rng, salt_fraction=0.10)
-    params, _ = gmm_fit(img.plane().ravel() / 255.0, 2, seed=0)
+    params, _ = gmm_fit(img.plane().ravel() / 255.0, 2)
 
     def accuracy(prior_weight):
         model = build_segmentation_game(img, params, prior_weight)
