@@ -200,7 +200,12 @@ def fit(data, component_count: int, epsilon: float = EPSILON,
     resp, loglik = _posterior(values, mixture, counts)
     trace = EmTrace([loglik])
     for _ in range(max_iters):
-        mixture = _m_step(values, resp, counts)
+        try:
+            mixture = _m_step(values, resp, counts)
+        except EmptyComponentError as exc:
+            raise EmptyComponentError(
+                f"{exc}: the data has {values.size} distinct values for "
+                f"{component_count} components") from exc
         resp, loglik = _posterior(values, mixture, counts)
         trace.loglik_per_iter.append(loglik)
         trace.iterations_used += 1

@@ -67,7 +67,9 @@ class EnergyModel:
     pair_cost: np.ndarray = field(init=False, default=None)  # derived (L, L)
 
     def __post_init__(self):
-        dc = np.asarray(self.data_costs, dtype=np.float64)
+        # C order: _site_costs reads the table as (h * w, L) rows, which a
+        # strided table would copy whole on every call.
+        dc = np.ascontiguousarray(self.data_costs, dtype=np.float64)
         if dc.ndim != 3 or dc.shape[2] < 1:
             raise ValueError("data_costs must have shape (h, w, L)")
         if dc.shape[0] < 1 or dc.shape[1] < 1:
@@ -346,6 +348,63 @@ def solve_icm(model: EnergyModel, init: LabelField, max_sweeps: int = 60):
     trace = _descend(model, flat, max_sweeps=max_sweeps)
     return LabelField(labels=flat.reshape(init.labels.shape),
                       label_count=model.label_count), trace
+
+
+def cheapest_start(model: EnergyModel) -> LabelField:
+    """Every pixel on its cheapest data label: Besag's pixelwise
+    maximum-likelihood start for ICM."""
+    return LabelField(labels=np.argmin(model.data_costs, axis=2),
+                      label_count=model.label_count)
+
+
+def block_model(model: EnergyModel) -> EnergyModel:
+    """The game of 2x2 pixel blocks: coalitions of four pixels that take one
+    label, one level of the block hierarchy of Felzenszwalb & Huttenlocher
+    2006 ("Efficient belief propagation for early vision").
+
+    A block's data cost is the sum of its pixels' costs, and the edge between
+    two neighbouring blocks carries the sum of the fine edge weights that
+    cross it, under the same prior weight and pair cost. An odd last row or
+    column makes partial blocks of two or one pixels. Edges inside a block
+    join equal labels and cost 0, so a block labeling's energy is the fine
+    energy of its labels repeated over each block's pixels.
+    """
+    h, w = model.height, model.width
+    dc = model.data_costs
+    # One C-ordered (ceil(h/2), ceil(w/2), L) copy of the top-left corners,
+    # then in-place adds of the other three: no further temporary.
+    costs = dc[::2, ::2].copy()
+    costs[:, :w // 2] += dc[::2, 1::2]
+    costs[:h // 2] += dc[1::2, ::2]
+    costs[:h // 2, :w // 2] += dc[1::2, 1::2]
+    # Fine edges that cross between blocks: columns 2C + 1 of the horizontal
+    # grid and rows 2R + 1 of the vertical one, summed over each block's two
+    # rows (columns).
+    ex, ey = model.edge_weights_x[:, 1::2], model.edge_weights_y[1::2]
+    wx = ex[::2].copy()
+    wx[:h // 2] += ex[1::2]
+    wy = ey[:, ::2].copy()
+    wy[:, :w // 2] += ey[:, 1::2]
+    return EnergyModel(data_costs=costs, prior_weight=model.prior_weight,
+                       prior_kind=model.prior_kind, label_values=model.label_values,
+                       edge_weights_x=wx, edge_weights_y=wy)
+
+
+def block_start(model: EnergyModel, max_sweeps: int = 60) -> LabelField:
+    """A start for solve_icm from the solved block game: block_model's ICM
+    (at most max_sweeps sweeps) from each block's cheapest label, each block's
+    label then repeated over its pixels. A grid with a side below 2 has no
+    2x2 block and gets cheapest_start."""
+    check_max_sweeps(max_sweeps)
+    h, w = model.height, model.width
+    if h < 2 or w < 2:
+        return cheapest_start(model)
+    coarse = block_model(model)
+    flat = coarse.data_costs.argmin(axis=2).ravel()
+    _descend(coarse, flat, max_sweeps=max_sweeps)
+    blocks = flat.reshape(coarse.height, coarse.width)
+    return LabelField(labels=blocks.repeat(2, axis=0).repeat(2, axis=1)[:h, :w],
+                      label_count=model.label_count)
 
 
 def solve_anneal(model: EnergyModel, init: LabelField, max_sweeps: int = 60,

@@ -33,7 +33,7 @@ from scenegame.cli import (
 from scenegame import cli, features, gmm, mrf, net, preprocess
 from scenegame.gmm import GmmParams
 from scenegame.image import (DisplacementLabelSet, Image, LabelField, gen_scene,
-                             gen_scenes, read_pnm, write_pnm)
+                             gen_scenes, read_pnm, scene_template, write_pnm)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,9 @@ def test_cli_register(tmp_path):
     assert read_pnm(out.read_bytes()).width == 16
 
 
-def test_cli_register_starts_from_the_cheapest_data_label(tmp_path):
+def test_cli_register_starts_icm_from_the_block_game(tmp_path):
+    """register --solver icm starts from mrf.block_start and writes the fine
+    sweeps' trace; --solver anneal keeps every pixel's cheapest data label."""
     rng = np.random.default_rng(5)
     rows, cols = np.indices((24, 24))
     base = rng.integers(0, 256, (24, 24)).astype(np.uint8)
@@ -487,17 +489,39 @@ def test_cli_register_starts_from_the_cheapest_data_label(tmp_path):
     fixed_p, moving_p = tmp_path / "fixed.pgm", tmp_path / "moving.pgm"
     fixed_p.write_bytes(write_pnm(Image(base)))
     moving_p.write_bytes(write_pnm(Image(moving)))
-    out, trace = tmp_path / "disp.pgm", tmp_path / "trace.csv"
-    assert main(["register", "--fixed", str(fixed_p), "--moving", str(moving_p),
-                 "--radius", "3", "--prior-weight", "20", "--out", str(out),
-                 "--trace", str(trace)]) == 0
     model = mrf.build_registration_game(
         Image(base), Image(moving), DisplacementLabelSet.dense(3), 20.0,
         mrf.SmoothnessField.identity(24, 24))
-    init = LabelField(labels=np.argmin(model.data_costs, axis=2), label_count=49)
-    labels, expected = mrf.solve_icm(model, init, max_sweeps=60)
-    assert out.read_bytes() == write_pnm(mrf.labels_to_image(labels))
-    assert trace.read_text() == mrf.trace_to_csv(expected)
+    start = mrf.block_start(model, 60)
+    assert start != mrf.cheapest_start(model)
+    runs = (("icm", "60", mrf.solve_icm(model, start, 60)),
+            ("anneal", "4", mrf.solve_anneal(model, mrf.cheapest_start(model), 4, 0)))
+    for solver, sweeps, (labels, expected) in runs:
+        out, trace = tmp_path / f"{solver}.pgm", tmp_path / f"{solver}.csv"
+        assert main(["register", "--fixed", str(fixed_p), "--moving", str(moving_p),
+                     "--radius", "3", "--prior-weight", "20", "--solver", solver,
+                     "--max-sweeps", sweeps, "--out", str(out),
+                     "--trace", str(trace)]) == 0
+        assert out.read_bytes() == write_pnm(mrf.labels_to_image(labels)), solver
+        assert trace.read_text() == mrf.trace_to_csv(expected), solver
+
+
+@pytest.mark.parametrize("command", ["segment", "gmm-fit"])
+@pytest.mark.parametrize("components", [3, 5])
+def test_cli_em_empty_component_names_the_input(tmp_path, capsys, command, components):
+    """The noise-free class-1 template has two gray levels: EM empties a
+    component, and the one error line gives the data's distinct-value count
+    against the component count."""
+    src = tmp_path / "template.pgm"
+    src.write_bytes(write_pnm(Image(scene_template(1, 16).astype(np.uint8))))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(src), "--components", str(components),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ERROR: component ")
+    assert err.endswith(f": the data has 2 distinct values for {components} "
+                        "components\n")
+    assert not out.exists()
 
 
 def test_cli_segment_rejects_zero_sweeps(tmp_path, capsys, monkeypatch):

@@ -222,6 +222,25 @@ def test_derived_fields_are_not_constructor_arguments():
         [0.0, 1.0], [1.0, 0.0]]
 
 
+def test_model_keeps_data_costs_c_contiguous():
+    """A transposed or strided table is copied once into C order, so the
+    kernel's (h * w, L) row view shares the model's memory instead of
+    copying the whole table on every call."""
+    rng = np.random.default_rng(3)
+    views = (rng.uniform(0, 1, (4, 5, 3)).transpose(1, 0, 2),
+             rng.uniform(0, 1, (8, 10, 6))[::2, ::2, ::2],
+             np.asfortranarray(rng.uniform(0, 1, (5, 4, 3))))
+    for view in views:
+        assert not view.flags.c_contiguous
+        model = potts_model(view, 1.0)
+        assert model.data_costs.flags.c_contiguous
+        assert_same_array(model.data_costs, view)
+        rows = model.data_costs.reshape(-1, model.label_count)
+        assert np.shares_memory(rows, model.data_costs)
+    table = rng.uniform(0, 1, (3, 4, 2))
+    assert potts_model(table, 1.0).data_costs is table  # no copy when C-ordered
+
+
 def test_array_records_compare_by_identity():
     # Equality of records holding arrays is identity: == never compares the
     # arrays, so it returns a bool instead of raising.
@@ -1595,39 +1614,45 @@ def test_registration_flat_images_still_reach_equilibrium():
     assert ok
 
 
+def benchmark_register_model(seed, i, size=96):
+    """A register input built like the benchmark's (uniform texture, shift
+    (2, -1), noise sd 8, radius 3, prior 20) from rng([seed, i]): its model,
+    the true shift's label and the interior margin of its recovery."""
+    radius, shift = 3, (2, -1)
+    label_set = DisplacementLabelSet.dense(radius)
+    rows, cols = np.indices((size, size))
+    rng = np.random.default_rng([seed, i])
+    base = rng.integers(0, 256, (size, size)).astype(np.uint8)
+    shifted = base[np.clip(rows - shift[1], 0, size - 1),
+                   np.clip(cols - shift[0], 0, size - 1)]
+    noisy = shifted + rng.normal(0.0, 8.0, (size, size))
+    moving = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    model = build_registration_game(Image(base), Image(moving), label_set, 20.0,
+                                    SmoothnessField.identity(size, size))
+    return model, label_set.offsets.index(shift), radius + 2
+
+
 def test_registration_cheapest_label_start_witness():
     """How far ICM's registration equilibria sit above a known better one.
 
     Eight 96x96 inputs built like the benchmark's register workload (uniform
     texture, shift (2, -1), noise sd 8, radius 3, prior 20) at seeds [77, i].
-    ICM is started from each pixel's cheapest data label (the CLI's rule),
-    from the zero offset, and from the true shift; the true-shift equilibrium
-    is the witness. Measured: relative gap 0.090-0.160 from the cheapest
+    ICM is started from each pixel's cheapest data label (the CLI's rule
+    before the block start), from the zero offset, and from the true shift;
+    the true-shift equilibrium is the witness. Measured: relative gap 0.090-0.160 from the cheapest
     label and 0.153-0.199 from the zero offset, cheapest-label recovery
     0.861-0.888 (true shift 0.915-0.923). At 48x48 the cheapest-label start
     lost to the zero start on 2 of these 8 seeds, so the comparison is made
     at the benchmark's size."""
-    size, radius, shift = 96, 3, (2, -1)
-    label_set = DisplacementLabelSet.dense(radius)
-    field = SmoothnessField.identity(size, size)
-    true_label = label_set.offsets.index(shift)
-    starts = {"zero": label_set.offsets.index((0, 0)), "true": true_label}
-    rows, cols = np.indices((size, size))
-    margin = radius + 2
+    zero = DisplacementLabelSet.dense(3).offsets.index((0, 0))
     for i in range(8):
-        rng = np.random.default_rng([77, i])
-        base = rng.integers(0, 256, (size, size)).astype(np.uint8)
-        shifted = base[np.clip(rows - shift[1], 0, size - 1),
-                       np.clip(cols - shift[0], 0, size - 1)]
-        noisy = shifted + rng.normal(0.0, 8.0, (size, size))
-        moving = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-        model = build_registration_game(Image(base), Image(moving), label_set,
-                                        20.0, field)
+        model, true_label, margin = benchmark_register_model(77, i)
         inits = {"cheapest": np.argmin(model.data_costs, axis=2)}
-        inits.update((k, np.full((size, size), v)) for k, v in starts.items())
+        inits.update((k, np.full((96, 96), v))
+                     for k, v in (("zero", zero), ("true", true_label)))
         energy, recovery = {}, {}
         for name, init in inits.items():
-            labels, _ = solve_icm(model, field_of(init, len(label_set)))
+            labels, _ = solve_icm(model, field_of(init, 49))
             energy[name] = energy_of(model, labels)
             interior = labels.labels[margin:-margin, margin:-margin]
             recovery[name] = float((interior == true_label).mean())
@@ -1635,6 +1660,97 @@ def test_registration_cheapest_label_start_witness():
         gap = (energy["cheapest"] - energy["true"]) / energy["true"]
         assert 0.0 < gap <= 0.18, (i, gap)  # 0.160 measured at worst
         assert recovery["cheapest"] >= 0.85, (i, recovery)  # 0.861 at worst
+
+
+def upsample(blocks, h, w):
+    """Each block label repeated over its 2x2 pixels, cut to h x w."""
+    rows, cols = np.indices((h, w))
+    return blocks[rows // 2, cols // 2]
+
+
+BLOCK_SHAPES = ((6, 6), (5, 7), (2, 3), (3, 2), (7, 9), (1, 5), (5, 1), (1, 1), (2, 2))
+
+
+def test_block_model_energy_is_the_fine_energy_of_upsampled_labels():
+    rng = np.random.default_rng(36)
+    for h, w in BLOCK_SHAPES:
+        for kind in ("potts", "quadratic"):
+            model = random_weighted_model(rng, (h, w), 4, kind)
+            if kind == "quadratic":  # 2-D values, like displacement offsets
+                model = EnergyModel(data_costs=model.data_costs,
+                                    prior_weight=model.prior_weight,
+                                    prior_kind=kind,
+                                    label_values=rng.uniform(-2, 2, (4, 2)),
+                                    edge_weights_x=model.edge_weights_x,
+                                    edge_weights_y=model.edge_weights_y)
+            coarse = mrf.block_model(model)
+            assert coarse.data_costs.shape == ((h + 1) // 2, (w + 1) // 2, 4)
+            assert coarse.data_costs.flags.c_contiguous
+            assert_same_array(coarse.pair_cost, model.pair_cost)
+            assert coarse.prior_weight == model.prior_weight
+            for _ in range(5):
+                blocks = rng.integers(0, 4, coarse.data_costs.shape[:2])
+                fine = field_of(upsample(blocks, h, w), 4)
+                expected = naive_energy(model, fine)
+                assert energy_of(coarse, field_of(blocks, 4)) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-12), (h, w, kind)
+                assert energy_of(model, fine) == pytest.approx(expected, rel=1e-12)
+
+
+def test_block_start_is_the_solved_block_game_upsampled():
+    rng = np.random.default_rng(37)
+    for h, w in BLOCK_SHAPES:
+        model = random_weighted_model(rng, (h, w), 3, "quadratic")
+        start = mrf.block_start(model, max_sweeps=60)
+        assert start.label_count == 3 and start.labels.shape == (h, w)
+        if min(h, w) < 2:  # no 2x2 block: the cheapest label
+            assert start == mrf.cheapest_start(model)
+        else:
+            coarse = mrf.block_model(model)
+            blocks, _ = solve_icm(coarse, mrf.cheapest_start(coarse), max_sweeps=60)
+            assert_same_array(start.labels, upsample(blocks.labels, h, w))
+        labels, trace = solve_icm(model, start)
+        assert trace[-1].changed == 0
+        assert nash_check(model, labels) == (True, None), (h, w)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        mrf.block_start(model, max_sweeps=0)
+
+
+def test_registration_block_start_witness():
+    """The twin of test_registration_cheapest_label_start_witness for the
+    block start that register --solver icm uses, on the same eight inputs.
+    Measured: relative gap to the true-shift equilibrium -0.0014 to +0.0140
+    (the cheapest label: 0.090-0.160), recovery 0.915-0.923 (true shift
+    0.915-0.923), and a lower energy than the cheapest label's on all 8."""
+    for i in range(8):
+        model, true_label, margin = benchmark_register_model(77, i)
+        energy, recovery = {}, {}
+        for name, init in (("block", mrf.block_start(model)),
+                           ("cheapest", mrf.cheapest_start(model)),
+                           ("true", field_of(np.full((96, 96), true_label), 49))):
+            labels, _ = solve_icm(model, init)
+            energy[name] = energy_of(model, labels)
+            interior = labels.labels[margin:-margin, margin:-margin]
+            recovery[name] = float((interior == true_label).mean())
+        assert energy["block"] < energy["cheapest"], i
+        gap = (energy["block"] - energy["true"]) / energy["true"]
+        assert -0.01 <= gap <= 0.02, (i, gap)  # -0.0014 to 0.0140 measured
+        assert recovery["block"] >= 0.91, (i, recovery)  # 0.915 at worst
+
+
+def test_block_start_scores_about_half_the_kernel_rows(monkeypatch):
+    """A timing-free guard of the block start's gain: the site-cost rows the
+    kernel scores for the block solve plus the fine ICM from its start, as a
+    share of the fine ICM from the cheapest label, on one benchmark-shaped
+    register input. Measured 0.499-0.519 at seeds [2026, 0-3] (about 13.9k
+    against 26.8-27.9k rows)."""
+    calls = count_kernel_calls(monkeypatch)
+    model, _, _ = benchmark_register_model(2026, 0)
+    solve_icm(model, mrf.cheapest_start(model))
+    cheapest = sum(calls)
+    calls.clear()
+    solve_icm(model, mrf.block_start(model))
+    assert sum(calls) / cheapest <= 0.55, (sum(calls), cheapest)
 
 
 def test_solvers_reject_zero_sweeps():
