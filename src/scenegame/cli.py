@@ -274,8 +274,8 @@ def _feature_sidecar_row(train_images, config, size, noise, trial):
 
 def _accuracy(network, images, labels) -> float:
     """Fraction of images whose predicted class is their label."""
-    hits = sum(net_mod.predict(network, img)[0] == lbl
-               for img, lbl in zip(images, labels))
+    classes, _ = net_mod.predict(network, images)
+    hits = sum(c == lbl for c, lbl in zip(classes.tolist(), labels))
     return hits / len(images)
 
 

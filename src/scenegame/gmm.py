@@ -59,8 +59,14 @@ class EmTrace:
     converged: bool = False
 
 
-def _log_normal(x, mean, variance):
-    return -0.5 * (_LOG_2PI + np.log(variance)) - (x - mean) ** 2 / (2.0 * variance)
+def _log_normal(sq_dev, variance):
+    """log N(x; mean, variance) from the squared deviation (x - mean) ** 2."""
+    return -0.5 * (_LOG_2PI + np.log(variance)) - sq_dev / (2.0 * variance)
+
+
+def _squared_deviations(values, means):
+    """The component-major (K, n) table (x_n - mean_k) ** 2."""
+    return (values - means[:, None]) ** 2
 
 
 def _sample_weights(counts, size):
@@ -77,12 +83,13 @@ def _sample_weights(counts, size):
     return counts
 
 
-def _posterior(values, mixture, counts):
+def _posterior(sq_dev, mixture, counts):
     """Component-major (K, n) responsibilities and the summed log-likelihood
     under mixture = (weights, means, variances), both from one log joint
-    table log(weight_m * N(x_n; mean_m, var_m)) and its column log-sum-exp."""
-    weights, means, variances = mixture
-    logp = _log_normal(values[None, :], means[:, None], variances[:, None])
+    table log(weight_m * N(x_n; mean_m, var_m)) and its column log-sum-exp.
+    sq_dev is _squared_deviations(values, means) of the mixture's means."""
+    weights, _, variances = mixture
+    logp = _log_normal(sq_dev, variances[:, None])
     logp += np.log(np.maximum(weights[:, None], 1e-300))
     peak = logp.max(axis=0)
     resp = np.exp(logp - peak)
@@ -100,7 +107,8 @@ def log_likelihood(data, params: GmmParams, counts=None) -> float:
 
     No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
-    return _posterior(data, _arrays(params), _sample_weights(counts, data.size))[1]
+    return _posterior(_squared_deviations(data, params.means), _arrays(params),
+                      _sample_weights(counts, data.size))[1]
 
 
 def e_step(data, params: GmmParams) -> np.ndarray:
@@ -116,7 +124,8 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    return _posterior(data, _arrays(params), _sample_weights(None, data.size))[0].T
+    return _posterior(_squared_deviations(data, params.means), _arrays(params),
+                      _sample_weights(None, data.size))[0].T
 
 
 def m_step(data, resp, counts=None) -> GmmParams:
@@ -126,22 +135,27 @@ def m_step(data, resp, counts=None) -> GmmParams:
     No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
-    return GmmParams(*_m_step(data, np.asarray(resp, dtype=np.float64).T, counts))
+    mixture, _ = _m_step(data, np.asarray(resp, dtype=np.float64).T, counts,
+                         counts.sum())
+    return GmmParams(*mixture)
 
 
-def _m_step(values, resp, counts):
-    """m_step's arithmetic on float64 arrays whose counts are already checked,
-    with resp component-major (K, n): the (weights, means, variances) arrays.
-    An empty component still raises EmptyComponentError."""
+def _m_step(values, resp, counts, count_total):
+    """m_step's arithmetic on float64 arrays whose counts are already checked
+    and sum to count_total, with resp component-major (K, n): the (weights,
+    means, variances) arrays, and the _squared_deviations table of the new
+    means, which the next posterior reads too. An empty component still
+    raises EmptyComponentError."""
     resp = resp * counts
     totals = resp.sum(axis=1)
     if (totals < 1e-12).any():
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
-    weights = totals / counts.sum()
+    weights = totals / count_total
     means = (resp * values).sum(axis=1) / totals
-    variances = (resp * (values - means[:, None]) ** 2).sum(axis=1) / totals
-    return weights, means, np.maximum(variances, VARIANCE_FLOOR)
+    sq_dev = _squared_deviations(values, means)
+    variances = (resp * sq_dev).sum(axis=1) / totals
+    return (weights, means, np.maximum(variances, VARIANCE_FLOOR)), sq_dev
 
 
 def _init_params(data, component_count):
@@ -197,16 +211,17 @@ def fit(data, component_count: int, epsilon: float = EPSILON,
     values, counts = np.unique(data, return_counts=True)
     # Checked once here; the loop's M-steps run unchecked on these arrays.
     counts = _sample_weights(counts, values.size)
-    resp, loglik = _posterior(values, mixture, counts)
+    count_total = counts.sum()
+    resp, loglik = _posterior(_squared_deviations(values, mixture[1]), mixture, counts)
     trace = EmTrace([loglik])
     for _ in range(max_iters):
         try:
-            mixture = _m_step(values, resp, counts)
+            mixture, sq_dev = _m_step(values, resp, counts, count_total)
         except EmptyComponentError as exc:
             raise EmptyComponentError(
                 f"{exc}: the data has {values.size} distinct values for "
                 f"{component_count} components") from exc
-        resp, loglik = _posterior(values, mixture, counts)
+        resp, loglik = _posterior(sq_dev, mixture, counts)
         trace.loglik_per_iter.append(loglik)
         trace.iterations_used += 1
         if abs(loglik - trace.loglik_per_iter[-2]) < epsilon:
@@ -228,7 +243,7 @@ def data_costs(img, params: GmmParams) -> np.ndarray:
     fitted on it. The per-pixel argmin is the maximum-likelihood component.
     """
     costs = -_log_normal(
-        unit_plane(img)[:, :, None], params.means[None, None, :],
+        (unit_plane(img)[:, :, None] - params.means[None, None, :]) ** 2,
         params.variances[None, None, :],
     )
     return costs

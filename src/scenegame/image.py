@@ -271,7 +271,7 @@ def check_noise_level(noise_level: int):
         raise ValueError(f"noise_level must be in 1..3, got {noise_level}")
 
 
-def seeded_rng(seed: int, *keys: int) -> np.random.Generator:
+def seeded_rng(seed: int, *keys: int) -> "np.random.Generator":
     """numpy's default generator on [seed mod 2**63, *keys]: the one seed
     rule of every draw. Any integer is a seed; seeds equal mod 2**63 draw the
     same (-1 as 2**63 - 1). With no keys the stream is that of

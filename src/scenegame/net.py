@@ -21,6 +21,8 @@ logger = logging.getLogger(__name__)
 GRAD_CHECK_PARAM_LIMIT = 5000
 CLASS_COUNT = 5
 EMBEDDING_DIM = 32
+# images per predict chunk: TrainConfig's default batch size
+PREDICT_CHUNK = 25
 
 
 class ShapeMismatchError(ValueError):
@@ -143,20 +145,48 @@ class Conv2D:
         return dx
 
 
+@functools.lru_cache(maxsize=32)
+def _pool_index(in_shape, window, stride):
+    """(corner, step) of max-pool backward on an (n, h, w, c) input: corner,
+    shape (n, oh, ow, c), is the flat input index of each output's window
+    corner, and step[o] the flat distance from a corner to window offset o
+    (row-major within the window). Read-only, since calls share them."""
+    n, h, w, c = in_shape
+    k, s = window, stride
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    corner = (np.arange(n)[:, None, None, None] * (h * w * c)
+              + np.arange(0, s * oh, s)[:, None, None] * (w * c)
+              + np.arange(0, s * ow, s)[:, None] * c + np.arange(c))
+    step = (np.arange(k)[:, None] * w + np.arange(k)).ravel() * c
+    corner.flags.writeable = step.flags.writeable = False
+    return corner, step
+
+
 class MaxPool2D:
-    """Max over k x k windows at stride s; trailing rows and columns that no
-    window covers are dropped.
+    """Max over k x k windows at stride s >= k, so that no two windows
+    overlap; trailing rows and columns that no window covers are dropped, and
+    so are the gaps between windows when s > k. A stride below the window
+    raises ValueError when the layer is built.
 
     Forward copies the k * k strided views once into a window-major stack,
     one contiguous (n, oh, ow, c) block per offset in offset order
     (row-major within the window). It takes a running np.maximum over the
     blocks and records, per output, the first offset whose block equals the
-    max: argmax's first-maximum rule over the stack. Backward routes each
-    output's gradient to that pixel. Ties, and ReLU's -0.0 against 0.0,
-    resolve like argmax; NaN activations are outside that contract.
+    max: argmax's first-maximum rule over the stack. Ties, and ReLU's -0.0
+    against 0.0, resolve like argmax; NaN activations are outside that
+    contract.
+
+    Backward routes each output's gradient to that one pixel with one
+    np.bincount over the winners' flat input indices. Each input pixel wins
+    at most one window, so it reads 0.0 + its window's gradient, -0.0
+    included, and every other pixel reads 0.0. A non-finite gradient
+    reaches its window's winner only.
     """
 
     def __init__(self, window=2, stride=2):
+        if stride < window:
+            raise ValueError(f"max-pool stride {stride} is below its {window}x{window} "
+                             f"window; overlapping windows are not supported")
         self.window = window
         self.stride = stride
         self._winner = None
@@ -196,17 +226,12 @@ class MaxPool2D:
 
     def backward(self, dout):
         winner, self._winner = _pending(self, self._winner), None
-        k, s = self.window, self.stride
-        oh, ow = dout.shape[1], dout.shape[2]
-        dx = np.zeros(self._in_shape)
-        routed = np.empty_like(dout)
-        for o in range(k * k):
-            di, dj = divmod(o, k)
-            # dout * (winner == o), with the bool mask cast once
-            np.equal(winner, o, out=routed)
-            routed *= dout
-            dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += routed
-        return dx
+        corner, step = _pool_index(self._in_shape, self.window, self.stride)
+        index = step.take(winner)
+        index += corner
+        dx = np.bincount(index.ravel(), weights=dout.ravel(),
+                         minlength=math.prod(self._in_shape))
+        return dx.reshape(self._in_shape)
 
 
 class ReLU:
@@ -369,10 +394,29 @@ def forward(net: Network, img: Image):
     return emb[0], scores[0]
 
 
-def predict(net: Network, img: Image):
-    """Class with the highest score (ties to the lowest index), plus scores."""
-    _, scores = forward(net, img)
-    return int(np.argmax(scores)), scores
+def predict(net: Network, images):
+    """(classes, scores) of a list of images: the (N, classes) score rows and
+    each row's highest-scoring class, ties to the lowest index.
+
+    The layers before the first Dense run on chunks of PREDICT_CHUNK images,
+    so their activations peak as a training batch's do. The dense head runs
+    one row at a time, since BLAS rounds a one-row product differently from
+    a many-row one: each score row keeps the bytes of forward on its image.
+    """
+    head = next((i for i, layer in enumerate(net.layers) if isinstance(layer, Dense)),
+                len(net.layers))
+    rows = []
+    for start in range(0, len(images), PREDICT_CHUNK):
+        chunk = _image_batch(images[start:start + PREDICT_CHUNK])
+        for layer in net.layers[:head]:
+            chunk = layer.forward(chunk)
+        for x in chunk:
+            x = x[None]
+            for layer in net.layers[head:]:
+                x = layer.forward(x)
+            rows.append(x[0])
+    scores = np.stack(rows)
+    return scores.argmax(axis=1), scores
 
 
 # ---------------------------------------------------------------------------

@@ -804,9 +804,9 @@ def test_cli_eval_scores_scenes_train_never_saw(tmp_path, capsys, monkeypatch):
         seen["train"].extend(images)
         return real_train(network, images, *rest)
 
-    def predict(network, img):
-        seen["eval"].append(img)
-        return real_predict(network, img)
+    def predict(network, images):
+        seen["eval"].extend(images)
+        return real_predict(network, images)
 
     monkeypatch.setattr(net, "train", train)
     monkeypatch.setattr(net, "predict", predict)

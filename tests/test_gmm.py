@@ -545,6 +545,6 @@ def test_unit_plane_is_the_level_over_255_scale_of_fit_and_data_costs():
     assert plane.dtype == np.float64 and plane.tobytes() == expected.tobytes()
     assert plane.ravel().tobytes() == (img.plane().astype(np.float64).ravel() / 255.0).tobytes()
     params = make_params([0.6, 0.4], [0.3, 0.7], [0.05, 0.1])
-    expected_costs = -gmm._log_normal(expected[:, :, None], params.means[None, None, :],
+    expected_costs = -gmm._log_normal((expected[:, :, None] - params.means[None, None, :]) ** 2,
                                       params.variances[None, None, :])
     assert data_costs(img, params).tobytes() == expected_costs.tobytes()

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import struct
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,14 +371,16 @@ class ReferenceMaxPool2D(MaxPool2D):
         return dx
 
 
-POOL_GEOMETRIES = ((2, 2), (2, 1), (3, 2), (3, 3), (3, 1), (1, 1))
+# (window, stride): stride >= window, gapped windows (stride > window) included
+POOL_GEOMETRIES = ((2, 2), (3, 3), (1, 1), (2, 3), (3, 5))
 
 
 def test_maxpool_matches_stack_argmax_reference():
     """Seeded inputs of three kinds: normal floats, small integers (many
     ties inside a window) and ReLU'd small integers (ties between 0.0 and
-    -0.0). Shapes include n = 1, overlapping windows (stride < window) and
-    trailing rows and columns that no window covers."""
+    -0.0). Shapes include n = 1, gaps between windows (stride > window) and
+    trailing rows and columns that no window covers. A fifth of the output
+    gradients are -0.0."""
     rng = np.random.default_rng(66)
     uncovered = 0
     for case in range(360):
@@ -402,8 +405,40 @@ def test_maxpool_matches_stack_argmax_reference():
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(pool._winner, ref._winner)
         dout = rng.normal(0, 1, out.shape)
+        dout[rng.random(out.shape) < 0.2] = -0.0
         assert pool.backward(dout).tobytes() == ref.backward(dout).tobytes()
     assert uncovered > 50
+
+
+def test_maxpool_backward_sends_a_non_finite_gradient_to_its_winner_only():
+    """0.0 plus its window's gradient at each window's winning pixel, 0.0
+    everywhere else: an inf or -inf gradient reaches no other pixel of its
+    window, where a masked product would spread 0 * inf = NaN."""
+    rng = np.random.default_rng(67)
+    for k, s in POOL_GEOMETRIES:
+        x = rng.integers(-2, 3, (2, 3 * s + k, 2 * s + k + 1, 2)).astype(np.float64)
+        pool = MaxPool2D(k, s)
+        out = pool.forward(x)
+        winner = pool._winner.copy()
+        dout = rng.choice([np.inf, -np.inf, -0.0, 1.5], out.shape)
+        expected = np.zeros(x.shape)
+        for (b, i, j, c), o in np.ndenumerate(winner):
+            di, dj = divmod(int(o), k)
+            expected[b, s * i + di, s * j + dj, c] = 0.0 + dout[b, i, j, c]
+        dx = pool.backward(dout)
+        assert not np.isnan(dx).any()
+        assert dx.tobytes() == expected.tobytes()
+
+
+def test_maxpool_rejects_a_stride_below_its_window(tmp_path):
+    for k, s in ((2, 1), (3, 2), (3, 1)):
+        with pytest.raises(ValueError, match=rf"^max-pool stride {s} is below its "
+                                             rf"{k}x{k} window"):
+            MaxPool2D(k, s)
+    path = tmp_path / "overlap.bin"
+    path.write_bytes(b"SGNET001" + struct.pack("<IB2I", 1, 2, 2, 1))
+    with pytest.raises(ValueError, match="^max-pool stride 1 is below its 2x2 window"):
+        load_net(path)
 
 
 def test_maxpool_relu_signed_zero_ties_follow_first_offset():
@@ -436,13 +471,15 @@ def test_maxpool_backward_routes_to_first_maximal_pixel():
         [0.0, 30.0, 0.0, 40.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0],
     ]
-    # overlapping 2x2 windows at stride 1: the pixel that wins both windows
-    # collects both gradients; the later tie at (1, 2) gets none
-    x = np.array([[1.0, 4.0, 2.0], [0.0, 1.0, 4.0]]).reshape(1, 2, 3, 1)
-    pool = MaxPool2D(2, 1)
+    # gapped 2x2 windows at stride 3: the column between the windows gets no
+    # gradient though it holds the largest values; the later ties at (1, 3)
+    # and (1, 4) get none
+    x = np.array([[1.0, 4.0, 9.0, 4.0, 2.0], [0.0, 1.0, 9.0, 4.0, 4.0]]).reshape(1, 2, 5, 1)
+    pool = MaxPool2D(2, 3)
     assert pool.forward(x).reshape(-1).tolist() == [4.0, 4.0]
     dx = pool.backward(np.array([1.0, 2.0]).reshape(1, 1, 2, 1))
-    assert dx.reshape(2, 3).tolist() == [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
+    assert dx.reshape(2, 5).tolist() == [[0.0, 1.0, 0.0, 2.0, 0.0],
+                                         [0.0, 0.0, 0.0, 0.0, 0.0]]
 
 
 def test_conv_shape_mismatch():
@@ -456,7 +493,7 @@ def test_conv_shape_mismatch():
 def test_maxpool_rejects_an_input_smaller_than_its_window():
     for shape, k in (((1, 1, 1, 1), 2), ((2, 3, 5, 4), 4), ((1, 5, 2, 1), 3)):
         with pytest.raises(ShapeMismatchError) as exc:
-            MaxPool2D(k, 1).forward(np.zeros(shape))
+            MaxPool2D(k, k).forward(np.zeros(shape))
         assert str(exc.value) == (f"pool input {shape} is smaller than its "
                                   f"{k}x{k} window")
     assert MaxPool2D(3, 5).forward(np.zeros((1, 3, 3, 2))).shape == (1, 1, 1, 2)
@@ -501,8 +538,8 @@ def rejected_shapes():
     and eval tests; ReLU and Flatten take every shape."""
     return [(Conv2D(3, 3, 2, 4), (1, 5, 5, 1)), (Conv2D(3, 3, 2, 4), (1, 2, 2, 2)),
             (Conv2D(3, 3, 2, 4), (1, 12, 12, 1)),
-            (MaxPool2D(2, 1), (1, 1, 1, 1)), (MaxPool2D(4, 1), (2, 3, 5, 4)),
-            (MaxPool2D(3, 1), (1, 5, 2, 1)), (MaxPool2D(2, 2), (3, 4)),
+            (MaxPool2D(2, 2), (1, 1, 1, 1)), (MaxPool2D(4, 4), (2, 3, 5, 4)),
+            (MaxPool2D(3, 3), (1, 5, 2, 1)), (MaxPool2D(2, 2), (3, 4)),
             (MaxPool2D(2, 2), (2, 4, 4)), (MaxPool2D(2, 2), (1, 2, 4, 4, 1)),
             (Dense(16, 5), (1, 64)), (Dense(7, 5), (1, 12, 12, 1)), (Dense(6, 3), (6,))]
 
@@ -1075,8 +1112,7 @@ def test_train_overfits_small_batch():
     config = TrainConfig(epochs=200, learning_rate=0.05, batch_size=10, seed=1)
     _, trace = train(net, images, labels, config)
     assert trace[-1] < 0.10 * trace[0]
-    for img, lbl in zip(images, labels):
-        assert predict(net, img)[0] == lbl
+    assert predict(net, images)[0].tolist() == labels
 
 
 def test_train_deterministic_per_seed():
@@ -1235,10 +1271,44 @@ def test_predict_zeroed_final_layer_ties_to_class_zero():
     final = net.layers[-1]
     final.weights[:] = 0.0
     final.bias[:] = 0.0
-    cls, scores = predict(net, gen_scene(3, 16, 1, 5))
-    assert cls == 0
-    assert scores.shape == (5,)
-    assert np.all(scores == scores[0])
+    classes, scores = predict(net, [gen_scene(3, 16, 1, 5)])
+    assert classes.tolist() == [0]
+    assert scores.shape == (1, 5)
+    assert np.all(scores == scores[0, 0])
+
+
+@pytest.mark.parametrize("count", [1, 24, 25, 26, 51])
+def test_predict_scores_are_bitwise_the_per_image_forward(count):
+    """predict runs the convolutional layers on chunks of PREDICT_CHUNK
+    images and the dense head per row; every score row keeps the bytes of
+    forward on the image alone, on both sides of a chunk edge."""
+    net = default_net(input_size=16, seed=9)
+    images = [gen_scene(i % 5, 16, 2, i) for i in range(count)]
+    classes, scores = predict(net, images)
+    expected = np.stack([forward(net, img)[1] for img in images])
+    assert scores.shape == (count, net_mod.CLASS_COUNT)
+    assert scores.tobytes() == expected.tobytes()
+    assert classes.tolist() == [int(np.argmax(row)) for row in expected]
+
+
+def test_training_step_heap_peak_stays_bounded():
+    """tracemalloc's high-water mark of one default_net(20) training step at
+    batch 25, after a first step has filled the index caches. A peak above
+    the bound (2,732 KiB measured with numpy 2.4) can make glibc give heap
+    pages back and fault them in again on every step of a fresh process,
+    which the benchmark's median hides."""
+    images = [gen_scene(i % 5, 20, 2, i) for i in range(25)]
+    labels = [i % 5 for i in range(25)]
+    net = default_net(input_size=20, seed=0)
+    config = TrainConfig(epochs=1, batch_size=25, seed=0)
+    train(net, images, labels, config)
+    tracemalloc.start()
+    try:
+        train(net, images, labels, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2800 * 1024
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -1249,11 +1319,10 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     save_net(net, path)
     loaded = load_net(path)
-    for img in images:
-        c1, s1 = predict(net, img)
-        c2, s2 = predict(loaded, img)
-        assert c1 == c2
-        assert np.array_equal(s1, s2)
+    c1, s1 = predict(net, images)
+    c2, s2 = predict(loaded, images)
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(s1, s2)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -1359,10 +1428,11 @@ def reference_load_net(path) -> Network:
 
 
 def strided_net(seed):
-    """A stride-2 conv and an overlapping pool, for 14x14 inputs."""
+    """A stride-2 conv and a gapped pool (stride above window), for 14x14
+    inputs."""
     rng = np.random.default_rng(seed)
     return Network([Conv2D(3, 3, 1, 4, stride=2, rng=rng), ReLU(),
-                    MaxPool2D(3, 1), Flatten(), Dense(4 * 4 * 4, 5, rng=rng)])
+                    MaxPool2D(2, 3), Flatten(), Dense(2 * 2 * 4, 5, rng=rng)])
 
 
 def dense_net(seed):
