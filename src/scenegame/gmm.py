@@ -64,11 +64,6 @@ def _log_normal(sq_dev, variance):
     return -0.5 * (_LOG_2PI + np.log(variance)) - sq_dev / (2.0 * variance)
 
 
-def _squared_deviations(values, means):
-    """The component-major (K, n) table (x_n - mean_k) ** 2."""
-    return (values - means[:, None]) ** 2
-
-
 def _sample_weights(counts, size):
     """Validated float64 per-sample weights; None means one each."""
     if counts is None:
@@ -87,7 +82,7 @@ def _posterior(sq_dev, mixture, counts):
     """Component-major (K, n) responsibilities and the summed log-likelihood
     under mixture = (weights, means, variances), both from one log joint
     table log(weight_m * N(x_n; mean_m, var_m)) and its column log-sum-exp.
-    sq_dev is _squared_deviations(values, means) of the mixture's means."""
+    sq_dev is the (K, n) table (x_n - mean_m) ** 2 of the mixture's means."""
     weights, _, variances = mixture
     logp = _log_normal(sq_dev, variances[:, None])
     logp += np.log(np.maximum(weights[:, None], 1e-300))
@@ -107,7 +102,7 @@ def log_likelihood(data, params: GmmParams, counts=None) -> float:
 
     No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
-    return _posterior(_squared_deviations(data, params.means), _arrays(params),
+    return _posterior((data - params.means[:, None]) ** 2, _arrays(params),
                       _sample_weights(counts, data.size))[1]
 
 
@@ -124,7 +119,7 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    return _posterior(_squared_deviations(data, params.means), _arrays(params),
+    return _posterior((data - params.means[:, None]) ** 2, _arrays(params),
                       _sample_weights(None, data.size))[0].T
 
 
@@ -135,25 +130,23 @@ def m_step(data, resp, counts=None) -> GmmParams:
     No stage calls it; bench/spans.py:FUNCTIONS patches it by name."""
     data = np.asarray(data, dtype=np.float64)
     counts = _sample_weights(counts, data.size)
-    mixture, _ = _m_step(data, np.asarray(resp, dtype=np.float64).T, counts,
-                         counts.sum())
+    mixture, _ = _m_step(data, np.asarray(resp, dtype=np.float64).T, counts)
     return GmmParams(*mixture)
 
 
-def _m_step(values, resp, counts, count_total):
-    """m_step's arithmetic on float64 arrays whose counts are already checked
-    and sum to count_total, with resp component-major (K, n): the (weights,
-    means, variances) arrays, and the _squared_deviations table of the new
-    means, which the next posterior reads too. An empty component still
-    raises EmptyComponentError."""
+def _m_step(values, resp, counts):
+    """m_step's arithmetic on float64 arrays whose counts are already checked,
+    with resp component-major (K, n): the (weights, means, variances) arrays,
+    and the (K, n) table (x_n - mean_m) ** 2 of the new means, which the next
+    posterior reads too. An empty component still raises EmptyComponentError."""
     resp = resp * counts
     totals = resp.sum(axis=1)
     if (totals < 1e-12).any():
         bad = int(np.argmin(totals))
         raise EmptyComponentError(f"component {bad} has total responsibility < 1e-12")
-    weights = totals / count_total
+    weights = totals / counts.sum()
     means = (resp * values).sum(axis=1) / totals
-    sq_dev = _squared_deviations(values, means)
+    sq_dev = (values - means[:, None]) ** 2
     variances = (resp * sq_dev).sum(axis=1) / totals
     return (weights, means, np.maximum(variances, VARIANCE_FLOOR)), sq_dev
 
@@ -211,12 +204,11 @@ def fit(data, component_count: int, epsilon: float = EPSILON,
     values, counts = np.unique(data, return_counts=True)
     # Checked once here; the loop's M-steps run unchecked on these arrays.
     counts = _sample_weights(counts, values.size)
-    count_total = counts.sum()
-    resp, loglik = _posterior(_squared_deviations(values, mixture[1]), mixture, counts)
+    resp, loglik = _posterior((values - mixture[1][:, None]) ** 2, mixture, counts)
     trace = EmTrace([loglik])
     for _ in range(max_iters):
         try:
-            mixture, sq_dev = _m_step(values, resp, counts, count_total)
+            mixture, sq_dev = _m_step(values, resp, counts)
         except EmptyComponentError as exc:
             raise EmptyComponentError(
                 f"{exc}: the data has {values.size} distinct values for "

@@ -21,8 +21,6 @@ logger = logging.getLogger(__name__)
 GRAD_CHECK_PARAM_LIMIT = 5000
 CLASS_COUNT = 5
 EMBEDDING_DIM = 32
-# images per predict chunk: TrainConfig's default batch size
-PREDICT_CHUNK = 25
 
 
 class ShapeMismatchError(ValueError):
@@ -122,6 +120,9 @@ class Conv2D:
         self._in_shape = x.shape
         return out.reshape(n, oh, ow, self.cout)
 
+    def discard(self):
+        self._cols = None
+
     def backward(self, dout, input_grad=True):
         """Set d_weights and d_bias; return the input gradient, or None
         without computing it when input_grad is off."""
@@ -143,23 +144,6 @@ class Conv2D:
             block = pixels[:, o].copy().view(dcols.dtype)
             dx[:, di:di + s * oh:s, dj:dj + s * ow:s, :] += block.reshape(n, oh, ow, cin)
         return dx
-
-
-@functools.lru_cache(maxsize=32)
-def _pool_index(in_shape, window, stride):
-    """(corner, step) of max-pool backward on an (n, h, w, c) input: corner,
-    shape (n, oh, ow, c), is the flat input index of each output's window
-    corner, and step[o] the flat distance from a corner to window offset o
-    (row-major within the window). Read-only, since calls share them."""
-    n, h, w, c = in_shape
-    k, s = window, stride
-    oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    corner = (np.arange(n)[:, None, None, None] * (h * w * c)
-              + np.arange(0, s * oh, s)[:, None, None] * (w * c)
-              + np.arange(0, s * ow, s)[:, None] * c + np.arange(c))
-    step = (np.arange(k)[:, None] * w + np.arange(k)).ravel() * c
-    corner.flags.writeable = step.flags.writeable = False
-    return corner, step
 
 
 class MaxPool2D:
@@ -224,13 +208,23 @@ class MaxPool2D:
         self._in_shape = x.shape
         return out
 
+    def discard(self):
+        self._winner = None
+
     def backward(self, dout):
         winner, self._winner = _pending(self, self._winner), None
-        corner, step = _pool_index(self._in_shape, self.window, self.stride)
-        index = step.take(winner)
-        index += corner
+        k, s = self.window, self.stride
+        n, h, w, c = self._in_shape
+        oh, ow = winner.shape[1:3]
+        # flat input index of each output's winner: its offset in the window
+        # (row-major), plus its window corner's row, column and channel, plus
+        # its image's offset in the batch
+        index = (np.arange(k)[:, None] * (w * c) + np.arange(k) * c).take(winner)
+        index += (np.arange(0, s * oh, s)[:, None, None] * (w * c)
+                  + np.arange(0, s * ow, s)[:, None] * c + np.arange(c))
+        index += np.arange(n)[:, None, None, None] * (h * w * c)
         dx = np.bincount(index.ravel(), weights=dout.ravel(),
-                         minlength=math.prod(self._in_shape))
+                         minlength=n * h * w * c)
         return dx.reshape(self._in_shape)
 
 
@@ -253,6 +247,9 @@ class ReLU:
         out *= x
         return out
 
+    def discard(self):
+        self._mask = None
+
     def backward(self, dout):
         mask, self._mask = _pending(self, self._mask), None
         grad = mask.astype(dout.dtype)
@@ -270,6 +267,9 @@ class Flatten:
     def forward(self, x):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
+
+    def discard(self):
+        self._shape = None
 
     def backward(self, dout):
         shape, self._shape = _pending(self, self._shape), None
@@ -297,6 +297,9 @@ class Dense:
         self.out_shape(x.shape)
         self._x = x
         return x @ self.weights + self.bias
+
+    def discard(self):
+        self._x = None
 
     def backward(self, dout, input_grad=True):
         """Set d_weights and d_bias; return the input gradient, or None
@@ -344,6 +347,12 @@ class Network:
             if i == top:
                 d = d + d_embedding
         self.layers[first].backward(d, input_grad=False)
+
+    def discard(self):
+        """Drop every layer's saved forward state, as a backward would, so
+        that it is freed and a backward raises until the next forward."""
+        for layer in self.layers:
+            layer.discard()
 
     def trainable(self):
         return [layer for layer in self.layers if hasattr(layer, "weights")]
@@ -398,23 +407,32 @@ def predict(net: Network, images):
     """(classes, scores) of a list of images: the (N, classes) score rows and
     each row's highest-scoring class, ties to the lowest index.
 
-    The layers before the first Dense run on chunks of PREDICT_CHUNK images,
-    so their activations peak as a training batch's do. The dense head runs
-    one row at a time, since BLAS rounds a one-row product differently from
-    a many-row one: each score row keeps the bytes of forward on its image.
+    The layers before the first Dense run on chunks of TrainConfig's default
+    batch size, so their activations peak as a training batch's do. The dense
+    head runs one row at a time, since BLAS rounds a one-row product
+    differently from a many-row one: each score row keeps the bytes of
+    forward on its image, flattened, as long as every convolution before the
+    first Dense leaves more than one output pixel per image (default_net's
+    do). A convolution that maps an image to one pixel is a one-row product
+    in forward but a many-row one here, so its scores can differ in the last
+    bit. Each chunk's saved forward state is discarded before the next chunk
+    runs, so no backward is left pending.
     """
     head = next((i for i, layer in enumerate(net.layers) if isinstance(layer, Dense)),
                 len(net.layers))
+    size = TrainConfig.batch_size
     rows = []
-    for start in range(0, len(images), PREDICT_CHUNK):
-        chunk = _image_batch(images[start:start + PREDICT_CHUNK])
+    for start in range(0, len(images), size):
+        chunk = _image_batch(images[start:start + size])
         for layer in net.layers[:head]:
             chunk = layer.forward(chunk)
         for x in chunk:
             x = x[None]
             for layer in net.layers[head:]:
                 x = layer.forward(x)
-            rows.append(x[0])
+            rows.append(x.reshape(-1))
+        # the chunk's saved state goes before the next chunk's forward
+        net.discard()
     scores = np.stack(rows)
     return scores.argmax(axis=1), scores
 

@@ -820,6 +820,23 @@ def test_cli_eval_scores_scenes_train_never_saw(tmp_path, capsys, monkeypatch):
     assert not any(img.pixels.tobytes() in trained for img in seen["eval"])
 
 
+def test_cli_eval_scores_a_model_without_dense_layers(tmp_path, capsys):
+    """A lone 12x12 convolution at --size 12 gives (1, 1, 1, 5) scores; eval
+    scores each scene by the argmax of those five values."""
+    conv = net.Conv2D(12, 12, 1, 5)
+    conv.weights[:] = np.random.default_rng(4).normal(size=conv.weights.shape)
+    network = net.Network([conv])
+    model = tmp_path / "model.bin"
+    net.save_net(network, model)
+    images, labels = cli._cell_dataset(4, 6, 12, 2, trial=1)
+    hits = sum(int(np.argmax(net.forward(network, img)[1])) == lbl
+               for img, lbl in zip(images, labels))
+    assert hits > 0
+    assert main(["eval", "--model", str(model), "--size", "12", "--noise", "2",
+                 "--images-per-class", "6", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == f"accuracy = {hits / len(images):.4f}\n"
+
+
 def test_cli_eval_crop_scores_an_augmented_model(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--size", "16", "--images-per-class", "2",

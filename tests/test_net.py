@@ -591,6 +591,10 @@ def test_backward_needs_a_pending_forward(kind):
         layer.backward(dout)  # the first backward spent its forward
     layer.forward(x)
     assert layer.backward(dout).shape == x.shape
+    layer.forward(x)
+    layer.discard()
+    with pytest.raises(RuntimeError, match=message):
+        layer.backward(dout)  # discard dropped the forward
 
 
 def test_forward_returns_embedding_and_scores():
@@ -1279,9 +1283,11 @@ def test_predict_zeroed_final_layer_ties_to_class_zero():
 
 @pytest.mark.parametrize("count", [1, 24, 25, 26, 51])
 def test_predict_scores_are_bitwise_the_per_image_forward(count):
-    """predict runs the convolutional layers on chunks of PREDICT_CHUNK
-    images and the dense head per row; every score row keeps the bytes of
-    forward on the image alone, on both sides of a chunk edge."""
+    """predict runs the convolutional layers on chunks of TrainConfig's
+    default batch size (25) and the dense head per row; every score row
+    keeps the bytes of forward on the image alone, on both sides of a chunk
+    edge."""
+    assert TrainConfig.batch_size == 25
     net = default_net(input_size=16, seed=9)
     images = [gen_scene(i % 5, 16, 2, i) for i in range(count)]
     classes, scores = predict(net, images)
@@ -1289,6 +1295,42 @@ def test_predict_scores_are_bitwise_the_per_image_forward(count):
     assert scores.shape == (count, net_mod.CLASS_COUNT)
     assert scores.tobytes() == expected.tobytes()
     assert classes.tolist() == [int(np.argmax(row)) for row in expected]
+
+
+@pytest.mark.parametrize("layers, exact", [
+    ([Conv2D(12, 12, 1, 5)], False),
+    ([Conv2D(3, 3, 1, 5), MaxPool2D(10, 10)], True),
+], ids=["lone-conv", "conv-pool"])
+def test_predict_flattens_the_scores_of_a_net_without_dense_layers(layers, exact):
+    """A net with no Dense layer scores 12 px images as (1, 1, 1, 5) maps:
+    predict runs it whole on each chunk and flattens every row, so classes
+    are the argmax of forward's flattened scores. A 3x3 convolution keeps
+    forward's bytes; a 12x12 one is a one-row product per image, which BLAS
+    rounds differently from the chunk's many-row one. Signed weights make
+    the classes differ between images."""
+    layers[0].weights[:] = np.random.default_rng(4).normal(size=layers[0].weights.shape)
+    net = Network(layers)
+    images, _ = _cell_dataset(4, 6, 12, 2, trial=1)
+    classes, scores = predict(net, images)
+    expected = np.stack([forward(net, img)[1].reshape(-1) for img in images])
+    assert scores.shape == (30, net_mod.CLASS_COUNT)
+    if exact:
+        assert scores.tobytes() == expected.tobytes()
+    np.testing.assert_allclose(scores, expected, rtol=1e-14, atol=0)
+    assert classes.tolist() == [int(np.argmax(row)) for row in expected]
+    assert len(set(classes.tolist())) > 1
+
+
+def test_predict_leaves_no_forward_pending():
+    """predict discards each chunk's saved state: a backward after it raises
+    as after a fresh build, and a training step after it still runs."""
+    net = default_net(input_size=16, seed=2)
+    images = [gen_scene(i % 5, 16, 2, i) for i in range(30)]
+    predict(net, images)
+    for layer in net.layers:
+        with pytest.raises(RuntimeError, match="needs a forward first"):
+            layer.backward(np.ones(1))
+    train(net, images, [i % 5 for i in range(30)], TrainConfig(epochs=1, seed=0))
 
 
 def test_training_step_heap_peak_stays_bounded():
