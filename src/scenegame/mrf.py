@@ -391,14 +391,13 @@ def block_model(model: EnergyModel) -> EnergyModel:
 
 
 def block_start(model: EnergyModel, max_sweeps: int = 60) -> LabelField:
-    """A start for solve_icm from the solved block game: block_model's ICM
-    (at most max_sweeps sweeps) from each block's cheapest label, each block's
-    label then repeated over its pixels. A grid with a side below 2 has no
-    2x2 block and gets cheapest_start."""
+    """A start for solve_icm or solve_anneal from the solved block game:
+    block_model's ICM (at most max_sweeps sweeps) from each block's cheapest
+    label, each block's label then repeated over its pixels. Every grid has
+    one: a side of 1 makes 1x2 or 2x1 blocks, and a 1x1 grid one block of
+    its one pixel."""
     check_max_sweeps(max_sweeps)
     h, w = model.height, model.width
-    if h < 2 or w < 2:
-        return cheapest_start(model)
     coarse = block_model(model)
     flat = coarse.data_costs.argmin(axis=2).ravel()
     _descend(coarse, flat, max_sweeps=max_sweeps)

@@ -397,43 +397,25 @@ def _image_batch(images):
     return np.stack(planes)[:, :, :, None]
 
 
-def forward(net: Network, img: Image):
-    """Run one image through the stack: (embedding, class scores)."""
-    emb, scores = net.forward(_image_batch([img]))
-    return emb[0], scores[0]
-
-
 def predict(net: Network, images):
     """(classes, scores) of a list of images: the (N, classes) score rows and
     each row's highest-scoring class, ties to the lowest index.
 
-    The layers before the first Dense run on chunks of TrainConfig's default
-    batch size, so their activations peak as a training batch's do. The dense
-    head runs one row at a time, since BLAS rounds a one-row product
-    differently from a many-row one: each score row keeps the bytes of
-    forward on its image, flattened, as long as every convolution before the
-    first Dense leaves more than one output pixel per image (default_net's
-    do). A convolution that maps an image to one pixel is a one-row product
-    in forward but a many-row one here, so its scores can differ in the last
-    bit. Each chunk's saved forward state is discarded before the next chunk
-    runs, so no backward is left pending.
+    The network runs on chunks of TrainConfig's default batch size, so its
+    activations peak as a training batch's do, and each image's scores are
+    its output flattened. They equal those of the image run alone up to
+    rounding, since BLAS may round a one-row product differently from a
+    many-row one. Each chunk's saved forward state is discarded before the
+    next chunk runs, so no backward is left pending.
     """
-    head = next((i for i, layer in enumerate(net.layers) if isinstance(layer, Dense)),
-                len(net.layers))
     size = TrainConfig.batch_size
     rows = []
     for start in range(0, len(images), size):
-        chunk = _image_batch(images[start:start + size])
-        for layer in net.layers[:head]:
-            chunk = layer.forward(chunk)
-        for x in chunk:
-            x = x[None]
-            for layer in net.layers[head:]:
-                x = layer.forward(x)
-            rows.append(x.reshape(-1))
+        _, scores = net.forward(_image_batch(images[start:start + size]))
+        rows.append(scores.reshape(len(scores), -1))
         # the chunk's saved state goes before the next chunk's forward
         net.discard()
-    scores = np.stack(rows)
+    scores = np.concatenate(rows)
     return scores.argmax(axis=1), scores
 
 

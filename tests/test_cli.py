@@ -478,8 +478,9 @@ def test_cli_register(tmp_path):
 
 
 def test_cli_register_starts_icm_from_the_block_game(tmp_path):
-    """register --solver icm starts from mrf.block_start and writes the fine
-    sweeps' trace; --solver anneal keeps every pixel's cheapest data label."""
+    """register starts --solver icm and --solver anneal from mrf.block_start,
+    solved with the run's --max-sweeps, and writes each solver's trace of
+    its fine sweeps."""
     rng = np.random.default_rng(5)
     rows, cols = np.indices((24, 24))
     base = rng.integers(0, 256, (24, 24)).astype(np.uint8)
@@ -492,10 +493,11 @@ def test_cli_register_starts_icm_from_the_block_game(tmp_path):
     model = mrf.build_registration_game(
         Image(base), Image(moving), DisplacementLabelSet.dense(3), 20.0,
         mrf.SmoothnessField.identity(24, 24))
-    start = mrf.block_start(model, 60)
-    assert start != mrf.cheapest_start(model)
-    runs = (("icm", "60", mrf.solve_icm(model, start, 60)),
-            ("anneal", "4", mrf.solve_anneal(model, mrf.cheapest_start(model), 4, 0)))
+    starts = {sweeps: mrf.block_start(model, sweeps) for sweeps in (60, 4)}
+    for start in starts.values():
+        assert start != mrf.cheapest_start(model)
+    runs = (("icm", "60", mrf.solve_icm(model, starts[60], 60)),
+            ("anneal", "4", mrf.solve_anneal(model, starts[4], 4, 0)))
     for solver, sweeps, (labels, expected) in runs:
         out, trace = tmp_path / f"{solver}.pgm", tmp_path / f"{solver}.csv"
         assert main(["register", "--fixed", str(fixed_p), "--moving", str(moving_p),
@@ -829,7 +831,7 @@ def test_cli_eval_scores_a_model_without_dense_layers(tmp_path, capsys):
     model = tmp_path / "model.bin"
     net.save_net(network, model)
     images, labels = cli._cell_dataset(4, 6, 12, 2, trial=1)
-    hits = sum(int(np.argmax(net.forward(network, img)[1])) == lbl
+    hits = sum(int(np.argmax(network.forward(net._image_batch([img]))[1])) == lbl
                for img, lbl in zip(images, labels))
     assert hits > 0
     assert main(["eval", "--model", str(model), "--size", "12", "--noise", "2",
