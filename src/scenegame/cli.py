@@ -224,29 +224,28 @@ def _image_seed(master: int, trial: int, index: int) -> int:
 
 def _cell_dataset(seed: int, images_per_class: int, size: int, noise: int,
                   trial: int = 0):
-    """Seeded, equalized synthetic set with images_per_class scenes per class,
-    drawn and equalized a class at a time; each image is gen_scene's and
-    equalize's."""
+    """Seeded, equalized synthetic set with images_per_class scenes per class:
+    the (N, size, size) uint8 stack, class by class, and its N labels. Each
+    class is drawn and equalized as one stack; each scene is gen_scene's
+    plane, equalized."""
     seeds = [_image_seed(seed, trial, i) for i in range(images_per_class)]
-    images, labels = [], []
-    for class_id in range(net_mod.CLASS_COUNT):
-        planes = preprocess.equalize_planes(gen_scenes(class_id, size, noise, seeds))
-        images.extend(Image(plane) for plane in planes)
-        labels.extend([class_id] * images_per_class)
-    return images, labels
+    images = np.concatenate([
+        preprocess.equalize_planes(gen_scenes(class_id, size, noise, seeds))
+        for class_id in range(net_mod.CLASS_COUNT)])
+    return images, np.arange(net_mod.CLASS_COUNT).repeat(images_per_class)
 
 
 def _split(images, labels, holdout: float, rng):
-    """Seeded stratified split into (train, test).
+    """Seeded stratified split of a scene stack and its labels into
+    (train, test), each an (images, labels) pair of arrays.
 
     A class with a single image keeps it in the training side (training needs
     every class); the caller falls back to scoring on the training set when
     nothing is left to hold out.
     """
     train_idx, test_idx = [], []
-    labels_arr = np.asarray(labels)
-    for class_id in np.unique(labels_arr):
-        members = np.flatnonzero(labels_arr == class_id)
+    for class_id in np.unique(labels):
+        members = np.flatnonzero(labels == class_id)
         if members.size == 1:
             train_idx.extend(members)
             continue
@@ -257,7 +256,7 @@ def _split(images, labels, holdout: float, rng):
         train_idx.extend(members[n_test:])
     train_idx.sort()
     test_idx.sort()
-    pick = lambda idx: ([images[i] for i in idx], [labels[i] for i in idx])
+    pick = lambda idx: (images[idx], labels[idx])
     return pick(train_idx), pick(test_idx)
 
 
@@ -273,10 +272,9 @@ def _feature_sidecar_row(train_images, config, size, noise, trial):
 
 
 def _accuracy(network, images, labels) -> float:
-    """Fraction of images whose predicted class is their label."""
+    """Fraction of a scene stack whose predicted class is its label."""
     classes, _ = net_mod.predict(network, images)
-    hits = sum(c == lbl for c, lbl in zip(classes.tolist(), labels))
-    return hits / len(images)
+    return np.count_nonzero(classes == labels) / len(labels)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -301,7 +299,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     rng = seeded_rng(config.seed, size, noise, trial, 7)
                     (train_x, train_y), (test_x, test_y) = _split(
                         images, labels, config.holdout, rng)
-                    if not test_x:  # single image per class: score on train
+                    if not len(test_x):  # single image per class: score on train
                         test_x, test_y = train_x, train_y
                     network = net_mod.default_net(
                         input_size=size,
@@ -387,14 +385,14 @@ def _cmd_preprocess(args):
         preprocess.check_cutoff(cutoff)
     elif args.cutoff is not None:
         raise CliError(f"--cutoff applies to lowpass and highpass only, not {args.method}")
-    img = _read_image(args.input)
+    plane = _read_image(args.input).plane()
     if args.method == "equalize":
-        out = preprocess.equalize(img)
+        out = preprocess.equalize(plane)
     elif args.method == "haar":
-        out = preprocess.haar_enhance(img)
+        out = preprocess.haar_enhance(plane)
     else:
-        out = preprocess.dft_enhance(img, args.method, cutoff)
-    _write_image(out, args.out)
+        out = preprocess.dft_enhance(plane, args.method, cutoff)
+    _write_image(Image(out), args.out)
     return 0
 
 
@@ -471,7 +469,7 @@ def _cmd_features(args):
                            "needs --out for the CSV")
         features_mod.check_select(args.select, len(args.inputs))
     # One call per input: the inputs may differ in size, and one batch may not.
-    rows = np.vstack([features_mod.extract_features([_read_image(path)])
+    rows = np.vstack([features_mod.extract_features(_read_image(path).plane()[None])
                       for path in args.inputs])
     # Select before writing, so a run that cannot select leaves no CSV.
     selected = None
@@ -501,8 +499,8 @@ def _cmd_train(args):
     images, labels = _cell_dataset(args.seed, args.images_per_class,
                                    args.size, args.noise)
     if args.crop is not None:  # the five crops of each scene, in scene order
-        images = [crop for img in images for crop in net_mod.augment(img, args.crop)]
-        labels = [lbl for lbl in labels for _ in range(5)]
+        images = np.concatenate([net_mod.augment(plane, args.crop) for plane in images])
+        labels = labels.repeat(5)
     _, trace = net_mod.train(network, images, labels, config)
     net_mod.save_net(network, args.out)
     if args.trace:
@@ -542,7 +540,7 @@ def _cmd_eval(args):
                                    args.size, args.noise, trial=1)
     if args.crop is not None:
         # the centre crop, as train --crop saw it
-        images = [net_mod.augment(img, args.crop)[4] for img in images]
+        images = np.stack([net_mod.augment(plane, args.crop)[4] for plane in images])
     print(f"accuracy = {_accuracy(network, images, labels):.4f}")
     return 0
 

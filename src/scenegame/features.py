@@ -27,25 +27,23 @@ def feature_names() -> tuple:
     return tuple(names)
 
 
-def extract_features(images) -> np.ndarray:
-    """(N, 76) block descriptors of N equal-size images, one row each, in
-    feature_names() order.
+def extract_features(stack: np.ndarray) -> np.ndarray:
+    """(N, 76) block descriptors of an (N, h, w) uint8 stack of scenes, one
+    row each, in feature_names() order.
 
     Per block of the 2x2 grid: mean and variance over the block's pixels
     (scaled to [0, 1]), a 16-bin histogram whose slice sums to 1, and the
     edge density, the fraction of 4-neighbor pairs inside the block whose
-    intensities differ. Raises ValueError unless every image has the same
-    size, at least 8x8.
+    intensities differ. Raises ValueError unless the stack is 3-D uint8 with
+    scenes of at least 8x8: the histograms of all scenes share one bincount,
+    so a value above 255 would land in the next scene's bins.
     """
-    planes = [img.plane() for img in images]
-    sizes = sorted({plane.shape for plane in planes})
-    if len(sizes) != 1:
-        raise ValueError(f"need images of one size, got sizes {sizes}")
-    h, w = sizes[0]
+    if stack.ndim != 3 or stack.dtype != np.uint8:
+        raise ValueError(f"need an (N, h, w) uint8 stack of scenes, got "
+                         f"{stack.dtype} of shape {stack.shape}")
+    count, h, w = stack.shape
     if h < 8 or w < 8:
         raise ValueError(f"image must be at least 8x8, got {w}x{h}")
-    stack = np.stack(planes)
-    count = stack.shape[0]
     h2, w2 = h // 2, w // 2
     columns = []
     for block in (stack[:, :h2, :w2], stack[:, :h2, w2:],

@@ -1,9 +1,13 @@
-"""Image values, a strict binary PGM codec, and the synthetic scene generator.
+"""The Image wrapper, a strict binary PGM codec, and the synthetic scene
+generator.
 
-Images are immutable (height, width) uint8 gray-level grids. The codec accepts
-only binary P5 with maxval 255 so fixture files stay bit-exact. The generator
-produces five procedurally distinct indoor-scene stand-ins (one template per
-class) with seeded additive noise.
+Scenes are (height, width) uint8 gray-level planes, or (N, height, width)
+stacks of them, from generation through enhancement, features and the
+classifier. Image wraps one read-only plane where a PGM file or the labeling
+game takes or gives one. The codec accepts only binary P5 with maxval 255 so
+fixture files stay bit-exact. The generator produces five procedurally
+distinct indoor-scene stand-ins (one template per class) with seeded additive
+noise.
 """
 
 from dataclasses import dataclass, field
@@ -69,19 +73,6 @@ class Image:
     def plane(self):
         """The (height, width) pixel grid."""
         return self.pixels
-
-    def __eq__(self, other):
-        if not isinstance(other, Image):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.all(self.pixels == other.pixels)
-        )
-
-    def __hash__(self):
-        return hash((self.pixels.shape, self.pixels.tobytes()))
-
-    def __repr__(self):
-        return f"Image({self.width}x{self.height})"
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
 """Image enhancement: histogram equalization, ideal-mask DFT filtering and
-one-level Haar enhancement.
+one-level Haar enhancement, each of a (height, width) uint8 plane.
 
 Equalization uses integer arithmetic throughout so the mapping is bit-exact.
 """
 
 import numpy as np
-
-from .image import Image
 
 HAAR_GAIN_GRID = (1.0, 1.25, 1.5, 2.0)
 
@@ -32,14 +30,14 @@ def equalize_planes(planes: np.ndarray) -> np.ndarray:
     return lut.ravel().take(pixels).reshape(planes.shape)
 
 
-def equalize(img: Image) -> Image:
-    """Histogram-equalize a grayscale image: equalize_planes of its one plane."""
-    return Image(equalize_planes(img.plane()[None])[0])
+def equalize(plane: np.ndarray) -> np.ndarray:
+    """Histogram-equalize one (h, w) uint8 plane: equalize_planes of it alone."""
+    return equalize_planes(plane[None])[0]
 
 
-def histogram_entropy(img: Image) -> float:
-    """Shannon entropy (bits) of the 256-bin intensity histogram."""
-    counts = np.bincount(img.plane().ravel(), minlength=256)
+def histogram_entropy(plane: np.ndarray) -> float:
+    """Shannon entropy (bits) of a uint8 plane's 256-bin intensity histogram."""
+    counts = np.bincount(plane.ravel(), minlength=256)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
@@ -50,8 +48,8 @@ def check_cutoff(cutoff: float):
         raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
 
 
-def dft_enhance(img: Image, mode: str, cutoff: float) -> Image:
-    """Ideal circular-mask frequency filtering of a grayscale image.
+def dft_enhance(plane: np.ndarray, mode: str, cutoff: float) -> np.ndarray:
+    """Ideal circular-mask frequency filtering of a uint8 plane.
 
     cutoff in (0, 1] is the fraction of the maximum representable frequency
     radius (the corner of the Nyquist square), so cutoff = 1 keeps the whole
@@ -61,7 +59,7 @@ def dft_enhance(img: Image, mode: str, cutoff: float) -> Image:
     if mode not in ("lowpass", "highpass"):
         raise ValueError(f"mode must be 'lowpass' or 'highpass', got {mode!r}")
     check_cutoff(cutoff)
-    plane = img.plane().astype(np.float64)
+    plane = plane.astype(np.float64)
     h, w = plane.shape
     fy = np.fft.fftfreq(h)  # cycles/sample in [-0.5, 0.5)
     fx = np.fft.fftfreq(w)
@@ -72,7 +70,7 @@ def dft_enhance(img: Image, mode: str, cutoff: float) -> Image:
         keep = ~keep
     spectrum = np.fft.fft2(plane) * keep
     out = np.real(np.fft.ifft2(spectrum))
-    return Image(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 def haar_forward(plane: np.ndarray):
@@ -106,22 +104,21 @@ def haar_inverse(ll, lh, hl, hh) -> np.ndarray:
     return out
 
 
-def haar_enhance(img: Image) -> Image:
-    """Wavelet enhancement: equalize the approximation band, boost the detail
-    bands by the gain (from a fixed grid) that maximizes the histogram entropy
-    of the reconstruction.
+def haar_enhance(plane: np.ndarray) -> np.ndarray:
+    """Wavelet enhancement of a uint8 plane: equalize the approximation band,
+    boost the detail bands by the gain (from a fixed grid) that maximizes the
+    histogram entropy of the reconstruction.
     """
-    plane = img.plane()
     ll, lh, hl, hh = haar_forward(plane)
     # ll is twice the 2x2 block mean; map to 0..255, equalize, map back.
-    ll_img = Image(np.clip(np.rint(ll / 2.0), 0, 255).astype(np.uint8))
-    ll_eq = equalize(ll_img).plane().astype(np.float64) * 2.0
+    ll_eq = equalize(np.clip(np.rint(ll / 2.0), 0, 255).astype(np.uint8))
+    ll_eq = ll_eq.astype(np.float64) * 2.0
 
     best = None
     best_entropy = -1.0
     for gain in HAAR_GAIN_GRID:
         recon = haar_inverse(ll_eq, gain * lh, gain * hl, gain * hh)
-        candidate = Image(np.clip(np.rint(recon), 0, 255).astype(np.uint8))
+        candidate = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
         entropy = histogram_entropy(candidate)
         if entropy > best_entropy:
             best_entropy = entropy

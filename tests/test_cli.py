@@ -369,7 +369,8 @@ def test_cli_preprocess_cutoff_defaults_to_half(tmp_path):
         out = tmp_path / f"{method}.pgm"
         assert main(["preprocess", "--input", str(src), "--method", method,
                      "--out", str(out)]) == 0
-        assert out.read_bytes() == write_pnm(preprocess.dft_enhance(img, method, 0.5))
+        expected = preprocess.dft_enhance(img.pixels, method, 0.5)
+        assert out.read_bytes() == write_pnm(Image(expected))
 
 
 def test_cli_preprocess_equalize(tmp_path):
@@ -671,7 +672,7 @@ def test_cli_features_writes_each_inputs_own_row_across_sizes(tmp_path):
     assert header.split(",") == list(features.feature_names())
     assert len(rows) == 2
     for row, img in zip(rows, (img1, img2)):
-        expected = features.extract_features([img])[0]
+        expected = features.extract_features(img.pixels[None])[0]
         assert row.split(",") == [repr(float(v)) for v in expected]
 
 
@@ -714,6 +715,35 @@ def test_cli_segment_rejects_more_labels_than_a_label_image_holds(
     assert not fitted and not out.exists()
 
 
+def test_scenes_reach_the_classifier_as_arrays(tmp_path, monkeypatch):
+    """experiment, train (with and without --crop) and eval pass their scenes
+    from generation to the network as uint8 stacks: no Image is built."""
+    built = []
+    real_init = Image.__init__
+
+    def counting_init(self, pixels):
+        built.append(np.shape(pixels))
+        real_init(self, pixels)
+
+    monkeypatch.setattr(Image, "__init__", counting_init)
+    config = tmp_path / "exp.cfg"
+    config.write_text("sizes = 12\nnoise_levels = 2\nimages_per_class = 4\n"
+                      "epochs = 1\nfeature_select = on\n", encoding="utf-8")
+    model, cropped = tmp_path / "model.bin", tmp_path / "cropped.bin"
+    scenes = ["--size", "12", "--images-per-class", "3"]
+    for argv in (["experiment", "--config", str(config),
+                  "--out", str(tmp_path / "report.csv")],
+                 ["train", *scenes, "--epochs", "1", "--out", str(model)],
+                 ["train", *scenes, "--epochs", "1", "--crop", "10",
+                  "--out", str(cropped)],
+                 ["eval", "--model", str(model), *scenes],
+                 ["eval", "--model", str(cropped), *scenes, "--crop", "10"]):
+        assert main(argv) == 0, argv
+    assert built == []
+    Image(np.zeros((2, 3), dtype=np.uint8))  # the counter itself counts
+    assert built == [(2, 3)]
+
+
 def test_cli_train_eval(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--size", "16", "--images-per-class", "4",
@@ -726,16 +756,16 @@ def test_cli_train_eval(tmp_path, capsys):
 
 
 def reference_cell_dataset(seed, images_per_class, size, noise, trial=0):
-    """_cell_dataset as it was before the class-batched draw, verbatim: one
+    """_cell_dataset as it was before the class-batched draw, on planes: one
     gen_scene and one equalize per image (test_image and test_preprocess
-    hold those to their own verbatim old forms)."""
+    hold those to their own verbatim old forms), stacked at the end."""
     images, labels = [], []
     for class_id in range(net.CLASS_COUNT):
         for i in range(images_per_class):
             img = gen_scene(class_id, size, noise, _image_seed(seed, trial, i))
-            images.append(preprocess.equalize(img))
+            images.append(preprocess.equalize(img.pixels))
             labels.append(class_id)
-    return images, labels
+    return np.stack(images), labels
 
 
 @pytest.mark.parametrize("args", [(2026, 200, 20, 1, 0), (4747, 7, 8, 3, 1),
@@ -743,12 +773,9 @@ def reference_cell_dataset(seed, images_per_class, size, noise, trial=0):
 def test_cell_dataset_is_the_per_image_loop(args):
     images, labels = _cell_dataset(*args)
     expected_images, expected_labels = reference_cell_dataset(*args)
-    assert labels == expected_labels
-    assert len(images) == len(expected_images)
-    for got, want in zip(images, expected_images):
-        assert isinstance(got, Image)
-        assert got.pixels.shape == want.pixels.shape
-        assert got.pixels.tobytes() == want.pixels.tobytes()
+    assert labels.tolist() == expected_labels
+    assert images.dtype == np.uint8 and images.shape == expected_images.shape
+    assert images.tobytes() == expected_images.tobytes()
 
 
 def test_cli_train_flags_set_the_matching_train_config_fields(tmp_path):
@@ -762,8 +789,8 @@ def test_cli_train_flags_set_the_matching_train_config_fields(tmp_path):
                  "--crop", "14", "--seed", "5", "--out", str(model)]) == 0
     images, labels = _cell_dataset(5, 4, 16, 1)  # the scenes train draws
     # the five 14 x 14 crops of each scene, in scene order
-    images = [crop for img in images for crop in net.augment(img, 14)]
-    labels = [lbl for lbl in labels for _ in range(5)]
+    images = np.concatenate([net.augment(plane, 14) for plane in images])
+    labels = labels.repeat(5)
 
     def checkpoint(triplet_weight, ce_weight):
         config = net.TrainConfig(epochs=3, learning_rate=0.03, batch_size=7,
@@ -818,8 +845,8 @@ def test_cli_eval_scores_scenes_train_never_saw(tmp_path, capsys, monkeypatch):
     assert main(["eval", "--model", str(model), "--size", "16",
                  "--images-per-class", "3", "--seed", "4"]) == 0
     assert len(seen["train"]) == 30 and len(seen["eval"]) == 15
-    trained = {img.pixels.tobytes() for img in seen["train"]}
-    assert not any(img.pixels.tobytes() in trained for img in seen["eval"])
+    trained = {plane.tobytes() for plane in seen["train"]}
+    assert not any(plane.tobytes() in trained for plane in seen["eval"])
 
 
 def test_cli_eval_scores_a_model_without_dense_layers(tmp_path, capsys):
@@ -831,8 +858,8 @@ def test_cli_eval_scores_a_model_without_dense_layers(tmp_path, capsys):
     model = tmp_path / "model.bin"
     net.save_net(network, model)
     images, labels = cli._cell_dataset(4, 6, 12, 2, trial=1)
-    hits = sum(int(np.argmax(network.forward(net._image_batch([img]))[1])) == lbl
-               for img, lbl in zip(images, labels))
+    hits = sum(int(np.argmax(network.forward(net._image_batch(plane[None]))[1])) == lbl
+               for plane, lbl in zip(images, labels))
     assert hits > 0
     assert main(["eval", "--model", str(model), "--size", "12", "--noise", "2",
                  "--images-per-class", "6", "--seed", "4"]) == 0

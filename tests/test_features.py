@@ -14,19 +14,17 @@ from scenegame.features import (
 )
 from scenegame import cli
 from scenegame.features import _abs_correlation
-from scenegame.image import Image
-
 
 NAMES = feature_names()
 
 
 def gray(arr):
-    return Image(np.asarray(arr, dtype=np.uint8))
+    return np.asarray(arr, dtype=np.uint8)
 
 
-def features_of(img):
-    """The descriptor row of one image."""
-    return extract_features([img])[0]
+def features_of(plane):
+    """The descriptor row of one plane."""
+    return extract_features(plane[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +67,7 @@ def count_differing_pairs(block):
 def test_checkerboard_edge_density_is_one():
     yy, xx = np.mgrid[0:8, 0:8]
     board = ((yy + xx) % 2 * 255).astype(np.uint8)
-    fv = features_of(Image(board))
+    fv = features_of(board)
     for i, name in enumerate(NAMES):
         if name.endswith("_edges"):
             assert fv[i] == 1.0
@@ -79,7 +77,7 @@ def test_checkerboard_edge_density_is_one():
 def test_edge_density_matches_counting_oracle():
     rng = np.random.default_rng(30)
     arr = rng.integers(0, 4, (10, 10)).astype(np.uint8) * 80
-    fv = features_of(Image(arr))
+    fv = features_of(arr)
     blocks = [arr[:5, :5], arr[:5, 5:], arr[5:, :5], arr[5:, 5:]]
     edge_values = [fv[i] for i, n in enumerate(NAMES) if n.endswith("_edges")]
     for got, block in zip(edge_values, blocks):
@@ -90,7 +88,7 @@ def test_feature_invariants_on_random_images():
     rng = np.random.default_rng(31)
     for _ in range(10):
         arr = rng.integers(0, 256, (12, 16), dtype=np.uint8)
-        fv = features_of(Image(arr))
+        fv = features_of(arr)
         for block_idx in range(4):
             base = block_idx * 19
             hist = fv[base + 2:base + 18]
@@ -113,8 +111,8 @@ def test_intensity_shift_keeps_variance_and_edges():
     rng = np.random.default_rng(32)
     arr = rng.integers(0, 90, (8, 8), dtype=np.uint8)
     shifted = (arr + 160).astype(np.uint8)
-    a = features_of(Image(arr))
-    b = features_of(Image(shifted))
+    a = features_of(arr)
+    b = features_of(shifted)
     for i, name in enumerate(NAMES):
         if name.endswith("_var") or name.endswith("_edges"):
             assert a[i] == pytest.approx(b[i], abs=1e-12)
@@ -142,8 +140,7 @@ def reference_block_descriptor(block):
     return [mean, var, *hist, edges]
 
 
-def reference_features(img):
-    plane = img.plane()
+def reference_features(plane):
     h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
     values = []
     for block in (plane[:h2, :w2], plane[:h2, w2:], plane[h2:, :w2], plane[h2:, w2:]):
@@ -154,9 +151,8 @@ def reference_features(img):
 def test_feature_matrix_rows_match_per_block_reference():
     rng = np.random.default_rng(32)
     for h, w in ((8, 8), (9, 11), (20, 20), (31, 17)):
-        images = [gray(np.full((h, w), 40)),
-                  gray(rng.integers(0, 4, (h, w)) * 80),
-                  *(gray(rng.integers(0, 256, (h, w))) for _ in range(5))]
+        images = gray([np.full((h, w), 40), rng.integers(0, 4, (h, w)) * 80,
+                       *(rng.integers(0, 256, (h, w)) for _ in range(5))])
         matrix = extract_features(images)
         assert matrix.shape == (len(images), 76)
         for row, img in zip(matrix, images):
@@ -164,13 +160,22 @@ def test_feature_matrix_rows_match_per_block_reference():
             assert features_of(img).tobytes() == row.tobytes()
 
 
-def test_feature_matrix_rejects_mixed_sizes_and_small_images():
-    with pytest.raises(ValueError, match="one size"):
-        extract_features([gray(np.zeros((8, 8))), gray(np.zeros((9, 8)))])
-    with pytest.raises(ValueError, match="one size"):
-        extract_features([])
+def test_feature_matrix_rejects_non_stacks_and_small_images():
+    for shape in ((8, 8), (0,), (1, 8, 8, 1)):
+        with pytest.raises(ValueError, match=r"\(N, h, w\) uint8 stack"):
+            extract_features(gray(np.zeros(shape)))
+    # 256 would count in the second scene's first histogram bin
+    wide = np.zeros((2, 8, 8), dtype=np.int64)
+    wide[0, 0, 0] = 256
+    for stack in (wide, wide.astype(np.float64)):
+        with pytest.raises(ValueError, match=r"uint8 stack of scenes, got (int64|float64)"):
+            extract_features(stack)
     with pytest.raises(ValueError, match="at least 8x8"):
-        extract_features([gray(np.zeros((8, 7)))] * 2)
+        extract_features(gray(np.zeros((2, 8, 7))))
+
+
+def test_feature_matrix_of_an_empty_stack_has_no_rows():
+    assert extract_features(gray(np.zeros((0, 8, 8)))).shape == (0, 76)
 
 
 def test_features_csv_layout():

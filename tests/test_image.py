@@ -39,7 +39,7 @@ def test_round_trip_random_images():
         w = int(rng.integers(1, 24))
         img = Image(rng.integers(0, 256, (h, w), dtype=np.uint8))
         data = write_pnm(img)
-        assert read_pnm(data) == img
+        assert np.array_equal(read_pnm(data).pixels, img.pixels)
         # canonical files survive a decode/encode cycle byte-for-byte
         assert write_pnm(read_pnm(data)) == data
 
@@ -129,8 +129,8 @@ def test_image_is_immutable():
 def test_gen_scene_deterministic():
     a = gen_scene(2, 20, 1, 99)
     b = gen_scene(2, 20, 1, 99)
-    assert a == b
-    assert a != gen_scene(2, 20, 1, 100)
+    assert np.array_equal(a.pixels, b.pixels)
+    assert not np.array_equal(a.pixels, gen_scene(2, 20, 1, 100).pixels)
 
 
 def test_gen_scene_smallest_size():
@@ -182,7 +182,8 @@ def test_batched_scenes_are_the_per_image_scenes():
                 for plane, seed in zip(stack, seeds):
                     expected = reference_gen_scene(class_id, size, noise, seed)
                     assert plane.tobytes() == expected.pixels.tobytes()
-                    assert gen_scene(class_id, size, noise, seed) == expected
+                    assert gen_scene(class_id, size, noise, seed).pixels.tobytes() \
+                        == expected.pixels.tobytes()
 
 
 def test_gen_scene_noise_grows_with_level():
@@ -207,8 +208,7 @@ def test_classes_separable_in_feature_space_at_low_noise():
 
     per_class = 8
     vectors = {
-        c: list(extract_features([gen_scene(c, 20, 1, 500 + i)
-                                  for i in range(per_class)]))
+        c: list(extract_features(gen_scenes(c, 20, 1, range(500, 500 + per_class))))
         for c in range(5)
     }
     intra = [np.linalg.norm(a - b)

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scenegame import net as net_mod
 from scenegame.cli import _cell_dataset, main
-from scenegame.image import Image, gen_scene
+from scenegame.image import gen_scene, gen_scenes
 from scenegame.net import (
     Conv2D,
     Dense,
@@ -35,19 +35,23 @@ from scenegame.net import (
 )
 
 
-def forward(net, img):
-    """The one-image reference: (embedding, class scores) of img run alone."""
-    embedding, scores = net.forward(net_mod._image_batch([img]))
+def forward(net, plane):
+    """The one-image reference: (embedding, class scores) of plane run alone."""
+    embedding, scores = net.forward(net_mod._image_batch(plane[None]))
     return embedding[0], scores[0]
 
 
 def scene_batch(size=16, per_class=2, noise=1, seed0=100):
-    images, labels = [], []
-    for c in range(5):
-        for i in range(per_class):
-            images.append(gen_scene(c, size, noise, seed0 + i))
-            labels.append(c)
-    return images, labels
+    """per_class scenes of each class, class by class: the (N, size, size)
+    uint8 stack and its labels."""
+    seeds = range(seed0, seed0 + per_class)
+    images = np.concatenate([gen_scenes(c, size, noise, seeds) for c in range(5)])
+    return images, [c for c in range(5) for _ in range(per_class)]
+
+
+def scene_stack(count, size, noise=2):
+    """count scenes cycling through the classes, scene i drawn from seed i."""
+    return np.stack([gen_scene(i % 5, size, noise, i).pixels for i in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +521,7 @@ def test_small_input_fails_at_the_pool_that_cannot_cover_it():
     net = default_net(input_size=20, seed=0)
     with pytest.raises(ShapeMismatchError,
                        match=r"pool input \(1, 1, 1, 16\) is smaller than its 2x2 window"):
-        forward(net, Image(np.zeros((8, 8), dtype=np.uint8)))
+        forward(net, np.zeros((8, 8), dtype=np.uint8))
 
 
 def accepted_shapes():
@@ -604,12 +608,11 @@ def test_backward_needs_a_pending_forward(kind):
 
 def test_forward_returns_embedding_and_scores():
     net = default_net(input_size=16, seed=1)
-    img = gen_scene(0, 16, 1, 0)
-    embedding, scores = forward(net, img)
+    embedding, scores = forward(net, gen_scene(0, 16, 1, 0).pixels)
     assert embedding.shape == (32,)
     assert scores.shape == (5,)
     with pytest.raises(ShapeMismatchError):
-        forward(net, gen_scene(0, 20, 1, 0))
+        forward(net, gen_scene(0, 20, 1, 0).pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +898,7 @@ def test_default_net_backward_skips_the_input_gradient():
     net = default_net(input_size=16, seed=3)
     images, _ = scene_batch(size=16)
     calls = spy_on_backward(net)
-    emb, scores = net.forward(np.stack([img.plane() / 255.0 for img in images])[..., None])
+    emb, scores = net.forward(np.stack([plane / 255.0 for plane in images])[..., None])
     assert net.backward(np.ones_like(emb), np.ones_like(scores)) is None
     last = len(net.layers) - 1
     assert calls == [(i, {}) for i in range(last, 0, -1)] + [(0, {"input_grad": False})]
@@ -920,7 +923,7 @@ def test_gradients_and_criterion_4_value_match_full_backward(monkeypatch):
     net, ref = default_net(input_size=16, seed=3), default_net(input_size=16, seed=3)
     monkeypatch.setattr(ref, "backward", lambda d_emb, d_scores:
                         reference_network_backward(ref, d_emb, d_scores))
-    x = np.stack([img.plane() / 255.0 for img in images])[..., None]
+    x = np.stack([plane / 255.0 for plane in images])[..., None]
     d_emb = np.random.default_rng(70).normal(0, 1, (len(images), 32))
     for model in (net, ref):
         _, scores = model.forward(x)
@@ -1062,41 +1065,42 @@ def test_triplet_margin_validation():
 
 
 def test_augment_full_size_copies():
-    img = gen_scene(1, 10, 1, 0)
-    crops = augment(img, 10)
-    assert len(crops) == 5
-    assert all(c == img for c in crops)
+    plane = gen_scene(1, 10, 1, 0).pixels
+    crops = augment(plane, 10)
+    assert crops.shape == (5, 10, 10) and crops.dtype == np.uint8
+    assert all(np.array_equal(c, plane) for c in crops)
+    assert not np.shares_memory(crops, plane)
 
 
 def test_augment_corner_and_center_indices():
     arr = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    crops = augment(Image(arr), 2)
-    assert crops[0].pixels.tolist() == arr[0:2, 0:2].tolist()   # TL
-    assert crops[1].pixels.tolist() == arr[0:2, 2:4].tolist()   # TR
-    assert crops[2].pixels.tolist() == arr[2:4, 0:2].tolist()   # BL
-    assert crops[3].pixels.tolist() == arr[2:4, 2:4].tolist()   # BR
-    assert crops[4].pixels.tolist() == arr[1:3, 1:3].tolist()   # C
+    crops = augment(arr, 2)
+    assert crops[0].tolist() == arr[0:2, 0:2].tolist()   # TL
+    assert crops[1].tolist() == arr[0:2, 2:4].tolist()   # TR
+    assert crops[2].tolist() == arr[2:4, 0:2].tolist()   # BL
+    assert crops[3].tolist() == arr[2:4, 2:4].tolist()   # BR
+    assert crops[4].tolist() == arr[1:3, 1:3].tolist()   # C
 
 
 def test_augment_center_floors_odd_difference():
     arr = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    crops = augment(Image(arr), 3)
-    assert crops[4].pixels.tolist() == arr[0:3, 0:3].tolist()
+    crops = augment(arr, 3)
+    assert crops[4].tolist() == arr[0:3, 0:3].tolist()
 
 
 def test_augment_rejects_oversized_crop():
     with pytest.raises(ValueError):
-        augment(gen_scene(0, 8, 1, 0), 9)
+        augment(gen_scene(0, 8, 1, 0).pixels, 9)
 
 
 def test_augment_crops_are_exact_subarrays():
     rng = np.random.default_rng(53)
     arr = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    for crop in augment(Image(arr), 4):
+    for crop in augment(arr, 4):
         found = False
         for r in range(9 - 4 + 1):
             for c in range(7 - 4 + 1):
-                if np.array_equal(crop.pixels, arr[r:r + 4, c:c + 4]):
+                if np.array_equal(crop, arr[r:r + 4, c:c + 4]):
                     found = True
         assert found
 
@@ -1140,7 +1144,7 @@ def reference_train(net, images, labels, config, weights):
     reference: a single-class batch skips mining, and the cross-entropy
     term, triplet term and combined loss are assembled separately before the
     weighted backward. Also returns the number of single-class batches."""
-    x_all = np.stack([img.plane() / 255.0 for img in images])[..., None]
+    x_all = np.stack([plane / 255.0 for plane in images])[..., None]
     y_all = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     trace, single_class = [], 0
@@ -1195,19 +1199,41 @@ def test_default_net_sets_the_smallest_input():
 
 def test_train_validates_dataset():
     net = default_net(input_size=16, seed=0)
-    with pytest.raises(ValueError):
-        train(net, [], [], TrainConfig())
+    with pytest.raises(ValueError, match="dataset is empty"):
+        train(net, np.zeros((0, 16, 16), dtype=np.uint8), [], TrainConfig())
     images, labels = scene_batch(size=16, per_class=1)
     with pytest.raises(ValueError, match="missing classes"):
         train(net, images[:3], labels[:3], TrainConfig())
 
 
+@pytest.mark.parametrize("bad, first", [({3: -1}, -1), ({2: 7}, 7),
+                                        ({1: 5, 4: -2}, 5)])
+def test_train_and_grad_check_reject_labels_outside_the_classes(monkeypatch, bad, first):
+    """A label outside 0..4 fails before any forward, naming the first one.
+    The cross-entropy would read -1 as class 4 while mining kept it apart,
+    and 7 would fail deep inside the loss."""
+    images, labels = scene_batch(size=8, per_class=2)
+    for index, value in bad.items():
+        labels[index] = value
+    net = Network([Flatten(), Dense(64, 5, rng=np.random.default_rng(54))])
+
+    def no_forward(x):
+        raise AssertionError("forward ran before the labels were checked")
+
+    monkeypatch.setattr(net, "forward", no_forward)
+    message = rf"^label {first} is outside the classes 0\.\.4$"
+    with pytest.raises(ValueError, match=message):
+        train(net, images, labels, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match=message):
+        grad_check(net, images, labels, TrainConfig())
+
+
 def reference_crops(images, labels, crop_size):
     """The five-crop expansion that net.train made under TrainConfig.crop_size
-    before train --crop took it over, verbatim."""
+    before train --crop took it over, stacked."""
     crops = [augment(img, crop_size) for img in images]
     labels = [lbl for lbl, five in zip(labels, crops) for _ in five]
-    images = [crop for five in crops for crop in five]
+    images = np.stack([crop for five in crops for crop in five])
     return images, labels
 
 
@@ -1280,7 +1306,7 @@ def test_predict_zeroed_final_layer_ties_to_class_zero():
     final = net.layers[-1]
     final.weights[:] = 0.0
     final.bias[:] = 0.0
-    classes, scores = predict(net, [gen_scene(3, 16, 1, 5)])
+    classes, scores = predict(net, gen_scene(3, 16, 1, 5).pixels[None])
     assert classes.tolist() == [0]
     assert scores.shape == (1, 5)
     assert np.all(scores == scores[0, 0])
@@ -1295,7 +1321,7 @@ def test_predict_scores_are_bitwise_the_per_image_forward(count):
     of forward's row. A lone image is a chunk of one and keeps its bytes."""
     assert TrainConfig.batch_size == 25
     net = default_net(input_size=16, seed=9)
-    images = [gen_scene(i % 5, 16, 2, i) for i in range(count)]
+    images = scene_stack(count, 16)
     classes, scores = predict(net, images)
     expected = np.stack([forward(net, img)[1] for img in images])
     assert scores.shape == (count, net_mod.CLASS_COUNT)
@@ -1333,7 +1359,7 @@ def test_predict_leaves_no_forward_pending():
     """predict discards each chunk's saved state: a backward after it raises
     as after a fresh build, and a training step after it still runs."""
     net = default_net(input_size=16, seed=2)
-    images = [gen_scene(i % 5, 16, 2, i) for i in range(30)]
+    images = scene_stack(30, 16)
     predict(net, images)
     for layer in net.layers:
         with pytest.raises(RuntimeError, match="needs a forward first"):
@@ -1347,7 +1373,7 @@ def test_training_step_heap_peak_stays_bounded():
     the bound (2,732 KiB measured with numpy 2.4) can make glibc give heap
     pages back and fault them in again on every step of a fresh process,
     which the benchmark's median hides."""
-    images = [gen_scene(i % 5, 20, 2, i) for i in range(25)]
+    images = scene_stack(25, 20)
     labels = [i % 5 for i in range(25)]
     net = default_net(input_size=20, seed=0)
     config = TrainConfig(epochs=1, batch_size=25, seed=0)
